@@ -6,7 +6,9 @@ package realroots
 
 import (
 	"fmt"
+	"math/big"
 	"testing"
+	"time"
 
 	"realroots/internal/core"
 	"realroots/internal/harness"
@@ -17,6 +19,7 @@ import (
 	"realroots/internal/remseq"
 	"realroots/internal/sturm"
 	"realroots/internal/vca"
+	"realroots/internal/workload"
 )
 
 var benchDegrees = []int{10, 20, 30}
@@ -189,5 +192,37 @@ func BenchmarkPublicAPI(b *testing.B) {
 		if _, err := FindRootsInt64(coeffs, &Options{Precision: 32}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFindRootsHighDeg measures the user-facing entry point on the
+// paper's §5 family at degree 40 (CharPoly01, µ = 16, fast profile) on
+// one and two workers. Besides ns/op it reports the paper's two stages
+// per solve and the time spent outside them:
+// Result.Elapsed − Precompute − TreeSolve.
+func BenchmarkFindRootsHighDeg(b *testing.B) {
+	p := workload.CharPoly01(1, 40)
+	coeffs := make([]*big.Int, p.Degree()+1)
+	for i := range coeffs {
+		coeffs[i] = p.Coeff(i).ToBig()
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", workers), func(b *testing.B) {
+			opts := &Options{Precision: 16, Profile: ProfileFast, Workers: workers}
+			var pre, tree, outside time.Duration
+			for i := 0; i < b.N; i++ {
+				res, err := FindRoots(coeffs, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pre += res.Precompute
+				tree += res.TreeSolve
+				outside += res.Elapsed - res.Precompute - res.TreeSolve
+			}
+			perSolve := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+			b.ReportMetric(perSolve(pre), "precompute-ms/op")
+			b.ReportMetric(perSolve(tree), "treesolve-ms/op")
+			b.ReportMetric(perSolve(outside), "outside-ms/op")
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,9 +106,11 @@ type Options struct {
 	// (sched.Pool.SetTaskHook) — the fault-injection point used by
 	// internal/faultinject. Parallel and simulated runs only.
 	TaskHook func(seq int64)
-	// OnPhase, if non-nil, is called once per pipeline phase as it
-	// begins ("precompute", "tree", "interval") — a test hook for
-	// exercising cancellation at exact phase boundaries.
+	// OnPhase, if non-nil, is called as each pipeline phase begins
+	// ("precompute", "tree", "interval"): once per phase for a
+	// squarefree input, and again for each Yun factor of an input with
+	// repeated roots — a test hook for exercising cancellation at exact
+	// phase boundaries.
 	OnPhase func(phase string)
 	// RequestID, if non-empty, names the external request this run
 	// serves (rootd's X-Request-Id). It is stamped on every telemetry
@@ -119,6 +122,8 @@ type Options struct {
 
 // Stats reports timing and scheduling details of a run.
 type Stats struct {
+	// Precompute and TreeSolve are the paper's two stages, summed over
+	// the input and, when it has repeated roots, its Yun factors.
 	Precompute time.Duration // remainder-sequence stage
 	TreeSolve  time.Duration // tree polynomials + all interval problems
 	Total      time.Duration
@@ -155,6 +160,8 @@ type Result struct {
 	// Roots holds the µ-approximations of the distinct real roots of
 	// the input, in ascending order.
 	Roots []dyadic.Dyadic
+	// Mults holds the multiplicity in the input of each entry of Roots.
+	Mults []int
 	// Degree is the input degree; NStar the number of distinct roots.
 	Degree, NStar int
 	// Squarefree reports whether the input itself was squarefree.
@@ -174,9 +181,12 @@ var (
 )
 
 // FindRoots computes µ-approximations to all distinct real roots of p,
-// which must be a non-constant integer polynomial all of whose roots
-// are real. Repeated roots are handled by reducing to the squarefree
-// part (the preprocessing counterpart of the paper's §2.3 extension).
+// and their multiplicities; p must be a non-constant integer polynomial
+// all of whose roots are real. It solves the primitive part of p with a
+// positive leading coefficient. The remainder sequence detects repeated
+// roots itself (the paper's §2.3): only when it terminates early does
+// FindRoots split p by Yun's algorithm, seeded with the gcd the
+// sequence ended on, and solve each squarefree factor in turn.
 //
 // When the run is cut short (ErrCanceled, ErrDeadline,
 // ErrBudgetExceeded, or an isolated task panic — see IsResilience),
@@ -193,56 +203,32 @@ func FindRoots(p *poly.Poly, opts Options) (*Result, error) {
 	if p.Degree() < 1 {
 		return nil, fmt.Errorf("core: constant polynomial has no roots")
 	}
-	ps := p
-	squarefree := true
-	if !p.IsSquarefreeProfile(opts.Profile) {
-		ps = p.SquarefreePartProfile(opts.Profile)
-		squarefree = false
-	}
-	res, err := findRootsSquarefree(ps, opts)
+	res, err := solve(p, opts)
 	if res != nil {
 		res.Degree = p.Degree()
-		res.Squarefree = squarefree
 		res.Stats.Total = time.Since(start)
 	}
 	return res, err
 }
 
-// FindRootsWithMultiplicity computes every distinct real root of p
-// together with its multiplicity, by solving each factor of p's Yun
-// squarefree decomposition separately and merging.
+// FindRootsWithMultiplicity is FindRoots returning each distinct real
+// root of p paired with its multiplicity.
 func FindRootsWithMultiplicity(p *poly.Poly, opts Options) ([]RootMult, error) {
-	if p.Degree() < 1 {
-		return nil, fmt.Errorf("core: polynomial of degree %d has no roots", p.Degree())
+	res, err := FindRoots(p, opts)
+	if err != nil {
+		return nil, err
 	}
-	factors := poly.Yun(p)
-	var out []RootMult
-	for k, u := range factors {
-		if u.Degree() < 1 {
-			continue
-		}
-		r, err := FindRoots(u, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: multiplicity-%d factor: %w", k+1, err)
-		}
-		for _, root := range r.Roots {
-			out = append(out, RootMult{Root: root, Mult: k + 1})
-		}
-	}
-	// Merge-sort the factor outputs (each is sorted; factors' root sets
-	// are disjoint).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Root.Cmp(out[j-1].Root) < 0; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	out := make([]RootMult, len(res.Roots))
+	for i, r := range res.Roots {
+		out[i] = RootMult{Root: r, Mult: res.Mults[i]}
 	}
 	return out, nil
 }
 
-// findRootsSquarefree instruments one squarefree solve: it opens a
-// telemetry run around the pipeline (a no-op when no hub is attached)
-// and closes it with the run's outcome and metrics.
-func findRootsSquarefree(p *poly.Poly, opts Options) (*Result, error) {
+// solve instruments one FindRoots call: it opens a single telemetry run
+// around every pipeline the call runs (a no-op when no hub is attached)
+// and closes it with the call's outcome and metrics.
+func solve(p *poly.Poly, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if opts.SimulateWorkers > 0 {
 		workers = opts.SimulateWorkers
@@ -262,7 +248,7 @@ func findRootsSquarefree(p *poly.Poly, opts Options) (*Result, error) {
 	if counters == nil && (opts.MaxBitOps > 0 || run != nil) {
 		counters = &metrics.Counters{} // budget metering and telemetry need a sink
 	}
-	res, err := findRootsPipeline(p, opts, counters, run)
+	res, err := solveRun(p, opts, counters, run)
 	if run != nil {
 		// Summarize sorts every lane's intervals; with always-on
 		// serving-path tracing this runs on every solve, so skip the
@@ -280,23 +266,42 @@ func findRootsSquarefree(p *poly.Poly, opts Options) (*Result, error) {
 	return res, err
 }
 
-func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, run *telemetry.Run) (*Result, error) {
-	mctx := metrics.Ctx{C: counters, Profile: opts.Profile}
+// A call is the state that one FindRoots call shares across the
+// pipelines it runs — one for the input, then one per Yun factor when
+// the input has repeated roots.
+type call struct {
+	opts    Options
+	mctx    metrics.Ctx
+	pool    *sched.Pool // nil on sequential runs
+	run     *telemetry.Run
+	ctl     *trace.Lane
+	stop    func() error
+	onPhase func(phase string)
+	stats   Stats // Precompute, TreeSolve and TaskKinds.Precompute, summed
+	tally   taskTally
+}
+
+// solveRun sets up the call's pool, stop check and budget, then runs
+// the pipeline on the normalized input and, when the remainder sequence
+// reports repeated roots, on each of its Yun factors.
+func solveRun(p *poly.Poly, opts Options, counters *metrics.Counters, run *telemetry.Run) (*Result, error) {
+	c := &call{opts: opts, mctx: metrics.Ctx{C: counters, Profile: opts.Profile}, run: run}
 	n := p.Degree()
 
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	onPhase := opts.OnPhase
-	if onPhase == nil {
-		onPhase = func(string) {}
+	c.onPhase = opts.OnPhase
+	if c.onPhase == nil {
+		c.onPhase = func(string) {}
 	}
 
 	// stop is the sequential-path checkpoint, polled per remainder
-	// iteration, per tree node, and per interval problem. The parallel
-	// path enforces the same conditions through pool cancellation.
-	stop := func() error {
+	// iteration, per Yun gcd step, per tree node, and per interval
+	// problem. The parallel path enforces the same conditions through
+	// pool cancellation.
+	c.stop = func() error {
 		select {
 		case <-ctx.Done():
 			return ctxErr(ctx.Err())
@@ -315,6 +320,7 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 	case opts.Workers > 1:
 		pool = sched.NewPool(opts.Workers)
 	}
+	c.pool = pool
 	if pool != nil {
 		if run != nil {
 			// Registered before the Close defer so it runs after it
@@ -353,7 +359,7 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 		}()
 	}
 	if opts.ParallelMul && opts.Profile == mp.Fast && pool != nil && opts.SimulateWorkers == 0 {
-		mctx.Par = parMulSubmitter{pool}
+		c.mctx.Par = parMulSubmitter{pool}
 	}
 	if counters != nil && opts.MaxBitOps > 0 {
 		cancelPool := pool // nil on sequential runs: stop() polls instead
@@ -367,117 +373,169 @@ func findRootsPipeline(p *poly.Poly, opts Options, counters *metrics.Counters, r
 
 	// partial packages the stats gathered so far with a resilience
 	// error; precondition errors return a nil Result instead.
-	var precompute, treeSolve time.Duration
 	partial := func(err error) (*Result, error) {
 		if !IsResilience(err) {
 			return nil, err
 		}
-		res := &Result{NStar: n, Stats: Stats{Precompute: precompute, TreeSolve: treeSolve}}
+		res := &Result{NStar: n, Stats: Stats{Precompute: c.stats.Precompute, TreeSolve: c.stats.TreeSolve}}
 		if pool != nil {
 			res.Stats.Tasks = pool.Executed()
 		}
 		return res, err
 	}
 
-	if err := stop(); err != nil {
+	if err := c.stop(); err != nil {
 		return partial(err)
 	}
 
 	// Control lane: pipeline phase spans recorded by the orchestrating
 	// goroutine. Nil-safe — a nil Tracer makes every call below a no-op.
-	ctl := opts.Tracer.Lane(trace.ControlLane, "control")
+	c.ctl = opts.Tracer.Lane(trace.ControlLane, "control")
+
+	// Normalize once, as Yun does: the factors it returns are primitive
+	// with positive leading coefficients, and so is p.
+	p = p.PrimitivePartProfile(opts.Profile)
+	if p.Lead().Sign() < 0 {
+		p = p.Neg()
+	}
+	res := &Result{Squarefree: true}
+	roots, err := c.pipeline(p)
+	var rr *remseq.RepeatedRootsError
+	switch {
+	case errors.As(err, &rr):
+		res.Squarefree = false
+		roots, res.Mults, err = c.solveFactors(p, rr.GCD)
+	case err == nil:
+		res.Mults = make([]int, len(roots))
+		for i := range res.Mults {
+			res.Mults[i] = 1
+		}
+	}
+	if err != nil {
+		return partial(err)
+	}
+	res.Roots, res.NStar = roots, len(roots)
+	res.Stats = c.stats
+	if pool != nil {
+		res.Stats.Tasks = pool.Executed()
+		res.Stats.SimMakespan, res.Stats.SimWork = pool.SimStats()
+		res.Stats.TaskKinds.ComputePoly = c.tally.computePoly.Load()
+		res.Stats.TaskKinds.Sort = c.tally.sort.Load()
+		res.Stats.TaskKinds.PreInterval = c.tally.preInterval.Load()
+		res.Stats.TaskKinds.Interval = c.tally.interval.Load()
+	}
+	return res, nil
+}
+
+// solveFactors handles an input whose remainder sequence terminated
+// early with the gcd g. It splits p by Yun's algorithm seeded with g,
+// under the call's profile and stop check, then solves each squarefree
+// factor and merges the roots, each tagged with its factor's
+// multiplicity. Yun's arithmetic is not recorded: a repeated-root
+// input's bit operations are the remainder work that detected the
+// repeated roots plus the factor solves.
+func (c *call) solveFactors(p, g *poly.Poly) ([]dyadic.Dyadic, []int, error) {
+	factors, err := poly.YunFromGCD(c.mctx, p, g, c.stop)
+	if err != nil {
+		return nil, nil, err
+	}
+	var out []RootMult
+	for k, u := range factors {
+		if u.Degree() < 1 {
+			continue
+		}
+		roots, err := c.pipeline(u)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: multiplicity-%d factor: %w", k+1, err)
+		}
+		for _, r := range roots {
+			out = append(out, RootMult{Root: r, Mult: k + 1})
+		}
+	}
+	// The factors' root sets are disjoint.
+	slices.SortFunc(out, func(a, b RootMult) int { return a.Root.Cmp(b.Root) })
+	roots := make([]dyadic.Dyadic, len(out))
+	mults := make([]int, len(out))
+	for i, rm := range out {
+		roots[i], mults[i] = rm.Root, rm.Mult
+	}
+	return roots, mults, nil
+}
+
+// pipeline runs the paper's two stages on p and returns its roots. It
+// returns a *remseq.RepeatedRootsError, after the remainder stage, when
+// p has repeated roots.
+func (c *call) pipeline(p *poly.Poly) ([]dyadic.Dyadic, error) {
+	opts := c.opts
+	n := p.Degree()
 
 	// Degree-1 short-circuit: nothing to precompute.
 	if n == 1 {
 		bound := p.RootBound()
-		ctl.Begin("interval", trace.CatTask)
-		s := interval.NewSolver(p, nil, bound, opts.Mu, opts.Method, mctx)
+		c.ctl.Begin("interval", trace.CatTask)
+		s := interval.NewSolver(p, nil, bound, opts.Mu, opts.Method, c.mctx)
 		roots := s.SolveAll()
-		ctl.End()
-		return &Result{Roots: roots, NStar: 1}, nil
+		c.ctl.End()
+		return roots, nil
 	}
 
 	// Stage 1: remainder and quotient sequences.
-	onPhase("precompute")
-	run.PhaseBegin("remainder")
-	ctl.Begin("remainder", trace.CatPhase)
+	c.onPhase("precompute")
+	c.run.PhaseBegin("remainder")
+	c.ctl.Begin("remainder", trace.CatPhase)
 	t0 := time.Now()
-	seqOpts := remseq.Options{Ctx: mctx, Grain: opts.Grain, Stop: stop}
-	if pool != nil && !opts.SequentialPrecompute {
-		seqOpts.Pool = pool
+	var executed int64
+	if c.pool != nil {
+		executed = c.pool.Executed()
+	}
+	seqOpts := remseq.Options{Ctx: c.mctx, Grain: opts.Grain, Stop: c.stop}
+	if c.pool != nil && !opts.SequentialPrecompute {
+		seqOpts.Pool = c.pool
 	}
 	seq, err := remseq.Compute(p, seqOpts)
+	if err == nil {
+		err = seq.Validate()
+	}
+	c.stats.Precompute += time.Since(t0)
+	if c.pool != nil {
+		c.stats.TaskKinds.Precompute += c.pool.Executed() - executed
+	}
+	c.ctl.End()
+	c.run.PhaseEnd("remainder")
 	if err != nil {
-		precompute = time.Since(t0)
-		ctl.End()
-		run.PhaseEnd("remainder")
-		return partial(err)
-	}
-	if err := seq.Validate(); err != nil {
-		ctl.End()
-		run.PhaseEnd("remainder")
 		return nil, err
-	}
-	precompute = time.Since(t0)
-	ctl.End()
-	run.PhaseEnd("remainder")
-
-	var precomputeTasks int64
-	if pool != nil {
-		precomputeTasks = pool.Executed()
 	}
 
 	// Stage 2: tree polynomials and interval problems.
-	onPhase("tree")
-	if err := stop(); err != nil {
-		return partial(err)
+	c.onPhase("tree")
+	if err := c.stop(); err != nil {
+		return nil, err
 	}
 	t1 := time.Now()
-	run.PhaseBegin("solve")
-	ctl.Begin("solve", trace.CatPhase)
+	c.run.PhaseBegin("solve")
+	c.ctl.Begin("solve", trace.CatPhase)
 	root := tree.Build(n)
 	bound := p.RootBound()
-	var tally taskTally
 	var onInterval sync.Once
-	intervalPhase := func() { onInterval.Do(func() { onPhase("interval") }) }
-	if pool == nil {
-		err = solveSequential(seq, root, bound, opts, mctx, ctl, stop, intervalPhase)
+	intervalPhase := func() { onInterval.Do(func() { c.onPhase("interval") }) }
+	if c.pool == nil {
+		err = solveSequential(seq, root, bound, opts, c.mctx, c.ctl, c.stop, intervalPhase)
 	} else {
-		err = solveParallel(pool, seq, root, bound, opts, mctx, &tally, intervalPhase)
+		err = solveParallel(c.pool, seq, root, bound, opts, c.mctx, &c.tally, intervalPhase)
 	}
-	treeSolve = time.Since(t1)
-	ctl.End()
-	run.PhaseEnd("solve")
+	c.ctl.End()
+	c.run.PhaseEnd("solve")
+	if err == nil && opts.CheckTree {
+		err = tree.CheckShape(root, n)
+	}
+	c.stats.TreeSolve += time.Since(t1)
 	if err != nil {
-		return partial(err)
+		return nil, err
 	}
-	if opts.CheckTree {
-		if err := tree.CheckShape(root, n); err != nil {
-			return nil, err
-		}
+	if len(root.Roots) != n {
+		return nil, fmt.Errorf("core: solved %d roots for degree %d (internal invariant)", len(root.Roots), n)
 	}
-	treeSolve = time.Since(t1)
-
-	res := &Result{
-		Roots: root.Roots,
-		NStar: n,
-		Stats: Stats{Precompute: precompute, TreeSolve: treeSolve},
-	}
-	if pool != nil {
-		res.Stats.Tasks = pool.Executed()
-		res.Stats.SimMakespan, res.Stats.SimWork = pool.SimStats()
-		res.Stats.TaskKinds = TaskKindCounts{
-			Precompute:  precomputeTasks,
-			ComputePoly: tally.computePoly.Load(),
-			Sort:        tally.sort.Load(),
-			PreInterval: tally.preInterval.Load(),
-			Interval:    tally.interval.Load(),
-		}
-	}
-	if len(res.Roots) != n {
-		return nil, fmt.Errorf("core: solved %d roots for degree %d (internal invariant)", len(res.Roots), n)
-	}
-	return res, nil
+	return root.Roots, nil
 }
 
 // mergeRoots merges the two sorted child root slices (the SORT task).

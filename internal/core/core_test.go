@@ -206,6 +206,12 @@ func TestErrorCases(t *testing.T) {
 	if _, err := FindRoots(p, Options{Mu: 4}); !errors.Is(err, remseq.ErrNotAllReal) {
 		t.Errorf("mixed: err = %v", err)
 	}
+	// Repeated complex roots: the sequence stops on the gcd x²+1, and
+	// the multiplicity-2 factor x²+1 then fails Sturm validation.
+	p = poly.FromInt64s(1, 0, 1).Mul(poly.FromInt64s(1, 0, 1)).Mul(poly.FromRoots(mp.NewInt(2)))
+	if _, err := FindRoots(p, Options{Mu: 4, Workers: 2}); !errors.Is(err, remseq.ErrNotAllReal) {
+		t.Errorf("repeated complex: err = %v", err)
+	}
 }
 
 func TestLinearAndQuadratic(t *testing.T) {
@@ -435,6 +441,22 @@ func TestTaskKindCounts(t *testing.T) {
 	}
 	if seqRes.Stats.TaskKinds.Total() != 0 {
 		t.Error("sequential run reported task kinds")
+	}
+	// Repeated roots: the remainder sequence stops on the gcd, and the
+	// two degree-3 Yun factors are then solved on the same pool, so the
+	// counts sum over both factors' trees.
+	rp := poly.FromRoots(mp.NewInt(1), mp.NewInt(2), mp.NewInt(4),
+		mp.NewInt(-3), mp.NewInt(-3), mp.NewInt(5), mp.NewInt(5), mp.NewInt(9), mp.NewInt(9))
+	rres, err := FindRoots(rp, Options{Mu: 16, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes = 0
+	tree.Build(3).Walk(func(*tree.Node) { nodes++ })
+	rtk := rres.Stats.TaskKinds
+	if rtk.Sort != int64(2*nodes) || rtk.Total() > rres.Stats.Tasks || rtk.Precompute == 0 {
+		t.Errorf("repeated roots: task kinds %+v (total %d), executed %d; want %d sorts",
+			rtk, rtk.Total(), rres.Stats.Tasks, 2*nodes)
 	}
 }
 

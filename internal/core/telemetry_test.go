@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"realroots/internal/mp"
@@ -115,5 +117,50 @@ func TestTelemetrySimulatedRun(t *testing.T) {
 	}
 	if err := tel.Flight().Dump().Validate(); err != nil {
 		t.Fatalf("flight dump: %v", err)
+	}
+}
+
+// TestTelemetryRepeatedRootsOneRun solves an input with three Yun
+// factors: the call is one run with outcome ok, although its remainder
+// sequence first stops on the repeated roots and each factor is then
+// solved on its own.
+func TestTelemetryRepeatedRootsOneRun(t *testing.T) {
+	tel := telemetry.New(telemetry.Config{FlightCapacity: 8192})
+	p := poly.FromRoots(mp.NewInt(1), mp.NewInt(-4), mp.NewInt(-4), mp.NewInt(9), mp.NewInt(9), mp.NewInt(9), mp.NewInt(6))
+	for _, workers := range []int{1, 2} {
+		rm, err := FindRootsWithMultiplicity(p, Options{Mu: 8, Workers: workers, Telemetry: tel})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(rm) != 4 {
+			t.Fatalf("workers=%d: %d roots, want 4", workers, len(rm))
+		}
+	}
+	tot := tel.Registry().Totals()
+	var runs int64
+	for _, n := range tot.Solves {
+		runs += n
+	}
+	if runs != 2 || tot.Solves[telemetry.OutcomeOK] != 2 {
+		t.Fatalf("realroots_solves_total = %v, want one ok run per call", tot.Solves)
+	}
+	if tot.Roots != 8 {
+		t.Fatalf("roots total = %d, want 4 per call", tot.Roots)
+	}
+	var buf bytes.Buffer
+	if err := tel.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `realroots_solves_total{outcome="ok"} 2`) {
+		t.Fatalf("exposition:\n%s", buf.String())
+	}
+	events := map[string]int{}
+	for _, r := range tel.Flight().Dump().Records {
+		if r.Kind == telemetry.KindEvent {
+			events[r.Name]++
+		}
+	}
+	if events["start"] != 2 || events["finish"] != 2 {
+		t.Errorf("lifecycle events: %v, want one start and one finish per call", events)
 	}
 }

@@ -33,6 +33,7 @@ var DefaultWorkers = []int{1, 2, 4, 8, 16}
 type Run struct {
 	Workers int
 	Roots   []dyadic.Dyadic
+	Mults   []int // multiplicity of each root
 	// Muls is the per-phase multiplication count; Phases indexes it.
 	Muls [metrics.NumPhases]int64
 	// Tasks is the number of scheduler tasks executed (0 when Workers
@@ -87,7 +88,7 @@ func Sweep(p *poly.Poly, mu uint, workers []int, seed int64) ([]Run, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stress: workers=%d: %w", w, err)
 		}
-		run := Run{Workers: w, Roots: res.Roots, Tasks: res.Stats.Tasks}
+		run := Run{Workers: w, Roots: res.Roots, Mults: res.Mults, Tasks: res.Stats.Tasks}
 		rep := c.Snapshot()
 		for _, ph := range metrics.AllPhases() {
 			run.Muls[ph] = rep.Phases[ph].Muls
@@ -113,6 +114,10 @@ func Verify(runs []Run) error {
 			if !r.Roots[i].Equal(base.Roots[i]) {
 				return fmt.Errorf("stress: root %d differs: P=%d → %v, P=%d → %v",
 					i, base.Workers, base.Roots[i], r.Workers, r.Roots[i])
+			}
+			if r.Mults[i] != base.Mults[i] {
+				return fmt.Errorf("stress: multiplicity of root %d differs: P=%d → %d, P=%d → %d",
+					i, base.Workers, base.Mults[i], r.Workers, r.Mults[i])
 			}
 		}
 		for _, ph := range metrics.AllPhases() {

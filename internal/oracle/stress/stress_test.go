@@ -5,6 +5,7 @@ import (
 
 	"realroots/internal/dyadic"
 	"realroots/internal/metrics"
+	"realroots/internal/poly"
 	"realroots/internal/workload"
 )
 
@@ -14,25 +15,30 @@ import (
 func TestPSweepDeterminism(t *testing.T) {
 	inputs := []struct {
 		name string
-		n    int
+		p    *poly.Poly
 		mu   uint
 		seed int64
 	}{
-		{"charpoly16-mu16", 16, 16, 1},
-		{"charpoly12-mu32", 12, 32, 2},
+		{"charpoly16-mu16", workload.CharPoly01(1, 16), 16, 1},
+		{"charpoly12-mu32", workload.CharPoly01(2, 12), 32, 2},
+		// Repeated roots: the remainder sequence stops on the gcd, then
+		// Yun's factors are solved on the same pool.
+		{"multiplicities14-mu16", workload.WithMultiplicities(1, 7, 12, 3), 16, 3},
+		{"charpoly10-squared-mu16", square(workload.CharPoly01(3, 10)), 16, 4},
 	}
 	if testing.Short() {
 		inputs = inputs[:1]
 	}
 	for _, tc := range inputs {
 		t.Run(tc.name, func(t *testing.T) {
-			p := workload.CharPoly01(tc.seed, tc.n)
-			if err := SweepAndVerify(p, tc.mu, DefaultWorkers, tc.seed); err != nil {
+			if err := SweepAndVerify(tc.p, tc.mu, DefaultWorkers, tc.seed); err != nil {
 				t.Error(err)
 			}
 		})
 	}
 }
+
+func square(p *poly.Poly) *poly.Poly { return p.Mul(p) }
 
 func TestSweepRecordsTasks(t *testing.T) {
 	p := workload.Tridiagonal(3, 10, 5)

@@ -116,6 +116,12 @@ func PseudoRem(u, v *Poly) *Poly { return PseudoRemProfile(u, v, mp.Schoolbook) 
 // PseudoRemProfile is PseudoRem with the coefficient arithmetic
 // dispatched by pr (unrecorded; see GCDProfile).
 func PseudoRemProfile(u, v *Poly, pr mp.Profile) *Poly {
+	return pseudoRem(metrics.Ctx{Profile: pr}, u, v)
+}
+
+// pseudoRem is PseudoRem with the arithmetic dispatched by uctx, which
+// must carry no counters.
+func pseudoRem(uctx metrics.Ctx, u, v *Poly) *Poly {
 	if v.IsZero() {
 		panic("poly: PseudoRem by zero")
 	}
@@ -124,7 +130,6 @@ func PseudoRemProfile(u, v *Poly, pr mp.Profile) *Poly {
 		r := u.Clone()
 		return r
 	}
-	uctx := metrics.Ctx{Profile: pr} // dispatch only, no recording
 	r := u.Clone()
 	lead := v.Lead()
 	for r.Degree() >= dv && !r.IsZero() {

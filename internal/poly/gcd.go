@@ -8,14 +8,13 @@ import (
 // GCD returns the greatest common divisor of a and b in ℤ[x], computed
 // with a primitive pseudo-remainder sequence. The result is primitive
 // with a positive leading coefficient (up to integer content, which is
-// irrelevant for root sets); GCD(0, 0) == 0. It is used for squarefree
-// reduction (the preprocessing counterpart of the paper's repeated-root
-// extension, §2.3) and by the Sturm baseline.
+// irrelevant for root sets); GCD(0, 0) == 0. It is used by Yun's
+// squarefree decomposition and by the Sturm and Descartes baselines.
 func GCD(a, b *Poly) *Poly { return GCDProfile(a, b, mp.Schoolbook) }
 
 // GCDProfile is GCD with the coefficient arithmetic dispatched by pr.
 // The work is not recorded in any metrics counters: squarefree
-// preprocessing sits outside the paper's cost model, so both profiles
+// decomposition sits outside the paper's cost model, so both profiles
 // produce identical traces and differ only in wall time.
 //
 // Schoolbook uses the primitive PRS above — an integer content GCD per
@@ -25,40 +24,52 @@ func GCD(a, b *Poly) *Poly { return GCDProfile(a, b, mp.Schoolbook) }
 // multi-thousand-bit PRS coefficients) disappear entirely; a content
 // is taken only on the final gcd candidate.
 func GCDProfile(a, b *Poly, pr mp.Profile) *Poly {
+	g, _ := gcdStop(metrics.Ctx{Profile: pr}, a, b, nil)
+	return g
+}
+
+// gcdStop is GCDProfile with the arithmetic dispatched by ctx, which
+// must carry no counters, polling stop, when non-nil, once per
+// remainder step; a non-nil return from stop aborts it with that error.
+func gcdStop(ctx metrics.Ctx, a, b *Poly, stop func() error) (*Poly, error) {
+	pr := ctx.Profile
 	if pr == mp.Fast {
-		return gcdSubresultant(a, b, pr)
+		return gcdSubresultant(ctx, a, b, stop)
 	}
 	u := a.PrimitivePartProfile(pr)
 	v := b.PrimitivePartProfile(pr)
 	if u.IsZero() {
-		return normSign(v)
+		return normSign(v), nil
 	}
 	if v.IsZero() {
-		return normSign(u)
+		return normSign(u), nil
 	}
 	if u.Degree() < v.Degree() {
 		u, v = v, u
 	}
 	for !v.IsZero() {
-		r := PseudoRemProfile(u, v, pr).PrimitivePartProfile(pr)
+		if err := poll(stop); err != nil {
+			return nil, err
+		}
+		r := pseudoRem(ctx, u, v).PrimitivePartProfile(pr)
 		u, v = v, r
 	}
-	return normSign(u)
+	return normSign(u), nil
 }
 
 // gcdSubresultant computes GCD via the subresultant PRS (Collins 1967;
 // Knuth TAOCP vol. 2, §4.6.1 Algorithm C): r_{i+1} = prem(r_{i-1}, r_i)
 // / (g·h^d) with g = lc(r_{i-1}) and h the running pseudo-leading
 // coefficient, both known in advance, keeping every division exact.
-func gcdSubresultant(a, b *Poly, pr mp.Profile) *Poly {
-	uctx := metrics.Ctx{Profile: pr} // dispatch only, no recording
+func gcdSubresultant(uctx metrics.Ctx, a, b *Poly, stop func() error) (*Poly, error) {
+	pr := uctx.Profile
 	u := a.PrimitivePartProfile(pr)
 	v := b.PrimitivePartProfile(pr)
 	if u.IsZero() {
-		return normSign(v)
+		return normSign(v), nil
 	}
 	if v.IsZero() {
-		return normSign(u)
+		return normSign(u), nil
 	}
 	if u.Degree() < v.Degree() {
 		u, v = v, u
@@ -66,6 +77,9 @@ func gcdSubresultant(a, b *Poly, pr mp.Profile) *Poly {
 	g := mp.NewInt(1)
 	h := mp.NewInt(1)
 	for !v.IsZero() && v.Degree() >= 1 {
+		if err := poll(stop); err != nil {
+			return nil, err
+		}
 		d := u.Degree() - v.Degree()
 		r := pseudoRemExact(uctx, u, v)
 		u = v
@@ -88,9 +102,17 @@ func gcdSubresultant(a, b *Poly, pr mp.Profile) *Poly {
 	if !v.IsZero() {
 		// Non-zero constant remainder: the gcd is constant, and the
 		// primitive gcd is 1.
-		return FromInt64s(1)
+		return FromInt64s(1), nil
 	}
-	return normSign(u.PrimitivePartProfile(pr))
+	return normSign(u.PrimitivePartProfile(pr)), nil
+}
+
+// poll returns stop's verdict, or nil when there is no stop function.
+func poll(stop func() error) error {
+	if stop == nil {
+		return nil
+	}
+	return stop()
 }
 
 // pseudoRemExact returns lc(v)^(du−dv+1)·u mod v with the scaling power
@@ -163,7 +185,7 @@ func (p *Poly) SquarefreePartProfile(pr mp.Profile) *Poly {
 	if g.Degree() == 0 {
 		return normSign(p.PrimitivePartProfile(pr))
 	}
-	q, r := divModProfile(p.PrimitivePartProfile(pr), g, pr)
+	q, r := divModCtx(metrics.Ctx{Profile: pr}, p.PrimitivePartProfile(pr), g)
 	if !r.IsZero() {
 		// gcd(p, p') divides p exactly; a remainder means corrupted state.
 		panic("poly: SquarefreePart: gcd does not divide p")
@@ -189,13 +211,14 @@ func (p *Poly) IsSquarefreeProfile(pr mp.Profile) bool {
 // u = q·v + r and deg r < deg v, when such integral q exists. If the true
 // rational quotient is not integral the returned pair still satisfies the
 // degree bound but r is the witness that v ∤ u. v must be non-zero.
-func DivMod(u, v *Poly) (q, r *Poly) { return divModProfile(u, v, mp.Schoolbook) }
+func DivMod(u, v *Poly) (q, r *Poly) { return divModCtx(metrics.Ctx{}, u, v) }
 
-func divModProfile(u, v *Poly, pr mp.Profile) (q, r *Poly) {
+// divModCtx is DivMod with the arithmetic dispatched by uctx, which must
+// carry no counters.
+func divModCtx(uctx metrics.Ctx, u, v *Poly) (q, r *Poly) {
 	if v.IsZero() {
 		panic("poly: DivMod by zero")
 	}
-	uctx := metrics.Ctx{Profile: pr} // dispatch only, no recording
 	q = Zero()
 	r = u.Clone()
 	dv := v.Degree()

@@ -1,10 +1,12 @@
 package poly
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"realroots/internal/metrics"
 	"realroots/internal/mp"
 )
 
@@ -105,5 +107,59 @@ func TestQuickYunReconstructs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestYunFromGCDMatchesYun seeds the decomposition with a scaled,
+// negated gcd — as a remainder sequence carries it — and expects Yun's
+// own factors under both profiles, with nothing recorded in the
+// caller's counters.
+func TestYunFromGCDMatchesYun(t *testing.T) {
+	p := FromRoots(mp.NewInt(1), mp.NewInt(-4), mp.NewInt(-4), mp.NewInt(9), mp.NewInt(9), mp.NewInt(9), mp.NewInt(0))
+	want := Yun(p)
+	g := GCD(p, p.Derivative()).ScaleInt(mp.NewInt(-12))
+	for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
+		var c metrics.Counters
+		got, err := YunFromGCD(metrics.Ctx{C: &c, Profile: pr}, p, g, nil)
+		if err != nil {
+			t.Fatalf("profile %v: %v", pr, err)
+		}
+		if tot := c.Snapshot().Total(); tot.Muls != 0 || tot.Divs != 0 || c.BitOps() != 0 {
+			t.Errorf("profile %v: recorded %+v", pr, tot)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("profile %v: %d factors, want %d", pr, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k].Equal(want[k]) {
+				t.Errorf("profile %v: u%d = %s, want %s", pr, k+1, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestYunFromGCDStops checks that the decomposition polls stop during
+// its gcd steps and returns stop's error as soon as it fires.
+func TestYunFromGCDStops(t *testing.T) {
+	errStop := errors.New("stop")
+	p := FromRoots(mp.NewInt(1), mp.NewInt(2), mp.NewInt(2), mp.NewInt(-3), mp.NewInt(-3), mp.NewInt(-3),
+		mp.NewInt(5), mp.NewInt(5), mp.NewInt(7))
+	g := GCD(p, p.Derivative())
+	for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
+		calls := 0
+		stop := func() error {
+			calls++
+			if calls == 3 {
+				return errStop
+			}
+			return nil
+		}
+		fs, err := YunFromGCD(metrics.Ctx{Profile: pr}, p, g, stop)
+		if !errors.Is(err, errStop) || fs != nil {
+			t.Fatalf("profile %v: got %v, %v; want the stop error", pr, fs, err)
+		}
+		if calls != 3 {
+			t.Errorf("profile %v: stop polled %d times, want 3 (no poll after it fired)", pr, calls)
+		}
 	}
 }

@@ -22,11 +22,13 @@ import (
 // max{0, min(n*-i+1, j-i+1)} and distinct real roots, with the
 // interleaving property holding wherever the child degree permits.
 //
-// The production path in this repository reduces to the squarefree part
-// instead (an equivalent preprocessing; see DESIGN.md), so this file
-// exists to reproduce §2.3 faithfully: ComputeExtended builds the
-// extended sequences, and the tests verify Theorem 2's degree and
-// interleaving claims on them.
+// The production path uses only the detection half of §2.3: Compute
+// stops at F_{n*+1} = 0 and hands back the gcd F_{n*}, and the solver
+// splits the input by Yun's algorithm seeded with that gcd instead of
+// solving the extended tree (see DESIGN.md). This file reproduces the
+// rest of §2.3 faithfully: ComputeExtended builds the extended
+// sequences from the same recurrence as Compute, and the tests verify
+// Theorem 2's degree and interleaving claims on them.
 
 // Extended is the §2.3 extended remainder sequence of a polynomial with
 // repeated roots.
@@ -49,76 +51,22 @@ func ComputeExtended(p *poly.Poly, ctx metrics.Ctx) (*Extended, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("remseq: degree %d polynomial cannot have repeated roots", n)
 	}
-	ctx = ctx.In(metrics.PhaseRemainder)
-
-	f := make([][]*mp.Int, n+1)
-	f[0] = coeffs(p, n)
-	f[1] = coeffs(p.Derivative(), n-1)
-
-	e := &Extended{N: n, Q: make([]*poly.Poly, n)}
-	one := mp.NewInt(1)
-
-	nStar := -1
-	for i := 1; i < n; i++ {
-		ci := f[i][n-i]
-		ci1 := f[i-1][n-i+1]
-		if ci.IsZero() {
-			return nil, ErrNotAllReal // abnormal degree drop mid-sequence
-		}
-		q1 := ctx.Mul(ci1, ci)
-		var fiLow *mp.Int
-		if n-i-1 >= 0 {
-			fiLow = f[i][n-i-1]
-		} else {
-			fiLow = new(mp.Int)
-		}
-		q0 := ctx.Sub(ctx.Mul(ci, f[i-1][n-i]), ctx.Mul(fiLow, ci1))
-		e.Q[i] = poly.New(q0, q1)
-
-		cisq := ctx.Sqr(ci)
-		divisor := one
-		if i >= 2 {
-			divisor = ctx.Sqr(ci1)
-		}
-		next := make([]*mp.Int, n-i)
-		for j := 0; j < n-i; j++ {
-			t := ctx.Mul(f[i][j], q0)
-			if j >= 1 {
-				t = ctx.Add(t, ctx.Mul(f[i][j-1], q1))
-			}
-			t = ctx.Sub(t, ctx.Mul(cisq, f[i-1][j]))
-			if divisor.IsOne() {
-				next[j] = t
-			} else {
-				next[j] = ctx.DivExact(t, divisor)
-			}
-		}
-		f[i+1] = next
-
-		allZero := true
-		for _, v := range next {
-			if !v.IsZero() {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			// F_{i+1} = 0: F_i is the gcd; the paper's n* is i.
-			nStar = i
-			break
-		}
-		if next[n-i-1].IsZero() {
-			return nil, ErrNotAllReal
-		}
+	f, q, nStar, err := recur(p, Options{Ctx: ctx})
+	if err != nil {
+		return nil, err
 	}
-	if nStar < 0 {
+	if nStar == n {
 		return nil, fmt.Errorf("remseq: polynomial is squarefree; use Compute")
 	}
 
-	e.NStar = nStar
-	e.Gcd = poly.New(f[nStar]...)
-	e.F = make([]*poly.Poly, n+1)
-	e.csq = make([]*mp.Int, n+1)
+	e := &Extended{
+		N:     n,
+		NStar: nStar,
+		F:     make([]*poly.Poly, n+1),
+		Q:     q,
+		csq:   make([]*mp.Int, n+1),
+		Gcd:   poly.New(f[nStar]...),
+	}
 	for i := 0; i < nStar; i++ {
 		e.F[i] = poly.New(f[i]...)
 	}

@@ -1,6 +1,7 @@
 package remseq
 
 import (
+	"errors"
 	"testing"
 
 	"realroots/internal/metrics"
@@ -94,6 +95,67 @@ func FuzzRemseqInterleaving(f *testing.F) {
 		}
 		if got := s.CountRootsBelow(metrics.Ctx{}, mp.NewInt(-200), 0); got != 0 {
 			t.Fatalf("CountRootsBelow(-200) = %d, want 0 (roots %v)", got, roots)
+		}
+	})
+}
+
+// FuzzRemseqRepeatedRoots feeds Compute products ∏ (x - r_k)^{m_k} of
+// distinct int8 roots with multiplicities 1–3, one (root, multiplicity)
+// byte pair per factor, and checks the §2.3 detection under both
+// arithmetic profiles: Compute reports repeated roots exactly when some
+// m_k > 1, the reported n* is the number of distinct roots, and the
+// carried gcd is gcd(p, p′) up to a non-zero scalar.
+func FuzzRemseqRepeatedRoots(f *testing.F) {
+	f.Add([]byte{1, 1, 255, 0})        // (x-1)²(x+1)
+	f.Add([]byte{3, 2, 253, 1, 10, 0}) // (x-3)³(x+3)²(x-10)
+	f.Add([]byte{0, 0, 5, 0})          // x(x-5), squarefree
+	f.Add([]byte{7, 2})                // (x-7)³
+	f.Add([]byte{1, 1, 2, 2, 3, 0, 4, 1, 5, 2, 6, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 16 {
+			return
+		}
+		seen := map[int64]bool{}
+		p := poly.FromInt64s(1)
+		distinct, repeated := 0, false
+		for k := 0; k+1 < len(data); k += 2 {
+			r := int64(int8(data[k]))
+			if seen[r] {
+				continue
+			}
+			seen[r] = true
+			distinct++
+			m := 1 + int(data[k+1]%3)
+			repeated = repeated || m > 1
+			for j := 0; j < m; j++ {
+				p = p.MulLinear(mp.NewInt(r))
+			}
+		}
+		if p.Degree() < 1 {
+			return
+		}
+		for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
+			_, err := Compute(p, Options{Ctx: metrics.Ctx{Profile: pr}})
+			if !repeated {
+				if err != nil {
+					t.Fatalf("profile %v: Compute rejected squarefree %s: %v", pr, p, err)
+				}
+				continue
+			}
+			var rr *RepeatedRootsError
+			if !errors.As(err, &rr) || !errors.Is(err, ErrNotSquarefree) {
+				t.Fatalf("profile %v: Compute(%s) = %v, want a *RepeatedRootsError", pr, p, err)
+			}
+			if rr.NStar != distinct {
+				t.Fatalf("profile %v: %s: n* = %d, want %d distinct roots", pr, p, rr.NStar, distinct)
+			}
+			g := rr.GCD.PrimitivePartProfile(pr)
+			if g.Lead().Sign() < 0 {
+				g = g.Neg()
+			}
+			if want := poly.GCDProfile(p, p.Derivative(), pr); !g.Equal(want) {
+				t.Fatalf("profile %v: %s: carried gcd %s, want %s", pr, p, g, want)
+			}
 		}
 	})
 }

@@ -29,15 +29,33 @@ import (
 	"realroots/internal/sched"
 )
 
-// ErrNotSquarefree reports that the input has repeated roots: the
-// remainder sequence terminated early with a non-trivial GCD. Callers
-// handle it by reducing to the squarefree part (the preprocessing
-// counterpart of the paper's §2.3 extension) and recomputing.
+// ErrNotSquarefree reports that the input has repeated roots. Compute
+// returns it as a *RepeatedRootsError, which carries the gcd the
+// sequence terminated with.
 var ErrNotSquarefree = errors.New("remseq: polynomial has repeated roots")
 
-// ErrNotAllReal reports that the remainder sequence is abnormal for a
-// squarefree input, which cannot happen when all roots are real
-// (Theorem 1): the input violates the algorithm's precondition.
+// A RepeatedRootsError reports that the remainder sequence terminated
+// early (§2.3): the row F_{NStar+1} came out all zero, so F_0 has
+// repeated roots. It matches ErrNotSquarefree under errors.Is.
+type RepeatedRootsError struct {
+	// NStar is the index of the last non-zero row, which is the number
+	// of distinct roots of F_0.
+	NStar int
+	// GCD is the row F_{NStar}: a non-zero scalar multiple of
+	// gcd(F_0, F_0′), of degree N-NStar ≥ 1.
+	GCD *poly.Poly
+}
+
+func (e *RepeatedRootsError) Error() string { return ErrNotSquarefree.Error() }
+
+// Is reports target == ErrNotSquarefree.
+func (e *RepeatedRootsError) Is(target error) bool { return target == ErrNotSquarefree }
+
+// ErrNotAllReal reports that the input violates the algorithm's
+// precondition that all roots are real: Compute saw the degree drop by
+// more than one before any row came out all zero, which Theorem 1 and
+// §2.3 rule out for real-rooted inputs, or Validate counted fewer real
+// roots than the degree.
 var ErrNotAllReal = errors.New("remseq: polynomial does not have all real roots")
 
 // A Sequence holds the remainder and quotient sequences of F_0.
@@ -67,45 +85,68 @@ type Options struct {
 }
 
 // Compute returns the remainder sequence of p, which must be squarefree
-// with all roots real and degree ≥ 1. It returns ErrNotSquarefree or
-// ErrNotAllReal when the sequence reveals a precondition violation.
+// with all roots real and degree ≥ 1. When the sequence reveals a
+// precondition violation it returns a *RepeatedRootsError (a row came
+// out all zero) or ErrNotAllReal (the degree dropped by more than one,
+// which Theorem 1 and §2.3 rule out for real-rooted inputs).
 func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 	n := p.Degree()
 	if n < 1 {
 		return nil, fmt.Errorf("remseq: degree %d polynomial has no roots to isolate", n)
 	}
+	f, q, last, err := recur(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	if last < n {
+		return nil, &RepeatedRootsError{NStar: last, GCD: poly.New(f[last]...)}
+	}
+
+	s := &Sequence{N: n, Q: q}
+	s.F = make([]*poly.Poly, n+1)
+	s.C = make([]*mp.Int, n+1)
+	s.csq = make([]*mp.Int, n+1)
+	for i := 0; i <= n; i++ {
+		s.F[i] = poly.New(f[i]...)
+		s.C[i] = new(mp.Int).Set(f[i][n-i])
+		if i == 0 {
+			s.csq[0] = mp.NewInt(1)
+		} else {
+			s.csq[i] = new(mp.Int).Sqr(s.C[i])
+		}
+	}
+	return s, nil
+}
+
+// recur runs the recurrence from F_0 = p and F_1 = p′, returning the
+// coefficient rows f (f[i][j] is the coefficient of x^j in F_i, and
+// deg F_i = n-i) and the quotients q[1..n-1]. It stops at the last
+// non-zero row F_last: last = n for a normal sequence, whose F_n is a
+// non-zero constant, and last < n when F_{last+1} came out all zero.
+func recur(p *poly.Poly, opts Options) ([][]*mp.Int, []*poly.Poly, int, error) {
+	n := p.Degree()
 	ctx := opts.Ctx.In(metrics.PhaseRemainder)
 
-	// Coefficient table: f[i][j] = coefficient of x^j in F_i, deg F_i = n-i.
+	// Plain locals, not named results: a straggler task of a canceled
+	// pool may still read f after an early return.
 	f := make([][]*mp.Int, n+1)
 	f[0] = coeffs(p, n)
 	f[1] = coeffs(p.Derivative(), n-1)
-
-	s := &Sequence{N: n}
-	s.Q = make([]*poly.Poly, n)
+	q := make([]*poly.Poly, n)
 
 	one := mp.NewInt(1)
 	for i := 1; i < n; i++ {
 		if opts.Stop != nil {
 			if err := opts.Stop(); err != nil {
-				return nil, err
+				return nil, nil, 0, err
 			}
 		}
-		ci := f[i][n-i]      // c_i
+		ci := f[i][n-i]      // c_i, non-zero: F_i has degree n-i
 		ci1 := f[i-1][n-i+1] // c_{i-1}
-		if ci.IsZero() {
-			return nil, classify(p)
-		}
 		// q_{i,1} = c_{i-1}·c_i ; q_{i,0} = c_i·f_{i-1,n-i} - f_{i,n-i-1}·c_{i-1}.
 		q1 := ctx.Mul(ci1, ci)
-		var fiLow *mp.Int
-		if n-i-1 >= 0 {
-			fiLow = f[i][n-i-1]
-		} else {
-			fiLow = new(mp.Int)
-		}
-		q0 := ctx.Sub(ctx.Mul(ci, f[i-1][n-i]), ctx.Mul(fiLow, ci1))
-		s.Q[i] = poly.New(q0, q1)
+		q0 := ctx.Sub(ctx.Mul(ci, f[i-1][n-i]), ctx.Mul(f[i][n-i-1], ci1))
+		q[i] = poly.New(q0, q1)
 
 		cisq := ctx.Sqr(ci)
 		divisor := one
@@ -132,7 +173,7 @@ func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 			// straggler may still be writing next); abort without
 			// reading the partial row.
 			if err := opts.Pool.ParallelForTagged("precompute", n-i, opts.Grain, body); err != nil {
-				return nil, err
+				return nil, nil, 0, err
 			}
 		} else {
 			for j := 0; j < n-i; j++ {
@@ -141,36 +182,25 @@ func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 		}
 		f[i+1] = next
 
-		if f[i+1][n-i-1].IsZero() {
+		if next[n-i-1].IsZero() {
+			if allZero(next) {
+				// F_{i+1} = 0: F_i is the gcd, and n* = i (§2.3).
+				return f, q, i, nil
+			}
 			// Degree dropped by more than one: abnormal sequence.
-			return nil, classify(p)
+			return nil, nil, 0, ErrNotAllReal
 		}
 	}
-
-	s.F = make([]*poly.Poly, n+1)
-	s.C = make([]*mp.Int, n+1)
-	s.csq = make([]*mp.Int, n+1)
-	for i := 0; i <= n; i++ {
-		s.F[i] = poly.New(f[i]...)
-		if s.F[i].Degree() != n-i {
-			return nil, classify(p)
-		}
-		s.C[i] = new(mp.Int).Set(f[i][n-i])
-		if i == 0 {
-			s.csq[0] = mp.NewInt(1)
-		} else {
-			s.csq[i] = new(mp.Int).Sqr(s.C[i])
-		}
-	}
-	return s, nil
+	return f, q, n, nil
 }
 
-// classify distinguishes the two precondition violations.
-func classify(p *poly.Poly) error {
-	if !p.IsSquarefree() {
-		return ErrNotSquarefree
+func allZero(row []*mp.Int) bool {
+	for _, v := range row {
+		if !v.IsZero() {
+			return false
+		}
 	}
-	return ErrNotAllReal
+	return true
 }
 
 func coeffs(p *poly.Poly, deg int) []*mp.Int {

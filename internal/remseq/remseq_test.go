@@ -118,6 +118,24 @@ func TestRepeatedRootsDetected(t *testing.T) {
 	if !errors.Is(err, ErrNotSquarefree) {
 		t.Fatalf("err = %v, want ErrNotSquarefree", err)
 	}
+	// The sequence stops at F_3 = c·(x-2): n* = 3 distinct roots, and the
+	// carried gcd vanishes at the double root.
+	var rr *RepeatedRootsError
+	if !errors.As(err, &rr) {
+		t.Fatalf("err = %T, want *RepeatedRootsError", err)
+	}
+	if rr.NStar != 3 || rr.GCD.Degree() != 1 || rr.GCD.Eval(mp.NewInt(2)).Sign() != 0 {
+		t.Fatalf("n* = %d, gcd = %s; want 3 and a multiple of x-2", rr.NStar, rr.GCD)
+	}
+}
+
+func TestAbnormalDropIsNotAllReal(t *testing.T) {
+	// x³+1: F_2 is a constant, a degree drop by two. The sequence says
+	// "not all real" by itself, with no gcd computed to classify it.
+	_, err := Compute(poly.FromInt64s(1, 0, 0, 1), Options{})
+	if !errors.Is(err, ErrNotAllReal) || errors.Is(err, ErrNotSquarefree) {
+		t.Fatalf("err = %v, want ErrNotAllReal", err)
+	}
 }
 
 func TestComplexRootsDetected(t *testing.T) {

@@ -9,11 +9,14 @@ import (
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"realroots/internal/mp"
+	"realroots/internal/poly"
 	"realroots/internal/telemetry"
 )
 
@@ -472,5 +475,37 @@ func TestRetryAfterClamp(t *testing.T) {
 	}
 	if e := decodeErr(t, w.Body.Bytes()); e.RetryAfterSeconds != 0 {
 		t.Errorf("400 body retryAfterSeconds = %d, want 0", e.RetryAfterSeconds)
+	}
+}
+
+// TestTimeoutBoundsWideCoefficients sends Π (x - (i·2^30 + i²)),
+// i = 1..40 — squarefree, with 1360-bit coefficients — in poly form
+// with a 100 ms timeout. The solve's deadline covers everything from
+// the remainder sequence on, so the 504 arrives well within a second.
+func TestTimeoutBoundsWideCoefficients(t *testing.T) {
+	roots := make([]*mp.Int, 40)
+	for i := range roots {
+		k := int64(i) + 1
+		roots[i] = mp.NewInt(k<<30 + k*k)
+	}
+	p := poly.FromRoots(roots...)
+	coeffs := make([]string, p.Degree()+1)
+	for i := range coeffs {
+		coeffs[i] = strconv.Quote(p.Coeff(i).String())
+	}
+	body := fmt.Sprintf(`{"poly":{"coeffs":[%s]},"timeoutMs":100}`, strings.Join(coeffs, ","))
+
+	_, hs := newTestServer(t, Config{})
+	start := time.Now()
+	status, _, data := postSolve(t, hs.URL, body)
+	elapsed := time.Since(start)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (%s)", status, data)
+	}
+	if e := decodeErr(t, data); e.Code != CodeDeadline {
+		t.Errorf("code = %q, want %q", e.Code, CodeDeadline)
+	}
+	if elapsed > time.Second {
+		t.Errorf("504 after %v, want within 1s of a 100ms timeout", elapsed)
 	}
 }

@@ -379,27 +379,13 @@ func findRoots(ctx context.Context, p *poly.Poly, opts *Options) (*Result, error
 	defer cancel()
 	co.Ctx = ctx
 
-	var roots []Root
-	var stats core.Stats
-	if p.IsSquarefree() {
-		res, err := core.FindRoots(p, co)
-		if err != nil {
-			return partialResult(res, p.Degree(), co.Mu, start), wrapErr(err)
-		}
-		roots = make([]Root, len(res.Roots))
-		for i, r := range res.Roots {
-			roots[i] = Root{Value: r.Rat(), Multiplicity: 1}
-		}
-		stats = res.Stats
-	} else {
-		rm, err := core.FindRootsWithMultiplicity(p, co)
-		if err != nil {
-			return nil, wrapErr(err)
-		}
-		roots = make([]Root, len(rm))
-		for i, r := range rm {
-			roots[i] = Root{Value: r.Root.Rat(), Multiplicity: r.Mult}
-		}
+	res, err := core.FindRoots(p, co)
+	if err != nil {
+		return partialResult(res, p.Degree(), co.Mu, start), wrapErr(err)
+	}
+	roots := make([]Root, len(res.Roots))
+	for i, r := range res.Roots {
+		roots[i] = Root{Value: r.Rat(), Multiplicity: res.Mults[i]}
 	}
 	return &Result{
 		Roots:      roots,
@@ -407,8 +393,8 @@ func findRoots(ctx context.Context, p *poly.Poly, opts *Options) (*Result, error
 		Distinct:   len(roots),
 		Precision:  co.Mu,
 		Elapsed:    time.Since(start),
-		Precompute: stats.Precompute,
-		TreeSolve:  stats.TreeSolve,
+		Precompute: res.Stats.Precompute,
+		TreeSolve:  res.Stats.TreeSolve,
 	}, nil
 }
 

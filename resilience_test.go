@@ -6,6 +6,9 @@ import (
 	"math/big"
 	"testing"
 	"time"
+
+	"realroots/internal/mp"
+	"realroots/internal/poly"
 )
 
 // wilkinsonCoeffs returns the coefficients of Π (x-k), k = 1..n.
@@ -52,6 +55,41 @@ func TestOptionsTimeout(t *testing.T) {
 	}
 	if res == nil || len(res.Roots) != 0 {
 		t.Fatalf("partial result = %+v", res)
+	}
+}
+
+// TestTimeoutBoundsWideCoefficients gives a 100 ms timeout to a
+// squarefree solve whose remainder sequence alone takes several times
+// longer. The deadline is polled from the first remainder iteration on,
+// so the solve stops with ErrDeadline well within a second under either
+// profile: no work that skips the poll runs before it.
+func TestTimeoutBoundsWideCoefficients(t *testing.T) {
+	roots := make([]*mp.Int, 40)
+	for i := range roots {
+		k := int64(i) + 1
+		roots[i] = mp.NewInt(k<<30 + k*k)
+	}
+	p := poly.FromRoots(roots...)
+	if bits := p.MaxCoeffBits(); bits != 1360 {
+		t.Fatalf("coefficients have %d bits, want 1360", bits)
+	}
+	coeffs := make([]*big.Int, p.Degree()+1)
+	for i := range coeffs {
+		coeffs[i] = p.Coeff(i).ToBig()
+	}
+	for _, prof := range []Profile{ProfilePaper, ProfileFast} {
+		start := time.Now()
+		res, err := FindRoots(coeffs, &Options{Timeout: 100 * time.Millisecond, Profile: prof})
+		elapsed := time.Since(start)
+		if !errors.Is(err, ErrDeadline) {
+			t.Fatalf("profile %v: err = %v, want ErrDeadline", prof, err)
+		}
+		if res == nil || len(res.Roots) != 0 {
+			t.Fatalf("profile %v: partial result = %+v", prof, res)
+		}
+		if elapsed > time.Second {
+			t.Errorf("profile %v: ErrDeadline after %v, want within 1s of a 100ms timeout", prof, elapsed)
+		}
 	}
 }
 
