@@ -22,6 +22,9 @@ type Dyadic struct {
 	scale uint
 }
 
+// zero is the numerator the zero value reads as; never modified.
+var zero mp.Int
+
 // New returns num/2^scale in canonical form. The numerator is copied.
 func New(num *mp.Int, scale uint) Dyadic {
 	d := Dyadic{num: new(mp.Int).Set(num), scale: scale}
@@ -34,6 +37,9 @@ func FromInt(v *mp.Int) Dyadic { return New(v, 0) }
 // FromInt64 returns the dyadic equal to the integer v.
 func FromInt64(v int64) Dyadic { return New(mp.NewInt(v), 0) }
 
+// normalize returns d in canonical form, shifting the numerator in
+// place: d must own it. A canonical Dyadic with a non-zero scale has an
+// odd numerator.
 func (d Dyadic) normalize() Dyadic {
 	if d.num == nil {
 		d.num = new(mp.Int)
@@ -50,10 +56,19 @@ func (d Dyadic) normalize() Dyadic {
 		tz = d.scale
 	}
 	if tz > 0 {
-		d.num = new(mp.Int).Rsh(d.num, tz)
+		d.num.Rsh(d.num, tz)
 		d.scale -= tz
 	}
 	return d
+}
+
+// n returns the numerator for reading: the zero value's reads as a
+// shared 0 instead of a fresh allocation.
+func (d Dyadic) n() *mp.Int {
+	if d.num == nil {
+		return &zero
+	}
+	return d.num
 }
 
 // Num returns the canonical numerator. It must not be mutated.
@@ -77,34 +92,24 @@ func (d Dyadic) ScaledNum(s uint) *mp.Int {
 }
 
 // Sign returns the sign of d.
-func (d Dyadic) Sign() int { return d.Num().Sign() }
+func (d Dyadic) Sign() int { return d.n().Sign() }
 
 // Neg returns -d.
 func (d Dyadic) Neg() Dyadic {
 	return Dyadic{num: new(mp.Int).Neg(d.Num()), scale: d.scale}
 }
 
-// align returns the numerators of a and b at their common scale.
-func align(a, b Dyadic) (x, y *mp.Int, s uint) {
-	s = a.scale
-	if b.scale > s {
-		s = b.scale
-	}
-	x = new(mp.Int).Lsh(a.Num(), s-a.scale)
-	y = new(mp.Int).Lsh(b.Num(), s-b.scale)
-	return x, y, s
-}
-
-// Add returns d+e.
+// Add returns d+e. The numerators are aligned as they are read, so the
+// only allocation is the result.
 func (d Dyadic) Add(e Dyadic) Dyadic {
-	x, y, s := align(d, e)
-	return Dyadic{num: x.Add(x, y), scale: s}.normalize()
+	s := max(d.scale, e.scale)
+	return Dyadic{num: new(mp.Int).AddLsh(d.n(), s-d.scale, e.n(), s-e.scale), scale: s}.normalize()
 }
 
-// Sub returns d-e.
+// Sub returns d-e, allocating only the result.
 func (d Dyadic) Sub(e Dyadic) Dyadic {
-	x, y, s := align(d, e)
-	return Dyadic{num: x.Sub(x, y), scale: s}.normalize()
+	s := max(d.scale, e.scale)
+	return Dyadic{num: new(mp.Int).SubLsh(d.n(), s-d.scale, e.n(), s-e.scale), scale: s}.normalize()
 }
 
 // Mul returns d·e.
@@ -123,19 +128,26 @@ func (d Dyadic) MulPow2(k int) Dyadic {
 		}
 		return Dyadic{num: new(mp.Int).Lsh(d.Num(), uint(k)-d.scale), scale: 0}
 	}
-	return Dyadic{num: d.Num(), scale: d.scale + uint(-k)}.normalize()
+	if d.scale == 0 && d.num.Bit(0) == 0 {
+		return New(d.num, uint(-k)) // an even integer trades trailing zeros for scale
+	}
+	// An odd numerator stays canonical at any scale.
+	return Dyadic{num: d.num, scale: d.scale + uint(-k)}
 }
 
 // Half returns d/2.
 func (d Dyadic) Half() Dyadic { return d.MulPow2(-1) }
 
-// Mid returns the midpoint (d+e)/2.
-func (d Dyadic) Mid(e Dyadic) Dyadic { return d.Add(e).Half() }
+// Mid returns the midpoint (d+e)/2, allocating only the result.
+func (d Dyadic) Mid(e Dyadic) Dyadic {
+	s := max(d.scale, e.scale)
+	return Dyadic{num: new(mp.Int).AddLsh(d.n(), s-d.scale, e.n(), s-e.scale), scale: s + 1}.normalize()
+}
 
-// Cmp compares d and e, returning -1, 0, or +1.
+// Cmp compares d and e, returning -1, 0, or +1. It allocates nothing.
 func (d Dyadic) Cmp(e Dyadic) int {
-	x, y, _ := align(d, e)
-	return x.Cmp(y)
+	s := max(d.scale, e.scale)
+	return mp.CmpLsh(d.n(), s-d.scale, e.n(), s-e.scale)
 }
 
 // Equal reports d == e.

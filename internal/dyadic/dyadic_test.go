@@ -212,3 +212,17 @@ func TestHalfAndGridStep(t *testing.T) {
 		t.Errorf("GridStep(0) = %v", GridStep(0))
 	}
 }
+
+// TestCmpZeroAlloc pins that comparing dyadics at unequal scales reads
+// the numerators in place instead of aligning copies.
+func TestCmpZeroAlloc(t *testing.T) {
+	a := New(mp.NewInt(-0x2b7e151628aed2a7), 61)
+	b := New(mp.NewInt(0x3243f6a8885a3), 17)
+	c := New(new(mp.Int).Lsh(mp.NewInt(0x3243f6a8885a3), 44), 61)
+	if a.Cmp(b) != -1 || b.Cmp(a) != 1 || b.Cmp(c) != 0 {
+		t.Fatalf("Cmp: %d %d %d", a.Cmp(b), b.Cmp(a), b.Cmp(c))
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Cmp(b); b.Cmp(c) }); n != 0 {
+		t.Errorf("Cmp at unequal scales: %.1f allocs, want 0", n)
+	}
+}

@@ -195,35 +195,67 @@ func (cfg Config) run(p *poly.Poly, mu uint, workers int, counters *metrics.Coun
 func (cfg Config) avgSeconds(n int, mu uint, workers int) (float64, error) {
 	var total float64
 	for _, seed := range cfg.Seeds {
-		p := Instance(seed, n)
 		if cfg.Simulate {
-			best := math.Inf(1)
-			reps := cfg.Reps
-			if reps < 1 {
-				reps = 1
+			runs, err := cfg.simulate(seed, n, mu, workers)
+			if err != nil {
+				return 0, err
 			}
-			for r := 0; r < reps; r++ {
-				if err := cfg.interrupted(); err != nil {
-					return 0, err
-				}
-				res, err := core.FindRoots(p, core.Options{Mu: mu, SimulateWorkers: workers, Profile: cfg.Profile, Telemetry: cfg.Telemetry})
-				if err != nil {
-					return 0, fmt.Errorf("n=%d µ=%d P=%d seed=%d: %w", n, mu, workers, seed, err)
-				}
-				if s := res.Stats.SimMakespan.Seconds(); s < best {
-					best = s
-				}
+			best := math.Inf(1)
+			for _, st := range runs {
+				best = min(best, st.SimMakespan.Seconds())
 			}
 			total += best
 			continue
 		}
-		d, _, err := cfg.run(p, mu, workers, nil)
+		d, _, err := cfg.run(Instance(seed, n), mu, workers, nil)
 		if err != nil {
 			return 0, fmt.Errorf("n=%d µ=%d P=%d seed=%d: %w", n, mu, workers, seed, err)
 		}
 		total += d.Seconds()
 	}
 	return total / float64(len(cfg.Seeds)), nil
+}
+
+// simSpeedup returns the simulated speedup on the given number of
+// virtual processors, averaged over the seeds: a run's SimWork (its
+// one-processor makespan) over its SimMakespan, the better of cfg.Reps
+// runs per seed. Both times list-schedule the same run's measured
+// tasks, so the timing noise between separate runs cannot enter the
+// ratio, and P=1 reads exactly 1.
+func (cfg Config) simSpeedup(n int, mu uint, workers int) (float64, error) {
+	var total float64
+	for _, seed := range cfg.Seeds {
+		runs, err := cfg.simulate(seed, n, mu, workers)
+		if err != nil {
+			return 0, err
+		}
+		best := 0.0
+		for _, st := range runs {
+			best = max(best, st.SimWork.Seconds()/st.SimMakespan.Seconds())
+		}
+		total += best
+	}
+	return total / float64(len(cfg.Seeds)), nil
+}
+
+// simulate solves seed's degree-n instance cfg.Reps times (at least
+// once) on the given number of virtual processors and returns each
+// run's statistics.
+func (cfg Config) simulate(seed int64, n int, mu uint, workers int) ([]core.Stats, error) {
+	p := Instance(seed, n)
+	reps := max(cfg.Reps, 1)
+	runs := make([]core.Stats, 0, reps)
+	for r := 0; r < reps; r++ {
+		if err := cfg.interrupted(); err != nil {
+			return nil, err
+		}
+		res, err := core.FindRoots(p, core.Options{Mu: mu, SimulateWorkers: workers, Profile: cfg.Profile, Telemetry: cfg.Telemetry})
+		if err != nil {
+			return nil, fmt.Errorf("n=%d µ=%d P=%d seed=%d: %w", n, mu, workers, seed, err)
+		}
+		runs = append(runs, res.Stats)
+	}
+	return runs, nil
 }
 
 // mDigits returns the paper's m(n) column: the coefficient size of the
@@ -294,7 +326,9 @@ func Times(w io.Writer, cfg Config) error {
 }
 
 // Speedups reproduces Tables 3-7: speedups relative to the one-worker
-// run of the parallel program.
+// run of the parallel program. Wall-clock cells divide the P=1 time by
+// the time on P workers; simulated cells take both from one run (see
+// simSpeedup).
 func Speedups(w io.Writer, cfg Config) error {
 	for _, mu := range cfg.Mus {
 		fmt.Fprintf(w, "Speedups vs 1 worker for µ = %d (Tables 3-7)\n", mu)
@@ -305,27 +339,13 @@ func Speedups(w io.Writer, cfg Config) error {
 		}
 		fmt.Fprintln(tw)
 		for _, n := range cfg.Degrees {
-			// One measurement per cell; the P=1 cell itself is the
-			// baseline (falling back to the first column), so the
-			// baseline column reads exactly 1.00 as in the paper.
-			times := make([]float64, len(cfg.Procs))
-			base := -1.0
-			for i, procs := range cfg.Procs {
-				s, err := cfg.avgSeconds(n, mu, procs)
-				if err != nil {
-					return err
-				}
-				times[i] = s
-				if procs == 1 {
-					base = s
-				}
-			}
-			if base < 0 {
-				base = times[0]
+			speedups, err := cfg.speedupRow(n, mu)
+			if err != nil {
+				return err
 			}
 			fmt.Fprintf(tw, "%d\t", n)
-			for _, s := range times {
-				fmt.Fprintf(tw, "%.2f\t", base/s)
+			for _, s := range speedups {
+				fmt.Fprintf(tw, "%.2f\t", s)
 			}
 			fmt.Fprintln(tw)
 		}
@@ -335,6 +355,43 @@ func Speedups(w io.Writer, cfg Config) error {
 		fmt.Fprintln(w)
 	}
 	return nil
+}
+
+// speedupRow returns one Speedups row: the degree-n speedup for each of
+// cfg.Procs at precision mu.
+func (cfg Config) speedupRow(n int, mu uint) ([]float64, error) {
+	row := make([]float64, len(cfg.Procs))
+	if cfg.Simulate {
+		for i, procs := range cfg.Procs {
+			s, err := cfg.simSpeedup(n, mu, procs)
+			if err != nil {
+				return nil, err
+			}
+			row[i] = s
+		}
+		return row, nil
+	}
+	// One measurement per cell; the P=1 cell itself is the baseline
+	// (falling back to the first column), so the baseline column reads
+	// exactly 1.00 as in the paper.
+	base := -1.0
+	for i, procs := range cfg.Procs {
+		s, err := cfg.avgSeconds(n, mu, procs)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = s
+		if procs == 1 {
+			base = s
+		}
+	}
+	if base < 0 {
+		base = row[0]
+	}
+	for i, s := range row {
+		row[i] = base / s
+	}
+	return row, nil
 }
 
 // params builds the model parameters for an instance.

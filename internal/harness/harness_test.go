@@ -74,6 +74,18 @@ func TestSpeedupsContainBaselineColumn(t *testing.T) {
 	if !strings.Contains(out, "1.00") {
 		t.Errorf("missing baseline speedup:\n%s", out)
 	}
+	// So are simulated ones, whose work and makespan come from one run.
+	cfg := tiny()
+	cfg.Simulate = true
+	var buf bytes.Buffer
+	if err := Speedups(&buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 1+len(cfg.Procs) && f[0] != "n" && f[1] != "1.00" {
+			t.Errorf("simulated P=1 speedup %s, want 1.00:\n%s", f[1], buf.String())
+		}
+	}
 }
 
 func TestMultCountsRatiosSane(t *testing.T) {

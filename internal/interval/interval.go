@@ -104,26 +104,31 @@ func (s *Solver) NumRoots() int { return len(s.ys) - 1 }
 // NumPoints returns the number of PREINTERVAL evaluation points.
 func (s *Solver) NumPoints() int { return len(s.ys) }
 
-// signRight returns the sign of P immediately to the right of the point
-// t: sign(P(t)) when non-zero, else sign(P′(t)) (P is squarefree, so
-// they never vanish together).
-func (s *Solver) signRight(ctx metrics.Ctx, t dyadic.Dyadic) int {
-	sg := s.P.SignAtCtx(ctx, t.Num(), t.Scale())
-	if sg != 0 {
-		return sg
+// EvalPoint computes the PREINTERVAL sign for point index i (0-based,
+// 0 ≤ i ≤ deg P): the sign of P immediately to the right of the point,
+// sign(P(t)) when non-zero, else sign(P′(t)) (P is squarefree, so they
+// never vanish together). Each call is independent — the paper runs one
+// task per evaluation (§3.2).
+func (s *Solver) EvalPoint(i int) {
+	var ev poly.Evaluator
+	ctx, t := s.ctx.In(metrics.PhasePreInterval), s.ys[i]
+	sg := ev.SignAt(ctx, s.P, t.Num(), t.Scale())
+	if sg == 0 {
+		sg = ev.SignAt(ctx, s.dP, t.Num(), t.Scale())
 	}
-	sg = s.dP.SignAtCtx(ctx, t.Num(), t.Scale())
 	if sg == 0 {
 		panic("interval: P and P' vanish together (input not squarefree)")
 	}
-	return sg
+	s.signs[i] = sg
 }
 
-// EvalPoint computes the PREINTERVAL sign for point index i (0-based,
-// 0 ≤ i ≤ deg P). Each call is independent — the paper runs one task
-// per evaluation (§3.2).
-func (s *Solver) EvalPoint(i int) {
-	s.signs[i] = s.signRight(s.ctx.In(metrics.PhasePreInterval), s.ys[i])
+// A task is one SolveInterval call: the solver plus the evaluator that
+// every sign evaluation of the call reuses, so the bracket refinement
+// evaluates in one accumulator. Tasks for distinct intervals share
+// nothing mutable and may run concurrently.
+type task struct {
+	*Solver
+	ev poly.Evaluator
 }
 
 // expectSign returns the sign of P just right of a point below which m
@@ -166,8 +171,8 @@ func (s *Solver) SolveInterval(i int) dyadic.Dyadic {
 		// Gap of exactly one grid step: x_i ∈ (a, b] = (b - 2^-µ, b].
 		return b
 	}
-	ctxPre := s.ctx.In(metrics.PhasePreInterval)
-	sc := s.P.SignAtCtx(ctxPre, c.Num(), c.Scale())
+	t := &task{Solver: s}
+	sc := t.signAt(metrics.PhasePreInterval, c)
 	if sc == 0 {
 		return c // x_i = c exactly, already on the grid
 	}
@@ -183,8 +188,7 @@ func (s *Solver) SolveInterval(i int) dyadic.Dyadic {
 
 	// Case 2c: x_i is the only root of P in (a, c), with
 	// sign(P) = sl on (a, x_i) and -sl on (x_i, c].
-	sl := s.signs[i]
-	return s.refine(a, c, sl)
+	return t.refine(a, c, s.signs[i])
 }
 
 // SolveAll computes all d root approximations sequentially (the
@@ -202,14 +206,14 @@ func (s *Solver) SolveAll() []dyadic.Dyadic {
 }
 
 // signAt evaluates sign(P) at a dyadic point under the given phase.
-func (s *Solver) signAt(phase metrics.Phase, t dyadic.Dyadic) int {
-	return s.P.SignAtCtx(s.ctx.In(phase), t.Num(), t.Scale())
+func (s *task) signAt(phase metrics.Phase, t dyadic.Dyadic) int {
+	return s.ev.SignAt(s.ctx.In(phase), s.P, t.Num(), t.Scale())
 }
 
 // finish makes the exact grid decision once the bracket (lo, hi) around
 // the root has width ≤ 2^-µ, using at most one more sign evaluation.
 // sl is the sign of P on (lo, root).
-func (s *Solver) finish(phase metrics.Phase, lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
+func (s *task) finish(phase metrics.Phase, lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 	step := dyadic.GridStep(s.Mu)
 	// g = smallest grid point strictly greater than lo.
 	g := lo.CeilGrid(s.Mu)
@@ -228,14 +232,25 @@ func (s *Solver) finish(phase metrics.Phase, lo, hi dyadic.Dyadic, sl int) dyadi
 	return g.Add(step) // root ∈ (g, hi), hi ≤ lo + 2^-µ < g + 2^-µ
 }
 
-// widthLE reports whether hi-lo ≤ 2^-µ.
+// widthLE reports whether hi-lo ≤ 2^-µ, reading the difference n/2^w
+// directly. A canonical n with w > 0 is odd, so for w > µ the bound
+// n ≤ 2^(w-µ) is strict: n has at most w-µ bits. For w ≤ µ a positive
+// difference is at least 2^-w, within the bound only as 1/2^µ.
 func (s *Solver) widthLE(lo, hi dyadic.Dyadic) bool {
-	return hi.Sub(lo).Cmp(dyadic.GridStep(s.Mu)) <= 0
+	d := hi.Sub(lo)
+	n, w := d.Num(), d.Scale()
+	switch {
+	case n.Sign() <= 0:
+		return true
+	case w <= s.Mu:
+		return w == s.Mu && n.IsOne()
+	}
+	return uint(n.BitLen()) <= w-s.Mu
 }
 
 // refine computes x̃ for the unique root of P in the open interval
 // (lo, hi), where sign(P) = sl just right of lo and -sl just left of hi.
-func (s *Solver) refine(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
+func (s *task) refine(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 	switch s.Method {
 	case MethodBisection:
 		return s.bisectToGrid(metrics.PhaseBisection, lo, hi, sl)
@@ -266,7 +281,7 @@ func (s *Solver) refine(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 // phase starts with the root at distance ≥ length/4 from both ends.
 // Returns (lo, hi, exact, done): done means an exact grid answer was
 // found on the way.
-func (s *Solver) sieve(lo, hi dyadic.Dyadic, sl int) (dyadic.Dyadic, dyadic.Dyadic, dyadic.Dyadic, bool) {
+func (s *task) sieve(lo, hi dyadic.Dyadic, sl int) (dyadic.Dyadic, dyadic.Dyadic, dyadic.Dyadic, bool) {
 	const maxExp = 20 // a 2^(2^20)-fold shrink per probe is beyond any real input
 	for !s.widthLE(lo, hi) {
 		length := hi.Sub(lo)
@@ -324,7 +339,7 @@ func (s *Solver) sieve(lo, hi dyadic.Dyadic, sl int) (dyadic.Dyadic, dyadic.Dyad
 
 // bisectN performs up to n bisection steps of the bracket, stopping
 // early at grid resolution. Same return convention as sieve.
-func (s *Solver) bisectN(lo, hi dyadic.Dyadic, sl int, n int) (dyadic.Dyadic, dyadic.Dyadic, dyadic.Dyadic, bool) {
+func (s *task) bisectN(lo, hi dyadic.Dyadic, sl int, n int) (dyadic.Dyadic, dyadic.Dyadic, dyadic.Dyadic, bool) {
 	for t := 0; t < n; t++ {
 		if s.widthLE(lo, hi) {
 			break
@@ -345,7 +360,7 @@ func (s *Solver) bisectN(lo, hi dyadic.Dyadic, sl int, n int) (dyadic.Dyadic, dy
 
 // bisectToGrid bisects until the bracket reaches grid width, then
 // finishes exactly.
-func (s *Solver) bisectToGrid(phase metrics.Phase, lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
+func (s *task) bisectToGrid(phase metrics.Phase, lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 	for !s.widthLE(lo, hi) {
 		mid := lo.Mid(hi)
 		sm := s.signAt(phase, mid)
@@ -371,7 +386,7 @@ func (s *Solver) bisectToGrid(phase metrics.Phase, lo, hi dyadic.Dyadic, sl int)
 // single-root invariant keeps them conclusive). Every probe also
 // tightens the bracket, and a stall detector degrades to bisection, so
 // termination is unconditional.
-func (s *Solver) newton(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
+func (s *task) newton(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 	ctx := s.ctx.In(metrics.PhaseNewton)
 	// Working-precision floor-of-the-ceiling: 16 guard bits beyond µ keep
 	// the iterate rounding floor well inside the 2^-(µ+1) verification
@@ -401,7 +416,7 @@ func (s *Solver) newton(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 		// Newton attempt: evaluate P at alpha and update the bracket.
 		w := alpha.Scale()
 		a := alpha.Num()
-		v := s.P.EvalScaledCtx(ctx, a, w)
+		v := s.ev.EvalScaled(ctx, s.P, a, w)
 		sg := v.Sign()
 		if sg == 0 {
 			return alpha.CeilGrid(s.Mu)
@@ -418,7 +433,7 @@ func (s *Solver) newton(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 		ok := false
 		converged := false
 		var next dyadic.Dyadic
-		dv := s.dP.EvalScaledCtx(ctx, a, w)
+		dv := s.ev.EvalScaled(ctx, s.dP, a, w)
 		if !dv.IsZero() {
 			// α' = α - P(α)/P′(α) = (a·2^e - round(v·2^e / dv)) / 2^(w+e),
 			// with e extra bits of precision, doubling up to µ+4.

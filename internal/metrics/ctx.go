@@ -30,19 +30,83 @@ type Ctx struct {
 // In returns a copy of the context attributed to phase p.
 func (c Ctx) In(p Phase) Ctx { return Ctx{C: c.C, Phase: p, Profile: c.Profile, Par: c.Par} }
 
-// recordMul logs one multiplication with its model and actual cost,
-// plus — under Fast, the only profile with more than one kernel — the
-// tier it dispatches to and whether the parallel path engages.
+// A mulRecord is what one multiplication records: its model cost (the
+// paper's §4 schoolbook measure, xbits·ybits) and actual cost, its
+// operand-size histogram bucket and, under Fast, the tier it dispatches
+// to and whether the parallel path engages.
+type mulRecord struct {
+	bits, actual int64
+	bucket       int
+	tiered       bool // Fast, the only profile with more than one kernel
+	tier         mp.Tier
+	par          bool
+}
+
+// attributeMul attributes one xbits-by-ybits multiplication under c's
+// profile and parallel hook. It is the one place that decides what a
+// multiplication records, whether it is recorded at once (recordMul)
+// or tallied with the rest of an evaluation (Tally.Mul).
+func (c Ctx) attributeMul(xbits, ybits int) mulRecord {
+	r := mulRecord{
+		bits:   int64(xbits) * int64(ybits),
+		actual: c.Profile.MulCost(xbits, ybits),
+		bucket: bitLenBucket(max(xbits, ybits)),
+	}
+	if c.Profile == mp.Fast {
+		r.tiered, r.tier = true, c.Profile.MulTier(xbits, ybits)
+		r.par = c.Par != nil && c.Profile.MulParallelEngages(xbits, ybits)
+	}
+	return r
+}
+
+// recordMul logs one multiplication (see attributeMul).
 func (c Ctx) recordMul(xbits, ybits int) {
 	if c.C == nil {
 		return
 	}
-	c.C.AddMulCost(c.Phase, xbits, ybits, c.Profile.MulCost(xbits, ybits))
-	if c.Profile == mp.Fast {
-		c.C.AddMulTier(c.Phase, c.Profile.MulTier(xbits, ybits))
-		if c.Par != nil && c.Profile.MulParallelEngages(xbits, ybits) {
-			c.C.AddParMul(c.Phase)
-		}
+	c.C.addMul(c.Phase, c.attributeMul(xbits, ybits))
+}
+
+// A Tally collects the operations of one polynomial evaluation in plain
+// fields: the multiplications with their model and actual cost,
+// operand-size bucket and tier, and the additions. They reach the
+// shared Counters in one FlushEval, with one budget check, instead of
+// several atomic updates per Horner step. The flushed counts are
+// exactly what recording each operation through the Ctx produces. The
+// zero value is empty.
+type Tally struct {
+	muls, mulBits, mulBitsActual, adds, parMuls int64
+
+	hist  [BitLenBuckets]int64
+	tiers [mp.NumTiers]int64
+}
+
+// Mul tallies one multiplication of xbits-by-ybits operands under c's
+// profile and parallel hook, as recordMul records it.
+func (t *Tally) Mul(c Ctx, xbits, ybits int) {
+	r := c.attributeMul(xbits, ybits)
+	t.muls++
+	t.mulBits += r.bits
+	t.mulBitsActual += r.actual
+	t.hist[r.bucket]++
+	if r.tiered {
+		t.tiers[r.tier]++
+	}
+	if r.par {
+		t.parMuls++
+	}
+}
+
+// Add tallies one addition or subtraction.
+func (t *Tally) Add() { t.adds++ }
+
+// FlushEval records one complete evaluation in c's phase together with
+// the operations tallied in t. The budget is checked once, after the
+// whole evaluation, so a run overshoots MaxBitOps by at most one
+// evaluation.
+func (c Ctx) FlushEval(t *Tally) {
+	if c.C != nil {
+		c.C.addEval(c.Phase, t)
 	}
 }
 

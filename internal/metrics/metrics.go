@@ -202,12 +202,22 @@ func (c *Counters) AddMulCost(p Phase, xbits, ybits int, actual int64) {
 	if c == nil {
 		return
 	}
+	c.addMul(p, mulRecord{bits: int64(xbits) * int64(ybits), actual: actual, bucket: bitLenBucket(max(xbits, ybits))})
+}
+
+// addMul records one multiplication in phase p as r describes it.
+func (c *Counters) addMul(p Phase, r mulRecord) {
 	c.mul[p].Add(1)
-	bits := int64(xbits) * int64(ybits)
-	c.mulBits[p].Add(bits)
-	c.mulBitsActual[p].Add(actual)
-	c.noteHist(p, xbits, ybits)
-	c.noteBits(bits)
+	c.mulBits[p].Add(r.bits)
+	c.mulBitsActual[p].Add(r.actual)
+	c.hist[p][r.bucket].Add(1)
+	if r.tiered {
+		c.tiers[p][r.tier].Add(1)
+	}
+	if r.par {
+		c.parMuls[p].Add(1)
+	}
+	c.noteBits(r.bits)
 }
 
 // AddDiv records one division in phase p, with the actual cost equal to
@@ -263,6 +273,35 @@ func (c *Counters) AddEval(p Phase) {
 		return
 	}
 	c.evals[p].Add(1)
+}
+
+// addEval records one evaluation in phase p with the operations
+// tallied in t (see Ctx.FlushEval).
+func (c *Counters) addEval(p Phase, t *Tally) {
+	c.evals[p].Add(1)
+	if t.adds != 0 {
+		c.add[p].Add(t.adds)
+	}
+	if t.muls == 0 {
+		return
+	}
+	c.mul[p].Add(t.muls)
+	c.mulBits[p].Add(t.mulBits)
+	c.mulBitsActual[p].Add(t.mulBitsActual)
+	for b, n := range t.hist {
+		if n != 0 {
+			c.hist[p][b].Add(n)
+		}
+	}
+	for i, n := range t.tiers {
+		if n != 0 {
+			c.tiers[p][i].Add(n)
+		}
+	}
+	if t.parMuls != 0 {
+		c.parMuls[p].Add(t.parMuls)
+	}
+	c.noteBits(t.mulBits)
 }
 
 // Reset zeroes every counter and re-arms the budget (the limit set by

@@ -342,3 +342,49 @@ func TestTierJSONRoundTrip(t *testing.T) {
 		t.Error("unknown tier name accepted")
 	}
 }
+
+// inlinePar is a parallel hook that runs panels on the caller.
+type inlinePar struct{}
+
+func (inlinePar) Submit(task func()) { task() }
+
+// TestFlushEvalMatchesPerOpRecording pins that one evaluation's tally,
+// flushed once, records exactly what recording each multiplication and
+// addition through the Ctx does: counts, model and actual bits,
+// histogram buckets, tiers and parallel products. The budget trips at
+// the flush that crosses it, once.
+func TestFlushEvalMatchesPerOpRecording(t *testing.T) {
+	shapes := [][2]int{{0, 30}, {17, 30}, {300, 70}, {3000, 200}, {40000, 90}, {120000, 110000}}
+	for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
+		var perOp, tallied Counters
+		ctxOp := Ctx{C: &perOp, Phase: PhaseNewton, Profile: pr, Par: inlinePar{}}
+		ctxT := Ctx{C: &tallied, Phase: PhaseNewton, Profile: pr, Par: inlinePar{}}
+		var fired int
+		tallied.SetBudget(1, func() { fired++ })
+		ctxOp.C.AddEval(ctxOp.Phase)
+		var tl Tally
+		for _, sh := range shapes {
+			ctxOp.recordMul(sh[0], sh[1])
+			ctxOp.C.AddAdd(ctxOp.Phase)
+			tl.Mul(ctxT, sh[0], sh[1])
+			tl.Add()
+		}
+		if tallied.BudgetExceeded() {
+			t.Fatalf("%v: budget tripped before the flush", pr)
+		}
+		ctxT.FlushEval(&tl)
+		if got, want := tallied.Snapshot(), perOp.Snapshot(); got != want {
+			t.Errorf("%v: flushed tally %+v, per-operation recording %+v", pr, got.Phases[PhaseNewton], want.Phases[PhaseNewton])
+		}
+		if !tallied.BudgetExceeded() || fired != 1 {
+			t.Errorf("%v: budget exceeded %v, fired %d times; want true, once", pr, tallied.BudgetExceeded(), fired)
+		}
+		if pr == mp.Fast && tallied.Snapshot().Phases[PhaseNewton].ParMuls == 0 {
+			t.Errorf("fast: the largest shape should take the parallel path")
+		}
+	}
+	// A nil sink records nothing and does not panic.
+	var tl Tally
+	tl.Mul(Ctx{}, 10, 10)
+	Ctx{}.FlushEval(&tl)
+}

@@ -216,6 +216,49 @@ func (z *Int) DivExactProfile(pr Profile, x, y *Int) *Int {
 	return z
 }
 
+// AddLsh sets z to x·2^xs + y·2^ys and returns z. Neither shifted
+// operand is built: the only allocation is z's new storage.
+func (z *Int) AddLsh(x *Int, xs uint, y *Int, ys uint) *Int {
+	return z.addLsh(x, xs, y, ys, y.neg)
+}
+
+// SubLsh sets z to x·2^xs − y·2^ys and returns z, allocating only z's
+// new storage.
+func (z *Int) SubLsh(x *Int, xs uint, y *Int, ys uint) *Int {
+	return z.addLsh(x, xs, y, ys, !y.neg)
+}
+
+// addLsh sets z to x·2^xs + (±|y|)·2^ys, the sign of the second term
+// given by yneg.
+func (z *Int) addLsh(x *Int, xs uint, y *Int, ys uint, yneg bool) *Int {
+	w := max(len(x.abs)+int(xs/limbBits), len(y.abs)+int(ys/limbBits)) + 2
+	abs := natShlTo(make(nat, 0, w), x.abs, xs)
+	z.neg, z.abs = accShifted(x.neg, abs, yneg, y.abs, ys)
+	return z
+}
+
+// CmpLsh compares x·2^xs with y·2^ys, returning -1, 0 or +1, without
+// allocating: bit lengths decide first, then the limbs, with the shift
+// applied as they are read.
+func CmpLsh(x *Int, xs uint, y *Int, ys uint) int {
+	sx, sy := x.Sign(), y.Sign()
+	switch {
+	case sx < sy:
+		return -1
+	case sx > sy:
+		return 1
+	case sx == 0:
+		return 0
+	}
+	var c int
+	if xs >= ys {
+		c = natCmpShl(x.abs, xs-ys, y.abs)
+	} else {
+		c = -natCmpShl(y.abs, ys-xs, x.abs)
+	}
+	return c * sx
+}
+
 // Lsh sets z to x<<s and returns z.
 func (z *Int) Lsh(x *Int, s uint) *Int {
 	neg := x.neg
@@ -225,10 +268,14 @@ func (z *Int) Lsh(x *Int, s uint) *Int {
 }
 
 // Rsh sets z to x>>s (arithmetic shift: floor division by 2^s) and
-// returns z.
+// returns z. z.Rsh(z, s) shifts in place.
 func (z *Int) Rsh(x *Int, s uint) *Int {
+	var dst nat
+	if z == x {
+		dst = z.abs
+	}
 	if !x.neg {
-		z.abs = natShr(x.abs, s)
+		z.abs = natShrTo(dst, x.abs, s)
 		z.neg = false
 		return z
 	}
@@ -247,7 +294,7 @@ func (z *Int) Rsh(x *Int, s uint) *Int {
 			lost = true
 		}
 	}
-	z.abs = natShr(x.abs, s)
+	z.abs = natShrTo(dst, x.abs, s)
 	if lost {
 		z.abs = natAdd(z.abs, nat{1})
 	}

@@ -548,3 +548,39 @@ func TestNegZeroNormalization(t *testing.T) {
 		t.Errorf("-3*0 has sign %d", z.Sign())
 	}
 }
+
+// TestShiftedOpsMatchBig checks AddLsh, SubLsh and CmpLsh, which align
+// two operands as they read them, and the in-place Rsh against math/big
+// across limb boundaries, signs and zero.
+func TestShiftedOpsMatchBig(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 4000; i++ {
+		x, y := genInt(r, 300), genInt(r, 300)
+		if r.Intn(8) == 0 {
+			x = new(Int)
+		}
+		xs, ys := uint(r.Intn(100)), uint(r.Intn(100))
+		bx := new(big.Int).Lsh(x.ToBig(), xs)
+		by := new(big.Int).Lsh(y.ToBig(), ys)
+		if got := new(Int).AddLsh(x, xs, y, ys).ToBig(); got.Cmp(new(big.Int).Add(bx, by)) != 0 {
+			t.Fatalf("AddLsh(%s, %d, %s, %d) = %s", x, xs, y, ys, got)
+		}
+		if got := new(Int).SubLsh(x, xs, y, ys).ToBig(); got.Cmp(new(big.Int).Sub(bx, by)) != 0 {
+			t.Fatalf("SubLsh(%s, %d, %s, %d) = %s", x, xs, y, ys, got)
+		}
+		if got, want := CmpLsh(x, xs, y, ys), bx.Cmp(by); got != want {
+			t.Fatalf("CmpLsh(%s, %d, %s, %d) = %d, want %d", x, xs, y, ys, got, want)
+		}
+		if got := CmpLsh(x, xs+ys, x, xs+ys); got != 0 {
+			t.Fatalf("CmpLsh of equal values = %d", got)
+		}
+		z := new(Int).Set(x)
+		if got := z.AddLsh(z, xs, z, ys).ToBig(); got.Cmp(new(big.Int).Add(new(big.Int).Lsh(x.ToBig(), xs), new(big.Int).Lsh(x.ToBig(), ys))) != 0 {
+			t.Fatalf("aliased AddLsh(%s, %d, %d) = %s", x, xs, ys, got)
+		}
+		z.Set(x)
+		if got, want := z.Rsh(z, xs).ToBig(), new(big.Int).Rsh(x.ToBig(), xs); got.Cmp(want) != 0 {
+			t.Fatalf("in-place Rsh(%s, %d) = %s, want %s", x, xs, got, want)
+		}
+	}
+}

@@ -116,15 +116,21 @@ func natMulBasic(x, y nat) nat {
 }
 
 // natShl returns x << s.
-func natShl(x nat, s uint) nat {
+func natShl(x nat, s uint) nat { return natShlTo(nil, x, s) }
+
+// natShlTo returns x << s, stored in z when z has the capacity; z must
+// not overlap x.
+func natShlTo(z, x nat, s uint) nat {
 	if len(x) == 0 {
-		return nil
+		return z[:0]
 	}
 	limbShift := int(s / limbBits)
 	bitShift := s % limbBits
-	z := make(nat, len(x)+limbShift+1)
+	z = grow(z[:0], len(x)+limbShift+1)
+	clear(z[:limbShift])
 	if bitShift == 0 {
 		copy(z[limbShift:], x)
+		z[len(x)+limbShift] = 0
 	} else {
 		var carry uint32
 		for i, xi := range x {
@@ -137,13 +143,17 @@ func natShl(x nat, s uint) nat {
 }
 
 // natShr returns x >> s.
-func natShr(x nat, s uint) nat {
+func natShr(x nat, s uint) nat { return natShrTo(nil, x, s) }
+
+// natShrTo returns x >> s, stored in z when z has the capacity; z may
+// be x itself (the limbs are read before they are written).
+func natShrTo(z, x nat, s uint) nat {
 	limbShift := int(s / limbBits)
 	bitShift := s % limbBits
 	if limbShift >= len(x) {
-		return nil
+		return z[:0]
 	}
-	z := make(nat, len(x)-limbShift)
+	z = grow(z[:0], len(x)-limbShift)
 	if bitShift == 0 {
 		copy(z, x[limbShift:])
 	} else {

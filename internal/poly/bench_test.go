@@ -32,21 +32,6 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
-func BenchmarkEvalScaled(b *testing.B) {
-	for _, deg := range []int{16, 64} {
-		for _, x := range []int{32, 512} {
-			p := benchPoly(deg, 256, 3)
-			r := rand.New(rand.NewSource(4))
-			pt := mp.RandInt(r, x)
-			b.Run(fmt.Sprintf("deg=%d/xbits=%d", deg, x), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p.EvalScaled(pt, uint(x))
-				}
-			})
-		}
-	}
-}
-
 func BenchmarkGCD(b *testing.B) {
 	g := FromRoots(mp.NewInt(3), mp.NewInt(-7), mp.NewInt(11))
 	p := g.Mul(FromRoots(mp.NewInt(1), mp.NewInt(2)))

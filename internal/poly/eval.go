@@ -1,27 +1,14 @@
 package poly
 
 import (
+	"math/bits"
+
 	"realroots/internal/metrics"
 	"realroots/internal/mp"
 )
 
 // Eval returns p(t) for an integer point t, by Horner's rule.
-func (p *Poly) Eval(t *mp.Int) *mp.Int { return p.EvalCtx(metrics.Ctx{}, t) }
-
-// EvalCtx returns p(t), recording the d multiplications in ctx.
-func (p *Poly) EvalCtx(ctx metrics.Ctx, t *mp.Int) *mp.Int {
-	ctx.C.AddEval(ctx.Phase)
-	if p.IsZero() {
-		return new(mp.Int)
-	}
-	d := p.Degree()
-	v := new(mp.Int).Set(p.c[d])
-	for i := d - 1; i >= 0; i-- {
-		ctx.MulInto(v, v, t)
-		v.Add(v, p.c[i])
-	}
-	return v
-}
+func (p *Poly) Eval(t *mp.Int) *mp.Int { return p.EvalScaled(t, 0) }
 
 // EvalScaled evaluates p at the dyadic rational a/2^s, returning the
 // scaled integer value
@@ -37,32 +24,80 @@ func (p *Poly) EvalScaled(a *mp.Int, s uint) *mp.Int {
 	return p.EvalScaledCtx(metrics.Ctx{}, a, s)
 }
 
-// EvalScaledCtx is EvalScaled with instrumentation.
+// EvalScaledCtx is EvalScaled with instrumentation. The result takes
+// over the accumulator the evaluation ran in.
 func (p *Poly) EvalScaledCtx(ctx metrics.Ctx, a *mp.Int, s uint) *mp.Int {
 	if p.IsZero() {
 		return new(mp.Int)
 	}
-	ctx.C.AddEval(ctx.Phase)
-	d := p.Degree()
-	v := new(mp.Int).Set(p.c[d])
-	var shifted mp.Int
-	for k := 1; k <= d; k++ {
-		ctx.MulInto(v, v, a)
-		shifted.Lsh(p.c[d-k], uint(k)*s)
-		ctx.C.AddAdd(ctx.Phase)
-		v.Add(v, &shifted)
-	}
-	return v
+	var e Evaluator
+	e.horner(ctx, p, a, s)
+	return e.acc.View(new(mp.Int))
 }
 
 // SignAt returns the sign of p(a/2^s) ∈ {-1, 0, +1}, computed exactly.
 func (p *Poly) SignAt(a *mp.Int, s uint) int {
-	return p.EvalScaled(a, s).Sign()
+	return p.SignAtCtx(metrics.Ctx{}, a, s)
 }
 
 // SignAtCtx is SignAt with instrumentation.
 func (p *Poly) SignAtCtx(ctx metrics.Ctx, a *mp.Int, s uint) int {
-	return p.EvalScaledCtx(ctx, a, s).Sign()
+	var e Evaluator
+	return e.SignAt(ctx, p, a, s)
+}
+
+// An Evaluator evaluates polynomials at dyadic points in one reusable
+// Horner accumulator (mp.Horner). Every evaluation sizes the
+// accumulator for its final width before the first step, so once an
+// Evaluator has served its widest evaluation, a sign evaluation
+// allocates nothing. An Evaluator is not safe for concurrent use; the
+// zero value is ready to use.
+type Evaluator struct {
+	acc mp.Horner
+}
+
+// SignAt returns the sign of p(a/2^s), recording the evaluation in ctx.
+func (e *Evaluator) SignAt(ctx metrics.Ctx, p *Poly, a *mp.Int, s uint) int {
+	if p.IsZero() {
+		return 0
+	}
+	e.horner(ctx, p, a, s)
+	return e.acc.Sign()
+}
+
+// EvalScaled returns 2^(d·s)·p(a/2^s) (see Poly.EvalScaled) as a new
+// Int, recording the evaluation in ctx.
+func (e *Evaluator) EvalScaled(ctx metrics.Ctx, p *Poly, a *mp.Int, s uint) *mp.Int {
+	if p.IsZero() {
+		return new(mp.Int)
+	}
+	e.horner(ctx, p, a, s)
+	var v mp.Int
+	return new(mp.Int).Set(e.acc.View(&v))
+}
+
+// horner leaves E_d of the scaled Horner recurrence for a non-zero p in
+// the accumulator. |E_d| ≤ (d+1)·2^m·2^(d·max(bitlen a, s)) for m-bit
+// coefficients, and every E_k and product before it is narrower, so one
+// Reserve covers the whole evaluation. Every step runs on the
+// accumulator's 32-bit row loop, under either profile. The d
+// multiplications and d additions are tallied locally, by operand shape
+// as ctx's profile would dispatch them, and reach ctx's counters in one
+// flush.
+func (e *Evaluator) horner(ctx metrics.Ctx, p *Poly, a *mp.Int, s uint) {
+	d, abits := p.Degree(), a.BitLen()
+	e.acc.Reserve(p.MaxCoeffBits() + bits.Len(uint(d)) + d*max(abits, int(s)))
+	e.acc.Set(p.c[d])
+	count := ctx.C != nil
+	var t metrics.Tally
+	for k := 1; k <= d; k++ {
+		if count {
+			t.Mul(ctx, e.acc.BitLen(), abits)
+			t.Add()
+		}
+		e.acc.Step(a, p.c[d-k], uint(k)*s)
+	}
+	ctx.FlushEval(&t)
 }
 
 // SignAtNegInf returns the sign of p(x) as x → -∞: sign(lc)·(-1)^deg.

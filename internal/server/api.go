@@ -92,17 +92,17 @@ func ValidateRequestID(id string) error {
 // Error codes carried in ErrorResponse and used as the code label of
 // the rootd_requests_total metric family.
 const (
-	CodeBadRequest   = "bad_request"      // 400: malformed or out-of-limits request
-	CodeNotSymmetric = "not_symmetric"    // 422: matrix input is not symmetric
-	CodeNotAllReal   = "not_all_real"     // 422: polynomial has non-real roots
-	CodeBudget       = "budget_exceeded"  // 422: per-solve MaxBitOps budget tripped
-	CodeRateLimited  = "rate_limited"     // 429: tenant token bucket empty
-	CodeOverloaded   = "overloaded"       // 429: estimated cost oversubscribes the in-flight bit-ops budget
-	CodeQueueFull    = "queue_full"       // 429: fair queue at capacity
-	CodeDraining     = "draining"         // 503: server is draining for shutdown
-	CodeCanceled     = "canceled"         // 503: solve canceled (client gone or drain deadline)
-	CodeDeadline     = "deadline"         // 504: solve timeout expired
-	CodeInternal     = "internal"         // 500: isolated solver panic or unexpected error
+	CodeBadRequest   = "bad_request"     // 400: malformed or out-of-limits request
+	CodeNotSymmetric = "not_symmetric"   // 422: matrix input is not symmetric
+	CodeNotAllReal   = "not_all_real"    // 422: polynomial has non-real roots
+	CodeBudget       = "budget_exceeded" // 422: per-solve MaxBitOps budget tripped
+	CodeRateLimited  = "rate_limited"    // 429: tenant token bucket empty
+	CodeOverloaded   = "overloaded"      // 429: estimated cost oversubscribes the in-flight bit-ops budget
+	CodeQueueFull    = "queue_full"      // 429: fair queue at capacity
+	CodeDraining     = "draining"        // 503: server is draining for shutdown
+	CodeCanceled     = "canceled"        // 503: solve canceled (client gone or drain deadline)
+	CodeDeadline     = "deadline"        // 504: solve timeout expired
+	CodeInternal     = "internal"        // 500: isolated solver panic or unexpected error
 )
 
 // errorCodes lists every error code in stable order (metric label

@@ -126,8 +126,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	do("a")
 	do("b")
-	do("a")    // refresh a: LRU order is now [a, b]
-	do("c")    // evicts b
+	do("a") // refresh a: LRU order is now [a, b]
+	do("c") // evicts b
 	if evicts.Load() != 1 {
 		t.Fatalf("evict events = %d, want 1", evicts.Load())
 	}

@@ -28,8 +28,8 @@ func FuzzSolveRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"matrix":{"rows":[["a"]]}}`))
 	// Oversized and degenerate payloads.
 	f.Add([]byte(`{"poly":{"coeffs":["` + strings.Repeat("9", MaxCoeffDigits+1) + `","1"]}}`))
-	f.Add([]byte(`{"poly":{"coeffs":["1","0"]}}`))            // zero leading coefficient
-	f.Add([]byte(`{"poly":{"coeffs":["1","-","1"]}}`))        // non-numeric
+	f.Add([]byte(`{"poly":{"coeffs":["1","0"]}}`))     // zero leading coefficient
+	f.Add([]byte(`{"poly":{"coeffs":["1","-","1"]}}`)) // non-numeric
 	f.Add([]byte(`{"poly":{"coeffs":["1","1"]},"workers":-3}`))
 	f.Add([]byte(`{"poly":{"coeffs":["1","1"]},"precision":99999}`))
 	f.Add([]byte(`{"poly":{"coeffs":["1","1"]},"profile":"quantum"}`))

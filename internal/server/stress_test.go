@@ -299,4 +299,3 @@ func TestStressProfilesShareNothing(t *testing.T) {
 	}
 	wg.Wait()
 }
-
