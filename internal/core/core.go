@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"realroots/internal/charpoly"
 	"realroots/internal/dyadic"
 	"realroots/internal/interval"
 	"realroots/internal/metrics"
@@ -110,7 +111,7 @@ type Options struct {
 	// ("precompute", "tree", "interval"): once per phase for a
 	// squarefree input, and again for each Yun factor of an input with
 	// repeated roots — a test hook for exercising cancellation at exact
-	// phase boundaries.
+	// phase boundaries. A matrix input first reports "charpoly".
 	OnPhase func(phase string)
 	// RequestID, if non-empty, names the external request this run
 	// serves (rootd's X-Request-Id). It is stamped on every telemetry
@@ -193,19 +194,46 @@ var (
 // the returned Result is non-nil with no Roots but with the partial
 // Stats gathered up to the interruption.
 func FindRoots(p *poly.Poly, opts Options) (*Result, error) {
+	return findRoots(input{p: p}, opts)
+}
+
+// FindRootsOfMatrix is FindRoots on the characteristic polynomial
+// det(λI − m), which it computes as the solve's first phase,
+// "charpoly": under the run's deadline and cancellation, on its trace
+// and telemetry, and inside Stats.Total, but outside its Counters, so
+// bit operations and MaxBitOps measure the root finder alone.
+func FindRootsOfMatrix(m *charpoly.Matrix, opts Options) (*Result, error) {
+	return findRoots(input{m: m}, opts)
+}
+
+// An input is what one call solves: the polynomial p, or the matrix m
+// whose characteristic polynomial the call computes first.
+type input struct {
+	p *poly.Poly
+	m *charpoly.Matrix
+}
+
+func (in input) degree() int {
+	if in.m != nil {
+		return in.m.Dim()
+	}
+	return in.p.Degree()
+}
+
+func findRoots(in input, opts Options) (*Result, error) {
 	start := time.Now()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if p.IsZero() {
+	if in.m == nil && in.p.IsZero() {
 		return nil, errors.New("core: zero polynomial")
 	}
-	if p.Degree() < 1 {
+	if in.degree() < 1 {
 		return nil, fmt.Errorf("core: constant polynomial has no roots")
 	}
-	res, err := solve(p, opts)
+	res, err := solve(in, opts)
 	if res != nil {
-		res.Degree = p.Degree()
+		res.Degree = in.degree()
 		res.Stats.Total = time.Since(start)
 	}
 	return res, err
@@ -228,7 +256,7 @@ func FindRootsWithMultiplicity(p *poly.Poly, opts Options) ([]RootMult, error) {
 // solve instruments one FindRoots call: it opens a single telemetry run
 // around every pipeline the call runs (a no-op when no hub is attached)
 // and closes it with the call's outcome and metrics.
-func solve(p *poly.Poly, opts Options) (*Result, error) {
+func solve(in input, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if opts.SimulateWorkers > 0 {
 		workers = opts.SimulateWorkers
@@ -239,7 +267,7 @@ func solve(p *poly.Poly, opts Options) (*Result, error) {
 	opts.Tracer.SetRequestID(opts.RequestID)
 	run := opts.Telemetry.Start(telemetry.RunInfo{
 		Kind:      "core",
-		Degree:    p.Degree(),
+		Degree:    in.degree(),
 		Mu:        opts.Mu,
 		Workers:   workers,
 		RequestID: opts.RequestID,
@@ -248,7 +276,7 @@ func solve(p *poly.Poly, opts Options) (*Result, error) {
 	if counters == nil && (opts.MaxBitOps > 0 || run != nil) {
 		counters = &metrics.Counters{} // budget metering and telemetry need a sink
 	}
-	res, err := solveRun(p, opts, counters, run)
+	res, err := solveRun(in, opts, counters, run)
 	if run != nil {
 		// Summarize sorts every lane's intervals; with always-on
 		// serving-path tracing this runs on every solve, so skip the
@@ -281,12 +309,13 @@ type call struct {
 	tally   taskTally
 }
 
-// solveRun sets up the call's pool, stop check and budget, then runs
-// the pipeline on the normalized input and, when the remainder sequence
-// reports repeated roots, on each of its Yun factors.
-func solveRun(p *poly.Poly, opts Options, counters *metrics.Counters, run *telemetry.Run) (*Result, error) {
+// solveRun sets up the call's pool, stop check and budget, computes a
+// matrix input's characteristic polynomial, then runs the pipeline on
+// the normalized polynomial and, when the remainder sequence reports
+// repeated roots, on each of its Yun factors.
+func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry.Run) (*Result, error) {
 	c := &call{opts: opts, mctx: metrics.Ctx{C: counters, Profile: opts.Profile}, run: run}
-	n := p.Degree()
+	n := in.degree()
 
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -297,10 +326,10 @@ func solveRun(p *poly.Poly, opts Options, counters *metrics.Counters, run *telem
 		c.onPhase = func(string) {}
 	}
 
-	// stop is the sequential-path checkpoint, polled per remainder
-	// iteration, per Yun gcd step, per tree node, and per interval
-	// problem. The parallel path enforces the same conditions through
-	// pool cancellation.
+	// stop is the sequential-path checkpoint, polled per charpoly
+	// prime, per remainder iteration, per Yun gcd step, per tree node,
+	// and per interval problem. The parallel path enforces the same
+	// conditions through pool cancellation.
 	c.stop = func() error {
 		select {
 		case <-ctx.Done():
@@ -392,6 +421,14 @@ func solveRun(p *poly.Poly, opts Options, counters *metrics.Counters, run *telem
 	// goroutine. Nil-safe — a nil Tracer makes every call below a no-op.
 	c.ctl = opts.Tracer.Lane(trace.ControlLane, "control")
 
+	p := in.p
+	if in.m != nil {
+		var err error
+		if p, err = c.charPoly(in.m); err != nil {
+			return partial(err)
+		}
+	}
+
 	// Normalize once, as Yun does: the factors it returns are primitive
 	// with positive leading coefficients, and so is p.
 	p = p.PrimitivePartProfile(opts.Profile)
@@ -425,6 +462,19 @@ func solveRun(p *poly.Poly, opts Options, counters *metrics.Counters, run *telem
 		res.Stats.TaskKinds.Interval = c.tally.interval.Load()
 	}
 	return res, nil
+}
+
+// charPoly computes det(λI − m) as the call's first phase. It polls the
+// call's stop check once per prime and records no arithmetic in the
+// counters, so the deadline bounds it and MaxBitOps does not.
+func (c *call) charPoly(m *charpoly.Matrix) (*poly.Poly, error) {
+	c.onPhase("charpoly")
+	c.run.PhaseBegin("charpoly")
+	c.ctl.Begin("charpoly", trace.CatPhase)
+	p, err := charpoly.CharPolyStop(m, c.stop)
+	c.ctl.End()
+	c.run.PhaseEnd("charpoly")
+	return p, err
 }
 
 // solveFactors handles an input whose remainder sequence terminated

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"realroots/internal/charpoly"
 	"realroots/internal/dyadic"
@@ -15,7 +20,10 @@ import (
 	"realroots/internal/poly"
 	"realroots/internal/remseq"
 	"realroots/internal/sched"
+	"realroots/internal/telemetry"
+	"realroots/internal/trace"
 	"realroots/internal/tree"
+	"realroots/internal/workload"
 )
 
 func dy(num int64, scale uint) dyadic.Dyadic { return dyadic.New(mp.NewInt(num), scale) }
@@ -235,17 +243,16 @@ func TestCharPolyEigenvalues(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 6 + r.Intn(6)
 		m := charpoly.RandomSymmetric01(r, n)
-		p := charpoly.CharPoly(m)
 		const mu = 24
-		rm, err := FindRootsWithMultiplicity(p, Options{Mu: mu, Workers: 4})
+		res, err := FindRootsOfMatrix(m, Options{Mu: mu, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		total := 0
 		sum := 0.0
-		for _, e := range rm {
-			total += e.Mult
-			sum += float64(e.Mult) * e.Root.Float64()
+		for i, root := range res.Roots {
+			total += res.Mults[i]
+			sum += float64(res.Mults[i]) * root.Float64()
 		}
 		if total != n {
 			t.Fatalf("multiplicities sum to %d for n=%d", total, n)
@@ -253,7 +260,7 @@ func TestCharPolyEigenvalues(t *testing.T) {
 		// Σ λ_i = tr(M); each approximation is within 2^-µ above its root.
 		tr := 0.0
 		for i := 0; i < n; i++ {
-			tr += float64(m.At(i, i).Int64())
+			tr += float64(m.At(i, i))
 		}
 		if diff := sum - tr; diff < 0 || diff > float64(n)/float64(int64(1)<<mu)+1e-9 {
 			t.Fatalf("eigenvalue sum %v vs trace %v (diff %v)", sum, tr, diff)
@@ -541,5 +548,76 @@ func TestParMulSubmitterTag(t *testing.T) {
 	<-done
 	if got := pool.Stats().Executed; got != 1 {
 		t.Fatalf("executed = %d, want 1", got)
+	}
+}
+
+// TestFindRootsOfMatrix checks that a matrix solve answers as the
+// polynomial solve of its characteristic polynomial does, with the same
+// counted arithmetic, and that the charpoly is the run's first phase:
+// reported to OnPhase, and a phase span on the control lane and in the
+// flight recorder.
+func TestFindRootsOfMatrix(t *testing.T) {
+	m := charpoly.RandomSymmetric01(rand.New(rand.NewSource(66)), 12)
+	for _, workers := range []int{0, 2} {
+		var cp, cm metrics.Counters
+		want, err := FindRoots(charpoly.CharPoly(m), Options{Mu: 16, Workers: workers, Counters: &cp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := telemetry.New(telemetry.Config{FlightCapacity: 8192})
+		tr := trace.New()
+		var mu sync.Mutex
+		var phases []string
+		got, err := FindRootsOfMatrix(m, Options{Mu: 16, Workers: workers, Counters: &cm, Telemetry: tel, Tracer: tr,
+			OnPhase: func(ph string) {
+				mu.Lock()
+				phases = append(phases, ph)
+				mu.Unlock()
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Degree != 12 || !slices.EqualFunc(got.Roots, want.Roots, dyadic.Dyadic.Equal) || !slices.Equal(got.Mults, want.Mults) {
+			t.Fatalf("workers=%d: matrix solve differs from the polynomial solve", workers)
+		}
+		if cm.BitOps() != cp.BitOps() || !reflect.DeepEqual(cm.Snapshot(), cp.Snapshot()) {
+			t.Errorf("workers=%d: counters differ: %d bit ops for the matrix, %d for its polynomial", workers, cm.BitOps(), cp.BitOps())
+		}
+		if len(phases) == 0 || phases[0] != "charpoly" {
+			t.Errorf("workers=%d: phases %v, want charpoly first", workers, phases)
+		}
+		if ph := tr.Summarize().Phases; len(ph) == 0 || ph[0].Name != "charpoly" {
+			t.Errorf("workers=%d: traced phases %+v, want charpoly first", workers, ph)
+		}
+		begun := 0
+		for _, r := range tel.Flight().Dump().Records {
+			if r.Kind == telemetry.KindBegin && r.Name == "charpoly" {
+				begun++
+			}
+		}
+		if begun != 1 {
+			t.Errorf("workers=%d: %d charpoly phase spans in the flight recorder, want 1", workers, begun)
+		}
+	}
+}
+
+// TestMatrixDeadlineBoundsCharPoly: the charpoly of a 64×64 matrix of
+// full-width entries needs 135 primes; a 20 ms deadline stops it
+// between two of them.
+func TestMatrixDeadlineBoundsCharPoly(t *testing.T) {
+	m, err := charpoly.FromRows(workload.SymmetricRowsWide(67, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 2} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		res, err := FindRootsOfMatrix(m, Options{Mu: 16, Workers: workers, Ctx: ctx})
+		elapsed := time.Since(start)
+		cancel()
+		checkPartial(t, res, err, ErrDeadline)
+		if elapsed > time.Second {
+			t.Errorf("workers=%d: ErrDeadline after %v, want within 1s of a 20ms deadline", workers, elapsed)
+		}
 	}
 }

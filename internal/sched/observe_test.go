@@ -309,6 +309,9 @@ func TestObserverParallelForPanic(t *testing.T) {
 	if err == nil {
 		t.Fatal("ParallelForTagged swallowed the panic")
 	}
+	// On the cancel path ParallelForTagged returns without waiting for
+	// a straggler chunk; Wait returns once its TaskDone has run.
+	p.Wait()
 	by := obs.byKind()
 	if len(by["panic"]) != 1 {
 		t.Fatalf("panic callbacks = %d, want 1", len(by["panic"]))

@@ -36,6 +36,7 @@ import (
 	"strconv"
 
 	"realroots/internal/charpoly"
+	"realroots/internal/core"
 	"realroots/internal/interval"
 	"realroots/internal/metrics"
 	"realroots/internal/mp"
@@ -411,22 +412,28 @@ func bitLen64(v int64) int {
 	return n
 }
 
-// buildPoly converts the decoded request into the solver's polynomial:
-// the polynomial itself, or the characteristic polynomial of the
-// matrix computed under the request's arithmetic profile.
-func (r *SolveRequest) buildPoly(prof mp.Profile) (*poly.Poly, error) {
+// solve runs the decoded request through the solver. A matrix goes to
+// core as a matrix, so that its characteristic polynomial is the
+// solve's first phase, under its deadline and on its trace.
+func (r *SolveRequest) solve(opts core.Options) (*core.Result, error) {
 	if r.coeffs != nil {
-		c := make([]*mp.Int, len(r.coeffs))
-		for i, v := range r.coeffs {
-			c[i] = new(mp.Int).SetBig(v)
-		}
-		return poly.New(c...), nil
+		return core.FindRoots(r.buildPoly(), opts)
 	}
 	m, err := charpoly.FromRows(r.rows)
-	if err != nil {
-		return nil, badRequest("%v", err)
+	if err != nil { // validateMatrix admits only square, non-empty rows
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	return charpoly.CharPolyProfile(m, prof), nil
+	return core.FindRootsOfMatrix(m, opts)
+}
+
+// buildPoly converts a decoded polynomial request into the solver's
+// polynomial.
+func (r *SolveRequest) buildPoly() *poly.Poly {
+	c := make([]*mp.Int, len(r.coeffs))
+	for i, v := range r.coeffs {
+		c[i] = new(mp.Int).SetBig(v)
+	}
+	return poly.New(c...)
 }
 
 // cacheKey returns the canonical result-cache key: a hash over the

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -109,6 +110,64 @@ func TestTraceForcedByHeader(t *testing.T) {
 	}
 	if d.Seen != 2 {
 		t.Errorf("seen %d solves, want 2", d.Seen)
+	}
+}
+
+// TestMatrixSolveTracesCharPoly checks that a matrix request's
+// characteristic polynomial is a phase of its solve: a charpoly phase
+// span in the solve's trace and a phase="charpoly" series in
+// rootd_phase_seconds.
+func TestMatrixSolveTracesCharPoly(t *testing.T) {
+	cfg := obsConfig()
+	_, hs := newTestServer(t, cfg)
+	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/solve",
+		strings.NewReader(`{"matrix":{"rows":[[2,1,0],[1,2,1],[0,1,2]]},"precision":32}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Debug-Trace", "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("matrix solve status %d, body %s", resp.StatusCode, body)
+	}
+
+	store := cfg.Telemetry.Traces()
+	d := store.Dump()
+	if d.Retained != 1 {
+		t.Fatalf("retained %d traces, want the forced one", d.Retained)
+	}
+	var buf bytes.Buffer
+	if err := store.Get(d.Traces[0].Seq).WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var ct struct {
+		TraceEvents []struct{ Name, Cat string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil {
+		t.Fatal(err)
+	}
+	phases := 0
+	for _, ev := range ct.TraceEvents {
+		if ev.Name == "charpoly" && ev.Cat == trace.CatPhase {
+			phases++
+		}
+	}
+	if phases != 1 {
+		t.Errorf("%d charpoly phase spans in the trace, want 1", phases)
+	}
+
+	buf.Reset()
+	if err := cfg.Telemetry.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `rootd_phase_seconds_count{phase="charpoly"} 1`; !strings.Contains(buf.String(), want) {
+		t.Errorf("/metrics lacks %s", want)
 	}
 }
 

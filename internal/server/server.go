@@ -598,13 +598,8 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 		opts.TaskHook = s.cfg.Faults(s.solveSeq.Add(1), solveCtx, cancel)
 	}
 
-	poly, err := req.buildPoly(p.profile)
-	if err != nil {
-		return nil, err
-	}
-
 	start := time.Now()
-	roots, err := core.FindRootsWithMultiplicity(poly, opts)
+	res, err := req.solve(opts)
 	elapsed := time.Since(start)
 	s.solveHist.With(p.method.String()).Observe(elapsed.Seconds(), p.requestID)
 	s.observeSolve(tracer, p, start, elapsed, counters.BitOps(), err)
@@ -613,15 +608,13 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	}
 
 	digits := decimalDigits(p.mu)
-	out := make([]RootJSON, len(roots))
-	distinct := 0
-	for i, rm := range roots {
+	out := make([]RootJSON, len(res.Roots))
+	for i, root := range res.Roots {
 		out[i] = RootJSON{
-			Value:        rm.Root.Rat().RatString(),
-			Decimal:      rm.Root.Decimal(digits),
-			Multiplicity: rm.Mult,
+			Value:        root.Rat().RatString(),
+			Decimal:      root.Decimal(digits),
+			Multiplicity: res.Mults[i],
 		}
-		distinct++
 	}
 	rep := counters.Snapshot()
 	if p.estimate > 0 {
@@ -631,7 +624,7 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	return &SolveResponse{
 		Roots:           out,
 		Degree:          req.degree(),
-		Distinct:        distinct,
+		Distinct:        len(out),
 		Precision:       p.mu,
 		Profile:         p.profile.String(),
 		Method:          p.method.String(),

@@ -18,6 +18,7 @@ import (
 	"realroots/internal/mp"
 	"realroots/internal/poly"
 	"realroots/internal/telemetry"
+	"realroots/internal/workload"
 )
 
 // postSolve sends a solve request body and decodes the response.
@@ -507,5 +508,31 @@ func TestTimeoutBoundsWideCoefficients(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Errorf("504 after %v, want within 1s of a 100ms timeout", elapsed)
+	}
+}
+
+// TestTimeoutBoundsWideMatrix sends the largest matrix rootd admits,
+// symmetric with full-width entries and MinInt64 on the diagonal, and a
+// 20 ms timeout. Its characteristic polynomial needs 135 primes; it is
+// the solve's first phase and polls the deadline once per prime, so the
+// 504 arrives well within a second.
+func TestTimeoutBoundsWideMatrix(t *testing.T) {
+	m, err := json.Marshal(workload.SymmetricRowsWide(1, MaxMatrixDim))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, Config{})
+	start := time.Now()
+	status, _, data := postSolve(t, hs.URL, fmt.Sprintf(`{"matrix":{"rows":%s},"timeoutMs":20}`, m))
+	elapsed := time.Since(start)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (%s)", status, data)
+	}
+	if e := decodeErr(t, data); e.Code != CodeDeadline {
+		t.Errorf("code = %q, want %q", e.Code, CodeDeadline)
+	}
+	if elapsed > time.Second {
+		t.Errorf("504 after %v, want within 1s of a 20ms timeout", elapsed)
 	}
 }

@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 
 	"realroots/internal/charpoly"
@@ -34,7 +35,26 @@ func SymmetricRows01(seed int64, n int) [][]int64 {
 	for i := 0; i < n; i++ {
 		rows[i] = make([]int64, n)
 		for j := 0; j < n; j++ {
-			rows[i][j] = m.At(i, j).Int64()
+			rows[i][j] = m.At(i, j)
+		}
+	}
+	return rows
+}
+
+// SymmetricRowsWide returns the rows of a random symmetric n×n matrix
+// with MinInt64 on the diagonal and the other entries drawn from the
+// whole int64 range: the widest entries a matrix input can carry, whose
+// characteristic polynomial at n = 64 needs 135 primes. Deadline tests
+// of the matrix path use it.
+func SymmetricRowsWide(seed int64, n int) [][]int64 {
+	r := rand.New(rand.NewSource(seed))
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = make([]int64, n)
+		rows[i][i] = math.MinInt64
+		for j := 0; j < i; j++ {
+			rows[i][j] = int64(r.Uint64())
+			rows[j][i] = rows[i][j]
 		}
 	}
 	return rows

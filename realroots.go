@@ -370,18 +370,27 @@ func partialResult(res *core.Result, degree int, mu uint, start time.Time) *Resu
 }
 
 func findRoots(ctx context.Context, p *poly.Poly, opts *Options) (*Result, error) {
-	start := time.Now()
-	co := opts.coreOptions()
 	if p.Degree() < 1 {
 		return nil, fmt.Errorf("realroots: polynomial of degree %d has no roots", p.Degree())
 	}
+	return solve(ctx, p.Degree(), opts, func(co core.Options) (*core.Result, error) {
+		return core.FindRoots(p, co)
+	})
+}
+
+// solve runs one core solve of a degree-n input under opts, with the
+// caller's context composed with Options.Timeout, and converts its
+// result.
+func solve(ctx context.Context, n int, opts *Options, run func(core.Options) (*core.Result, error)) (*Result, error) {
+	start := time.Now()
+	co := opts.coreOptions()
 	ctx, cancel := withTimeout(ctx, opts)
 	defer cancel()
 	co.Ctx = ctx
 
-	res, err := core.FindRoots(p, co)
+	res, err := run(co)
 	if err != nil {
-		return partialResult(res, p.Degree(), co.Mu, start), wrapErr(err)
+		return partialResult(res, n, co.Mu, start), wrapErr(err)
 	}
 	roots := make([]Root, len(res.Roots))
 	for i, r := range res.Roots {
@@ -389,7 +398,7 @@ func findRoots(ctx context.Context, p *poly.Poly, opts *Options) (*Result, error
 	}
 	return &Result{
 		Roots:      roots,
-		Degree:     p.Degree(),
+		Degree:     n,
 		Distinct:   len(roots),
 		Precision:  co.Mu,
 		Elapsed:    time.Since(start),
@@ -413,7 +422,9 @@ func Eigenvalues(matrix [][]int64, opts *Options) (*Result, error) {
 }
 
 // EigenvaluesContext is Eigenvalues under a caller-supplied context;
-// see FindRootsContext for the cancellation contract.
+// see FindRootsContext for the cancellation contract. The timeout and
+// ctx cover the characteristic polynomial too: it is the solve's first
+// phase.
 func EigenvaluesContext(ctx context.Context, matrix [][]int64, opts *Options) (*Result, error) {
 	m, err := charpoly.FromRows(matrix)
 	if err != nil {
@@ -422,7 +433,9 @@ func EigenvaluesContext(ctx context.Context, matrix [][]int64, opts *Options) (*
 	if !m.IsSymmetric() {
 		return nil, errors.New("realroots: matrix is not symmetric (eigenvalues may be complex)")
 	}
-	return findRoots(ctx, charpoly.CharPoly(m), opts)
+	return solve(ctx, m.Dim(), opts, func(co core.Options) (*core.Result, error) {
+		return core.FindRootsOfMatrix(m, co)
+	})
 }
 
 // Isolate returns, for each distinct real root of the polynomial, an

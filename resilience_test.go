@@ -9,6 +9,7 @@ import (
 
 	"realroots/internal/mp"
 	"realroots/internal/poly"
+	"realroots/internal/workload"
 )
 
 // wilkinsonCoeffs returns the coefficients of Π (x-k), k = 1..n.
@@ -90,6 +91,26 @@ func TestTimeoutBoundsWideCoefficients(t *testing.T) {
 		if elapsed > time.Second {
 			t.Errorf("profile %v: ErrDeadline after %v, want within 1s of a 100ms timeout", prof, elapsed)
 		}
+	}
+}
+
+// TestTimeoutBoundsWideMatrix gives a 20 ms timeout to the eigenvalues
+// of a 64×64 matrix of full-width entries, whose characteristic
+// polynomial needs 135 primes. The timeout is armed before the
+// characteristic polynomial, which polls it once per prime, so the call
+// stops with ErrDeadline well within a second.
+func TestTimeoutBoundsWideMatrix(t *testing.T) {
+	start := time.Now()
+	res, err := Eigenvalues(workload.SymmetricRowsWide(1, 64), &Options{Timeout: 20 * time.Millisecond})
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	if res == nil || len(res.Roots) != 0 || res.Degree != 64 {
+		t.Fatalf("partial result = %+v", res)
+	}
+	if elapsed > time.Second {
+		t.Errorf("ErrDeadline after %v, want within 1s of a 20ms timeout", elapsed)
 	}
 }
 
