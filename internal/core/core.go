@@ -103,9 +103,12 @@ type Options struct {
 	// When no Counters are supplied, internal ones are allocated to
 	// meter the budget.
 	MaxBitOps int64
-	// TaskHook, if non-nil, is installed on the scheduler pool
-	// (sched.Pool.SetTaskHook) — the fault-injection point used by
-	// internal/faultinject. Parallel and simulated runs only.
+	// TaskHook, if non-nil, is called as each scheduler task starts,
+	// with the pool's task sequence number (0, 1, 2, … in execution
+	// order) — the fault-injection point used by internal/faultinject.
+	// It is the pool's last observer, inside the task's panic
+	// isolation: it may sleep, cancel, or panic, and a panic fails the
+	// run with a *sched.PanicError. Parallel and simulated runs only.
 	TaskHook func(seq int64)
 	// OnPhase, if non-nil, is called as each pipeline phase begins
 	// ("precompute", "tree", "interval"): once per phase for a
@@ -115,9 +118,9 @@ type Options struct {
 	OnPhase func(phase string)
 	// RequestID, if non-empty, names the external request this run
 	// serves (rootd's X-Request-Id). It is stamped on every telemetry
-	// sink the run touches — slog records, flight-recorder events,
-	// trace spans, and scheduler panic errors — so one ID recovers the
-	// run from any of them.
+	// sink the run touches — slog records (task panics included), a
+	// flight-recorder event binding the run number to the ID, and
+	// trace spans — so one ID recovers the run from any of them.
 	RequestID string
 }
 
@@ -342,13 +345,7 @@ func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry
 		return nil
 	}
 
-	var pool *sched.Pool
-	switch {
-	case opts.SimulateWorkers > 0:
-		pool = sched.NewSimulatedPool(opts.SimulateWorkers)
-	case opts.Workers > 1:
-		pool = sched.NewPool(opts.Workers)
-	}
+	pool := newPool(opts, run)
 	c.pool = pool
 	if pool != nil {
 		if run != nil {
@@ -359,22 +356,11 @@ func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry
 				run.SchedStats(telemetry.SchedStats{
 					Executed:      s.Executed,
 					Panics:        s.Panics,
-					Retries:       s.Retries,
 					MaxQueueDepth: int64(s.MaxQueueDepth),
 				})
 			}()
 		}
 		defer pool.Close()
-		if opts.TaskHook != nil {
-			pool.SetTaskHook(opts.TaskHook)
-		}
-		pool.SetTracer(opts.Tracer)
-		if opts.RequestID != "" {
-			pool.SetLabel(opts.RequestID)
-		}
-		if run != nil {
-			pool.SetObserver(run)
-		}
 		// Forward context cancellation to the pool; the watchdog exits
 		// when the run finishes.
 		watchDone := make(chan struct{})
@@ -654,6 +640,41 @@ func solveSequential(seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts 
 	})
 	return werr
 }
+
+// newPool builds a call's scheduler pool, or returns nil for a
+// sequential run. Its observers are fixed here, in order: the tracer,
+// the telemetry run, then the fault-injection hook, so a panic the
+// hook injects reaches the other two after they saw the task start.
+func newPool(opts Options, run *telemetry.Run) *sched.Pool {
+	if opts.SimulateWorkers <= 0 && opts.Workers <= 1 {
+		return nil
+	}
+	var obs []sched.Observer
+	if opts.Tracer != nil {
+		obs = append(obs, opts.Tracer)
+	}
+	if run != nil {
+		obs = append(obs, run)
+	}
+	if opts.TaskHook != nil {
+		obs = append(obs, &taskHook{hook: opts.TaskHook})
+	}
+	if opts.SimulateWorkers > 0 {
+		return sched.NewSimulatedPool(opts.SimulateWorkers, obs...)
+	}
+	return sched.NewPool(opts.Workers, obs...)
+}
+
+// taskHook attaches Options.TaskHook to a pool: it numbers the pool's
+// task starts 0, 1, 2, … and hands each number to the hook.
+type taskHook struct {
+	hook func(seq int64)
+	seq  atomic.Int64
+}
+
+func (h *taskHook) TaskStart(int, string, time.Duration, int) { h.hook(h.seq.Add(1) - 1) }
+func (h *taskHook) TaskDone(int, string)                      {}
+func (h *taskHook) TaskPanic(int, string, any)                {}
 
 // parMulSubmitter adapts the scheduler pool to mp's Parallel hook,
 // tagging panel tasks so they are distinguishable on trace timelines

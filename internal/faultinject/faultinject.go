@@ -3,9 +3,10 @@
 // misbehave — panic, stall, trigger cancellation — and how tight the
 // bit-operation budget is; the same seed always yields the same plan,
 // so a chaos failure reproduces from nothing but its seed. The plan is
-// delivered to the pool through core.Options.TaskHook, which the
-// scheduler invokes with a monotone per-pool task sequence number
-// before each task body runs.
+// delivered through core.Options.TaskHook, which core attaches as the
+// last observer of the run's scheduler pool: before each task body runs
+// it is called with the pool's task sequence number (0, 1, 2, … in
+// execution order), inside the task's panic isolation.
 package faultinject
 
 import (
@@ -16,8 +17,8 @@ import (
 )
 
 // A Plan is one deterministic fault schedule. The zero value injects
-// nothing. Sequence numbers refer to the pool's task-submission order
-// as observed by the task hook; -1 disables the corresponding fault.
+// nothing. Sequence numbers refer to the pool's task-start order as
+// numbered by the task hook; -1 disables the corresponding fault.
 type Plan struct {
 	Seed       int64         // seed the plan was derived from (informational)
 	PanicAt    int64         // task sequence at which the hook panics; -1 = never

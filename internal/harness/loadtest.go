@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -141,9 +140,7 @@ func Loadtest(w io.Writer, cfg Config) error {
 	client := &http.Client{Timeout: 5 * time.Minute}
 	defer client.CloseIdleConnections()
 	// issue replays the full request set against url with the configured
-	// client concurrency. It is run once for the report and (in-process
-	// only) once more against a tracing-disabled twin server for the A/B
-	// overhead line.
+	// client concurrency.
 	issue := func(url string) ([]sample, time.Duration, bool) {
 		samples := make([]sample, len(reqs))
 		work := make(chan int)
@@ -330,48 +327,6 @@ func Loadtest(w io.Writer, cfg Config) error {
 
 	fmt.Fprintf(w, "total: %d requests (%d solved, %d cache-shared), %d errors, %.1f req/s overall\n",
 		totalReqs, uniqueSolves, sharedResults, totalErrs, float64(totalReqs)/sweepWall.Seconds())
-
-	// Tracing A/B: replay the identical request set against a twin
-	// in-process server with tracing disabled and compare exact median
-	// latencies, recording the always-on tracing overhead in the bench
-	// output. Skipped against an external server (its tracing config is
-	// not ours to change) or after an interrupt.
-	if cfg.ServerURL == "" && !interruptedEarly {
-		twin := server.New(server.Config{
-			MaxConcurrent:   maxProcs * 2,
-			MaxQueue:        len(cells) * perCell,
-			WorkersPerSolve: maxProcs,
-			CacheEntries:    1024,
-			DefaultProfile:  cfg.Profile,
-			DisableTracing:  true,
-		})
-		running, err := twin.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("loadtest: starting tracing-disabled twin: %w", err)
-		}
-		twinSamples, _, _ := issue(running.URL())
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		running.Close(ctx)
-		cancel()
-		median := func(ss []sample) float64 {
-			var lats []float64
-			for _, s := range ss {
-				if s.errCode == "" && s.resp != nil {
-					lats = append(lats, s.latency.Seconds())
-				}
-			}
-			if len(lats) == 0 {
-				return 0
-			}
-			sort.Float64s(lats)
-			return lats[len(lats)/2]
-		}
-		on, off := median(samples), median(twinSamples)
-		if on > 0 && off > 0 {
-			fmt.Fprintf(w, "tracing overhead: p50 %.3f ms traced vs %.3f ms untraced (%.1f%%)\n",
-				on*1e3, off*1e3, (on/off-1)*100)
-		}
-	}
 
 	if cfg.LoadJSON != nil {
 		enc := json.NewEncoder(cfg.LoadJSON)

@@ -104,8 +104,8 @@ func Soak(w io.Writer, cfg Config) error {
 		}
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "roots %d, bit ops %d, sched tasks %d, panics %d, retries %d\n",
-		tot.Roots, tot.BitOps, tot.SchedTasks, tot.Panics, tot.Retries)
+	fmt.Fprintf(w, "roots %d, bit ops %d, sched tasks %d, panics %d\n",
+		tot.Roots, tot.BitOps, tot.SchedTasks, tot.Panics)
 	fmt.Fprintf(w, "flight recorder: %d records published, capacity %d\n",
 		tel.Flight().Written(), tel.Flight().Capacity())
 	return nil

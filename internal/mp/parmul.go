@@ -6,21 +6,21 @@ import "sync/atomic"
 // remainder sequence serializes whichever scheduler worker runs it;
 // above parMul64Threshold the product is worth splitting into quadrant
 // panels that other workers can help with. The hook is the minimal
-// interface a caller-supplied scheduler must satisfy — *sched.Pool
-// does, structurally — and it is threaded per operation through the
+// interface a caller-supplied scheduler must satisfy — core adapts its
+// *sched.Pool to it — and it is threaded per operation through the
 // callers' operation contexts (metrics.Ctx), never package state,
 // matching the profile design.
 //
 // The coordination must survive three scheduler behaviors: helpers may
 // never run (a canceled pool drains its queue without executing),
-// helpers may be killed at task start by fault injection (sched's
-// TaskHook may panic), and Submit must not be waited on. So panels are
-// claimed from an atomic counter: the caller participates in the claim
-// loop, so every panel is computed even if no helper ever arrives, and
-// the completion count — incremented even when a panel's computation
-// panics — releases the caller, which then turns a helper's panic into
-// its own deterministic panic instead of a silent wrong product or a
-// deadlock.
+// helpers may be killed at task start by fault injection (core's
+// TaskHook, a pool observer, may panic), and Submit must not be waited
+// on. So panels are claimed from an atomic counter: the caller
+// participates in the claim loop, so every panel is computed even if no
+// helper ever arrives, and the completion count — incremented even when
+// a panel's computation panics — releases the caller, which then turns
+// a helper's panic into its own deterministic panic instead of a silent
+// wrong product or a deadlock.
 
 // Parallel is the scheduler hook for the parallel multiplication path:
 // Submit schedules a task to run concurrently with the caller and must

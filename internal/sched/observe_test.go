@@ -2,29 +2,29 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"realroots/internal/trace"
 )
 
 func TestQueueDepthAndStats(t *testing.T) {
-	p := NewPool(1)
+	obs := &recordingObserver{}
+	p := NewPool(1, obs)
 	defer p.Close()
 
 	// Block the single worker so submissions pile up measurably.
 	release := make(chan struct{})
 	var started sync.WaitGroup
 	started.Add(1)
-	p.Submit(func() { started.Done(); <-release })
+	p.SubmitTagged("task", func() { started.Done(); <-release })
 	started.Wait()
 
 	for i := 0; i < 5; i++ {
-		p.Submit(func() {})
-	}
-	if d := p.QueueDepth(); d != 5 {
-		t.Errorf("QueueDepth = %d, want 5", d)
+		p.SubmitTagged("task", func() {})
 	}
 	close(release)
 	p.Wait()
@@ -39,18 +39,26 @@ func TestQueueDepthAndStats(t *testing.T) {
 	if st.MaxQueueDepth < 5 {
 		t.Errorf("Stats.MaxQueueDepth = %d, want >= 5", st.MaxQueueDepth)
 	}
-	if st.Panics != 0 || st.Retries != 0 {
-		t.Errorf("Stats = %+v, want zero panics/retries", st)
+	if st.Panics != 0 {
+		t.Errorf("Stats = %+v, want zero panics", st)
 	}
-	if d := p.QueueDepth(); d != 0 {
-		t.Errorf("QueueDepth after Wait = %d, want 0", d)
+	// Each start sees the queue left behind by its own dequeue.
+	var depths []int
+	for _, e := range obs.byKind()["start"] {
+		depths = append(depths, e.depth)
+		if e.wait < 0 {
+			t.Errorf("negative queue wait %v", e.wait)
+		}
+	}
+	if want := []int{0, 4, 3, 2, 1, 0}; !slices.Equal(depths, want) {
+		t.Errorf("observed depths %v, want %v", depths, want)
 	}
 }
 
 func TestStatsCountsPanics(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	p.Submit(func() { panic("boom") })
+	p.SubmitTagged("task", func() { panic("boom") })
 	p.Wait()
 	if got := p.Stats().Panics; got != 1 {
 		t.Errorf("Stats.Panics = %d, want 1", got)
@@ -61,34 +69,14 @@ func TestStatsCountsPanics(t *testing.T) {
 	}
 }
 
-func TestStatsCountsRetries(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	var calls atomic.Int64
-	p.SubmitRetry(3, func() error {
-		if calls.Add(1) < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	p.Wait()
-	if err := p.Err(); err != nil {
-		t.Fatalf("Err = %v", err)
-	}
-	if got := p.Stats().Retries; got != 2 {
-		t.Errorf("Stats.Retries = %d, want 2", got)
-	}
-}
-
 func TestTracerRecordsWorkerSpans(t *testing.T) {
 	tr := trace.New()
-	p := NewPool(3)
-	p.SetTracer(tr)
+	p := NewPool(3, tr)
 	const n = 24
 	for i := 0; i < n; i++ {
 		p.SubmitTagged("interval", func() {})
 	}
-	p.Submit(func() {}) // default tag
+	p.SubmitTagged("task", func() {})
 	p.Wait()
 	p.Close()
 
@@ -127,8 +115,7 @@ func TestTracerRecordsWorkerSpans(t *testing.T) {
 
 func TestTracedGateAndParallelForTags(t *testing.T) {
 	tr := trace.New()
-	p := NewPool(2)
-	p.SetTracer(tr)
+	p := NewPool(2, tr)
 	g := NewGateTagged(p, 2, "sort", func() {})
 	_ = p.ParallelForTagged("precompute", 8, 4, func(i int) {})
 	g.Done()
@@ -152,8 +139,7 @@ func TestTracedGateAndParallelForTags(t *testing.T) {
 
 func TestTracedSimulatedPool(t *testing.T) {
 	tr := trace.New()
-	p := NewSimulatedPool(4)
-	p.SetTracer(tr)
+	p := NewSimulatedPool(4, tr)
 	for i := 0; i < 6; i++ {
 		p.SubmitTagged("interval", func() {})
 	}
@@ -173,25 +159,31 @@ func TestTracedSimulatedPool(t *testing.T) {
 
 // recordingObserver captures lifecycle callbacks for assertions.
 type recordingObserver struct {
+	name   string    // written to order, when set
+	order  *[]string // shared across observers by TestObserverListOrder
 	mu     sync.Mutex
 	events []obsEvent
 }
 
 type obsEvent struct {
-	kind   string // "start", "done", "panic", "retry"
+	kind   string // "start", "done", "panic"
 	worker int
 	tag    string
-	left   int
+	wait   time.Duration
+	depth  int
 }
 
 func (o *recordingObserver) add(e obsEvent) {
 	o.mu.Lock()
 	o.events = append(o.events, e)
+	if o.order != nil {
+		*o.order = append(*o.order, e.kind+":"+o.name)
+	}
 	o.mu.Unlock()
 }
 
-func (o *recordingObserver) TaskStart(worker int, tag string) {
-	o.add(obsEvent{kind: "start", worker: worker, tag: tag})
+func (o *recordingObserver) TaskStart(worker int, tag string, wait time.Duration, depth int) {
+	o.add(obsEvent{kind: "start", worker: worker, tag: tag, wait: wait, depth: depth})
 }
 func (o *recordingObserver) TaskDone(worker int, tag string) {
 	o.add(obsEvent{kind: "done", worker: worker, tag: tag})
@@ -199,24 +191,76 @@ func (o *recordingObserver) TaskDone(worker int, tag string) {
 func (o *recordingObserver) TaskPanic(worker int, tag string, v any) {
 	o.add(obsEvent{kind: "panic", worker: worker, tag: tag})
 }
-func (o *recordingObserver) TaskRetry(tag string, left int) {
-	o.add(obsEvent{kind: "retry", tag: tag, left: left})
+
+func (o *recordingObserver) all() []obsEvent {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return slices.Clone(o.events)
 }
 
 func (o *recordingObserver) byKind() map[string][]obsEvent {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	m := map[string][]obsEvent{}
-	for _, e := range o.events {
+	for _, e := range o.all() {
 		m[e.kind] = append(m[e.kind], e)
 	}
 	return m
 }
 
+// countingObserver numbers task starts 0, 1, 2, … like core's
+// fault-injection adapter, and panics at start number panicAt (≥ 1).
+type countingObserver struct {
+	panicAt int64
+	n       atomic.Int64
+	mu      sync.Mutex
+	seen    []int64
+}
+
+func (c *countingObserver) TaskStart(int, string, time.Duration, int) {
+	seq := c.n.Add(1) - 1
+	c.mu.Lock()
+	c.seen = append(c.seen, seq)
+	c.mu.Unlock()
+	if c.panicAt > 0 && seq == c.panicAt {
+		panic("injected")
+	}
+}
+func (c *countingObserver) TaskDone(int, string)       {}
+func (c *countingObserver) TaskPanic(int, string, any) {}
+
+func (c *countingObserver) seqs() []int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.seen)
+}
+
+// TestObserverListOrder pins the order in which a pool calls its
+// observers: starts in list order, dones in reverse, and on a panic
+// every observer's TaskPanic, in list order, before the dones.
+func TestObserverListOrder(t *testing.T) {
+	var order []string
+	a := &recordingObserver{name: "a", order: &order}
+	b := &recordingObserver{name: "b", order: &order}
+	c := &recordingObserver{name: "c", order: &order}
+	p := NewPool(1, a, b, c)
+	defer p.Close()
+	p.SubmitTagged("ok", func() {})
+	p.Wait()
+	want := []string{"start:a", "start:b", "start:c", "done:c", "done:b", "done:a"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("healthy task: order %v, want %v", order, want)
+	}
+	order = order[:0]
+	p.SubmitTagged("boom", func() { panic("kaboom") })
+	p.Wait()
+	want = []string{"start:a", "start:b", "start:c", "panic:a", "panic:b", "panic:c", "done:c", "done:b", "done:a"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("panicking task: order %v, want %v", order, want)
+	}
+}
+
 func TestObserverBalancedStartDone(t *testing.T) {
 	obs := &recordingObserver{}
-	p := NewPool(3)
-	p.SetObserver(obs)
+	p := NewPool(3, obs)
 	const n = 20
 	for i := 0; i < n; i++ {
 		p.SubmitTagged("interval", func() {})
@@ -243,20 +287,17 @@ func TestObserverBalancedStartDone(t *testing.T) {
 // TaskPanic in between and on the same worker.
 func TestObserverPanicOrder(t *testing.T) {
 	obs := &recordingObserver{}
-	p := NewPool(1)
+	p := NewPool(1, obs)
 	defer p.Close()
-	p.SetObserver(obs)
 	p.SubmitTagged("boom", func() { panic("kaboom") })
 	p.Wait()
 
 	var kinds []string
 	var workers []int
-	obs.mu.Lock()
-	for _, e := range obs.events {
+	for _, e := range obs.all() {
 		kinds = append(kinds, e.kind)
 		workers = append(workers, e.worker)
 	}
-	obs.mu.Unlock()
 	want := []string{"start", "panic", "done"}
 	if len(kinds) != 3 || kinds[0] != want[0] || kinds[1] != want[1] || kinds[2] != want[2] {
 		t.Fatalf("event order %v, want %v", kinds, want)
@@ -266,41 +307,13 @@ func TestObserverPanicOrder(t *testing.T) {
 	}
 }
 
-func TestObserverRetry(t *testing.T) {
-	obs := &recordingObserver{}
-	p := NewPool(1)
-	defer p.Close()
-	p.SetObserver(obs)
-	var calls atomic.Int64
-	p.SubmitRetry(3, func() error {
-		if calls.Add(1) < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	p.Wait()
-
-	by := obs.byKind()
-	if len(by["retry"]) != 2 {
-		t.Fatalf("retry callbacks = %d, want 2", len(by["retry"]))
-	}
-	if by["retry"][0].left != 2 || by["retry"][1].left != 1 {
-		t.Fatalf("attempts-left sequence %v", by["retry"])
-	}
-	// Each attempt is a separate task execution.
-	if len(by["start"]) != 3 || len(by["done"]) != 3 {
-		t.Fatalf("starts=%d dones=%d, want 3 each", len(by["start"]), len(by["done"]))
-	}
-}
-
 // TestObserverParallelForPanic: a ParallelFor body panic is recovered
 // per chunk and reported with worker -1 (the chunk's worker identity is
 // the enclosing task, whose Start/Done still balance).
 func TestObserverParallelForPanic(t *testing.T) {
 	obs := &recordingObserver{}
-	p := NewPool(2)
+	p := NewPool(2, obs)
 	defer p.Close()
-	p.SetObserver(obs)
 	err := p.ParallelForTagged("chunk", 8, 4, func(i int) {
 		if i == 5 {
 			panic("body")
@@ -328,9 +341,8 @@ func TestObserverParallelForPanic(t *testing.T) {
 // same callbacks.
 func TestObserverOnSimulatedPool(t *testing.T) {
 	obs := &recordingObserver{}
-	p := NewSimulatedPool(4)
+	p := NewSimulatedPool(4, obs)
 	defer p.Close()
-	p.SetObserver(obs)
 	for i := 0; i < 6; i++ {
 		p.SubmitTagged("interval", func() {})
 	}
@@ -347,7 +359,7 @@ func TestUntracedPoolUnchanged(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	for i := 0; i < 10; i++ {
-		p.Submit(func() {})
+		p.SubmitTagged("task", func() {})
 	}
 	p.Wait()
 	if got := p.Executed(); got != 10 {

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,9 +35,9 @@ func TestPanicDoesNotDeadlockWait(t *testing.T) {
 	defer p.Close()
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {
-		p.Submit(func() { ran.Add(1) })
+		p.SubmitTagged("task", func() { ran.Add(1) })
 	}
-	p.Submit(func() { panic("boom") })
+	p.SubmitTagged("task", func() { panic("boom") })
 	waitOrFatal(t, p, 5*time.Second)
 
 	var pe *PanicError
@@ -55,11 +56,11 @@ func TestWorkersSurviveTaskPanic(t *testing.T) {
 	// point is that Wait and Close still function).
 	p := NewPool(4)
 	for i := 0; i < 4; i++ {
-		p.Submit(func() { panic(i) })
+		p.SubmitTagged("task", func() { panic(i) })
 	}
 	waitOrFatal(t, p, 5*time.Second)
 	for i := 0; i < 100; i++ {
-		p.Submit(func() {})
+		p.SubmitTagged("task", func() {})
 	}
 	waitOrFatal(t, p, 5*time.Second)
 	p.Close() // must not hang or panic
@@ -70,9 +71,9 @@ func TestCancelDrainsQueue(t *testing.T) {
 	defer p.Close()
 	var ran atomic.Int64
 	block := make(chan struct{})
-	p.Submit(func() { <-block })
+	p.SubmitTagged("task", func() { <-block })
 	for i := 0; i < 50; i++ {
-		p.Submit(func() { ran.Add(1) })
+		p.SubmitTagged("task", func() { ran.Add(1) })
 	}
 	cause := errors.New("stop now")
 	p.Cancel(cause)
@@ -86,11 +87,6 @@ func TestCancelDrainsQueue(t *testing.T) {
 	}
 	if !p.Canceled() {
 		t.Fatal("Canceled() = false after Cancel")
-	}
-	select {
-	case <-p.Done():
-	default:
-		t.Fatal("Done() not closed after Cancel")
 	}
 }
 
@@ -109,104 +105,70 @@ func TestFirstFailureWins(t *testing.T) {
 	first := errors.New("first")
 	p.Cancel(first)
 	p.Cancel(errors.New("second"))
-	p.Submit(func() { panic("third") })
+	p.SubmitTagged("task", func() { panic("third") })
 	waitOrFatal(t, p, 5*time.Second)
 	if err := p.Err(); !errors.Is(err, first) {
 		t.Fatalf("Err = %v, want first failure", err)
 	}
 }
 
-func TestSubmitRetryEventualSuccess(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	var calls atomic.Int64
-	p.SubmitRetry(5, func() error {
-		if calls.Add(1) < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	waitOrFatal(t, p, 5*time.Second)
-	if calls.Load() != 3 {
-		t.Fatalf("task ran %d times, want 3", calls.Load())
-	}
-	if err := p.Err(); err != nil {
-		t.Fatalf("Err = %v after eventual success", err)
-	}
-}
-
-func TestSubmitRetryExhaustionFailsPool(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	var calls atomic.Int64
-	cause := errors.New("still broken")
-	p.SubmitRetry(3, func() error { calls.Add(1); return cause })
-	waitOrFatal(t, p, 5*time.Second)
-	if calls.Load() != 3 {
-		t.Fatalf("task ran %d times, want 3", calls.Load())
-	}
-	if err := p.Err(); !errors.Is(err, cause) {
-		t.Fatalf("Err = %v, want wrapped %v", err, cause)
-	}
-}
-
-func TestSubmitRetryPanicIsNotRetried(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	var calls atomic.Int64
-	p.SubmitRetry(10, func() error { calls.Add(1); panic("hard failure") })
-	waitOrFatal(t, p, 5*time.Second)
-	if calls.Load() != 1 {
-		t.Fatalf("panicking task retried %d times", calls.Load())
-	}
-	var pe *PanicError
-	if err := p.Err(); !errors.As(err, &pe) {
-		t.Fatalf("Err = %v, want *PanicError", err)
-	}
-}
-
+// TestTaskHookSeesEveryTask: a counting observer — the shape of core's
+// fault-injection hook — numbers every task densely, 0..n-1, in
+// execution order.
 func TestTaskHookSeesEveryTask(t *testing.T) {
-	p := NewPool(4)
+	c := &countingObserver{}
+	p := NewPool(4, c)
 	defer p.Close()
-	var hooked atomic.Int64
-	var maxSeq atomic.Int64
-	p.SetTaskHook(func(seq int64) {
-		hooked.Add(1)
-		for {
-			m := maxSeq.Load()
-			if seq <= m || maxSeq.CompareAndSwap(m, seq) {
-				break
-			}
-		}
-	})
 	const n = 200
 	for i := 0; i < n; i++ {
-		p.Submit(func() {})
+		p.SubmitTagged("task", func() {})
 	}
 	waitOrFatal(t, p, 5*time.Second)
-	if hooked.Load() != n {
-		t.Fatalf("hook ran %d times, want %d", hooked.Load(), n)
+	seen := c.seqs()
+	if len(seen) != n {
+		t.Fatalf("observer saw %d tasks, want %d", len(seen), n)
 	}
-	if maxSeq.Load() != n-1 {
-		t.Fatalf("max sequence %d, want %d", maxSeq.Load(), n-1)
+	slices.Sort(seen)
+	for i, s := range seen {
+		if s != int64(i) {
+			t.Fatalf("sequence numbers %v, want 0..%d", seen, n-1)
+		}
 	}
 }
 
+// TestTaskHookPanicBecomesPoolError: when the last observer's TaskStart
+// panics, the pool fails with a *PanicError, and every earlier observer
+// sees start → panic → done for that task on one worker.
 func TestTaskHookPanicBecomesPoolError(t *testing.T) {
-	p := NewPool(2)
+	rec := &recordingObserver{}
+	hook := &countingObserver{panicAt: 3}
+	p := NewPool(2, rec, hook)
 	defer p.Close()
-	p.SetTaskHook(func(seq int64) {
-		if seq == 3 {
-			panic("injected")
-		}
-	})
 	for i := 0; i < 20; i++ {
-		p.Submit(func() {})
+		p.SubmitTagged("task", func() {})
 	}
 	waitOrFatal(t, p, 5*time.Second)
 	var pe *PanicError
 	if err := p.Err(); !errors.As(err, &pe) {
-		t.Fatalf("Err = %v, want *PanicError from hook", err)
+		t.Fatalf("Err = %v, want *PanicError from the observer", err)
+	}
+	by := rec.byKind()
+	if len(by["panic"]) != 1 {
+		t.Fatalf("panic callbacks = %d, want 1", len(by["panic"]))
+	}
+	w := by["panic"][0].worker
+	var onWorker []string
+	for _, e := range rec.all() {
+		if e.worker == w {
+			onWorker = append(onWorker, e.kind)
+		}
+	}
+	// The failing task's events are the last three on its worker.
+	if k := len(onWorker); k < 3 || !slices.Equal(onWorker[k-3:], []string{"start", "panic", "done"}) {
+		t.Fatalf("events on worker %d: %v, want ... start panic done", w, onWorker)
+	}
+	if len(by["start"]) != len(by["done"]) {
+		t.Fatalf("unbalanced start/done: %d/%d", len(by["start"]), len(by["done"]))
 	}
 }
 
@@ -216,7 +178,7 @@ func TestParallelForReturnsOnCancel(t *testing.T) {
 	cause := errors.New("abort")
 	start := make(chan struct{})
 	var once atomic.Bool
-	err := p.ParallelFor(1000, 1, func(i int) {
+	err := p.ParallelForTagged("task", 1000, 1, func(i int) {
 		if once.CompareAndSwap(false, true) {
 			close(start)
 			p.Cancel(cause)
@@ -232,7 +194,7 @@ func TestParallelForReturnsOnCancel(t *testing.T) {
 func TestParallelForPanicPropagates(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	err := p.ParallelFor(100, 3, func(i int) {
+	err := p.ParallelForTagged("task", 100, 3, func(i int) {
 		if i == 41 {
 			panic("iteration failed")
 		}
@@ -248,7 +210,7 @@ func TestParallelForHealthyReturnsNil(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
 	out := make([]int, 500)
-	if err := p.ParallelFor(len(out), 11, func(i int) { out[i] = i }); err != nil {
+	if err := p.ParallelForTagged("task", len(out), 11, func(i int) { out[i] = i }); err != nil {
 		t.Fatalf("ParallelFor = %v", err)
 	}
 	for i, v := range out {
@@ -262,9 +224,9 @@ func TestExecutedExcludesDrainedAndPanicked(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 	block := make(chan struct{})
-	p.Submit(func() { <-block })  // completes: counted
-	p.Submit(func() { panic(1) }) // panics: not counted
-	p.Submit(func() {})           // drained after the panic: not counted
+	p.SubmitTagged("task", func() { <-block })  // completes: counted
+	p.SubmitTagged("task", func() { panic(1) }) // panics: not counted
+	p.SubmitTagged("task", func() {})           // drained after the panic: not counted
 	close(block)
 	waitOrFatal(t, p, 5*time.Second)
 	if got := p.Executed(); got != 1 {

@@ -6,8 +6,8 @@
 // role of the paper's processor count (1..19 on the Sequent Symmetry).
 //
 // Tasks must never block waiting for other tasks: dependencies are
-// expressed with After/NewGate continuation counters, exactly like the
-// per-node status records the paper uses for synchronization (§3.2).
+// expressed with Gate continuation counters, exactly like the per-node
+// status records the paper uses for synchronization (§3.2).
 //
 // Unlike the paper's dedicated processors, pool workers survive task
 // failures: a panicking task is recovered into a first-failure error
@@ -21,12 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"realroots/internal/trace"
 )
 
 // ErrPoolCanceled is the error recorded by Cancel(nil).
@@ -38,14 +36,39 @@ var ErrPoolCanceled = errors.New("sched: pool canceled")
 type PanicError struct {
 	Value any    // the recovered panic value
 	Stack []byte // stack captured at recovery
-	Label string // pool label at recovery (see SetLabel), "" if unset
 }
 
 func (e *PanicError) Error() string {
-	if e.Label != "" {
-		return fmt.Sprintf("sched: task panicked (label %s): %v", e.Label, e.Value)
-	}
 	return fmt.Sprintf("sched: task panicked: %v", e.Value)
+}
+
+// An Observer receives the pool's task lifecycle: the tracer's worker
+// timelines, the telemetry flight recorder and fault injection all
+// attach this way (*trace.Tracer and *telemetry.Run satisfy it
+// structurally, so sched imports neither). A pool's observers are
+// fixed when it is built. Calls come from every worker concurrently and
+// sit on the task's critical path, so they must be safe for concurrent
+// use and cheap.
+//
+// For each executed task the pool calls TaskStart on every observer in
+// list order, inside the task's panic isolation: a panic there fails
+// the pool with a *PanicError exactly as a panic in the task body does.
+// After a recovered panic TaskPanic goes to every observer. TaskDone
+// then goes, in reverse list order, to each observer whose TaskStart
+// returned, so spans opened by earlier observers enclose those of later
+// ones. A task drained after cancellation calls no observer.
+type Observer interface {
+	// TaskStart is called on the executing worker before the task
+	// runs. wait is the time from submission to start; depth is the
+	// queue length left after the task was dequeued.
+	TaskStart(worker int, tag string, wait time.Duration, depth int)
+	// TaskDone is called on the executing worker after the task
+	// returns or panics.
+	TaskDone(worker int, tag string)
+	// TaskPanic is called when a task panic is recovered. worker is -1
+	// for panics isolated inside ParallelForTagged bodies, whose recovery
+	// happens in the chunk closure rather than the worker loop.
+	TaskPanic(worker int, tag string, v any)
 }
 
 // A Pool is a fixed set of worker goroutines draining a dynamic FIFO
@@ -55,11 +78,11 @@ type Pool struct {
 	cond     *sync.Cond
 	queue    []queued
 	closed   bool
-	taskHook func(seq int64) // fault-injection / tracing hook (see SetTaskHook)
-	tracer   *trace.Tracer   // nil = tracing disabled (see SetTracer)
-	observer Observer        // nil = no lifecycle callbacks (see SetObserver)
-	label    string          // attribution tag for failures (see SetLabel)
-	maxQueue int             // high-water mark of len(queue), under mu
+	maxQueue int // high-water mark of len(queue), under mu
+
+	// Fixed at construction, so workers read them without mu.
+	obs []Observer
+	sim *simState // non-nil in simulation mode (see sim.go); fields under mu
 
 	outstanding atomic.Int64 // queued + running tasks
 	idleMu      sync.Mutex
@@ -67,39 +90,38 @@ type Pool struct {
 
 	workers  int
 	executed atomic.Int64 // total tasks run to completion (diagnostics)
-	panics   atomic.Int64 // panics recovered from tasks (incl. ParallelFor bodies)
-	retries  atomic.Int64 // SubmitRetry re-executions after a transient failure
-	seq      atomic.Int64 // task sequence numbers handed to the hook
+	panics   atomic.Int64 // panics recovered from tasks (incl. ParallelForTagged bodies)
 
 	cancelCh   chan struct{} // closed on first Cancel/failure
 	cancelOnce sync.Once
 	failMu     sync.Mutex
 	failErr    error // first failure; nil while healthy
-
-	sim *simState // non-nil in simulation mode (see sim.go)
 }
 
-// DefaultTag is the task tag used by the untagged Submit/NewGate/
-// ParallelFor entry points; tagged variants let callers label the task
-// kind (the paper's Fig. 3.2 taxonomy) for trace timelines.
-const DefaultTag = "task"
-
-// queued is one queue entry: the task plus its tag (for trace spans),
-// its submission time relative to the tracer epoch (zero when tracing
-// is off), and its simulated ready time (zero outside simulation mode).
+// queued is one queue entry: the task, its tag (the task kind its
+// observers see), its submission time (zero when the pool has no
+// observers), and its simulated ready time (zero outside simulation
+// mode).
 type queued struct {
 	f      func()
 	tag    string
-	enq    time.Duration
+	enq    time.Time
 	vready time.Duration
 }
 
-// NewPool starts a pool with the given number of workers (≥ 1).
-func NewPool(workers int) *Pool {
+// NewPool starts a pool with the given number of workers (≥ 1) and
+// observers.
+func NewPool(workers int, obs ...Observer) *Pool {
 	if workers < 1 {
 		panic(fmt.Sprintf("sched: invalid worker count %d", workers))
 	}
-	p := &Pool{workers: workers, cancelCh: make(chan struct{})}
+	return start(workers, nil, obs)
+}
+
+// start builds the pool, fixing its observers and simulation state
+// before any worker runs.
+func start(workers int, sim *simState, obs []Observer) *Pool {
+	p := &Pool{workers: workers, obs: slices.Clone(obs), sim: sim, cancelCh: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
 	p.idleCond = sync.NewCond(&p.idleMu)
 	for i := 0; i < workers; i++ {
@@ -108,21 +130,9 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Executed returns the number of tasks the pool has run to completion
 // (panicked and drained-after-cancel tasks are not counted).
 func (p *Pool) Executed() int64 { return p.executed.Load() }
-
-// QueueDepth returns the number of tasks currently waiting in the
-// queue (excluding running tasks). It is a point-in-time sample:
-// workers may dequeue concurrently.
-func (p *Pool) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
 
 // PoolStats is a point-in-time snapshot of the pool's execution
 // counters.
@@ -130,7 +140,6 @@ type PoolStats struct {
 	Workers       int   // fixed worker count
 	Executed      int64 // tasks run to completion
 	Panics        int64 // task panics recovered into pool failures
-	Retries       int64 // SubmitRetry re-executions after transient errors
 	MaxQueueDepth int   // high-water mark of the queue length
 }
 
@@ -143,88 +152,8 @@ func (p *Pool) Stats() PoolStats {
 		Workers:       p.workers,
 		Executed:      p.executed.Load(),
 		Panics:        p.panics.Load(),
-		Retries:       p.retries.Load(),
 		MaxQueueDepth: maxQ,
 	}
-}
-
-// SetTracer attaches a tracer: every executed task is recorded as a
-// span (named by its tag) on the executing worker's lane, with the
-// queue latency between submission and start, and the queue depth is
-// sampled at each dequeue. Install it before submitting work; a nil
-// tracer (the default) adds no allocations to the submit/execute path.
-func (p *Pool) SetTracer(tr *trace.Tracer) {
-	p.mu.Lock()
-	p.tracer = tr
-	p.mu.Unlock()
-}
-
-// SetLabel tags the pool with the identity of the work it is running
-// (rootd sets the owning request ID). The label travels on PanicError,
-// so a panic surfacing minutes later in a log still names the request
-// that triggered it.
-func (p *Pool) SetLabel(label string) {
-	p.mu.Lock()
-	p.label = label
-	p.mu.Unlock()
-}
-
-// getLabel reads the label for panic attribution.
-func (p *Pool) getLabel() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.label
-}
-
-// An Observer receives task-lifecycle callbacks from the pool: span
-// boundaries on the executing worker's lane plus panic and retry
-// events. It is the telemetry feed — internal/telemetry's *Run
-// satisfies it structurally, so sched needs no telemetry import.
-// Implementations must be safe for concurrent use from all workers and
-// cheap: callbacks run on the worker's critical path.
-type Observer interface {
-	// TaskStart is called on the executing worker before the task runs.
-	TaskStart(worker int, tag string)
-	// TaskDone is called on the executing worker after the task
-	// returns, including after an isolated panic (TaskPanic fires in
-	// between, so a panicking task still produces a balanced
-	// start/done pair).
-	TaskDone(worker int, tag string)
-	// TaskPanic is called when a task panic is recovered. worker is -1
-	// for panics isolated inside ParallelFor bodies, whose recovery
-	// happens in the chunk closure rather than the worker loop.
-	TaskPanic(worker int, tag string, v any)
-	// TaskRetry is called when SubmitRetry requeues a failed attempt;
-	// left is the number of attempts remaining.
-	TaskRetry(tag string, left int)
-}
-
-// SetObserver installs the pool's lifecycle observer. Install it
-// before submitting work; a nil observer (the default) adds no
-// allocations to the execute path.
-func (p *Pool) SetObserver(o Observer) {
-	p.mu.Lock()
-	p.observer = o
-	p.mu.Unlock()
-}
-
-// getObserver reads the observer outside the worker loop (retry and
-// ParallelFor panic paths).
-func (p *Pool) getObserver() Observer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.observer
-}
-
-// SetTaskHook installs a hook invoked at the start of every task with a
-// monotonically increasing sequence number (0, 1, 2, …, in execution
-// order). It is the fault-injection point: the hook may sleep to delay
-// the task, panic (recovered like any task panic), or trigger external
-// cancellation. Install it before submitting work.
-func (p *Pool) SetTaskHook(h func(seq int64)) {
-	p.mu.Lock()
-	p.taskHook = h
-	p.mu.Unlock()
 }
 
 // Cancel records err as the pool's failure (first failure wins; nil
@@ -240,8 +169,8 @@ func (p *Pool) Cancel(err error) {
 }
 
 // fail records the first failure and cancels the pool. The error is
-// published before the cancellation channel closes, so any observer of
-// Canceled()/Done() sees a non-nil Err.
+// published before the cancellation channel closes, so anything that
+// sees Canceled() also sees a non-nil Err.
 func (p *Pool) fail(err error) {
 	p.failMu.Lock()
 	if p.failErr == nil {
@@ -252,8 +181,8 @@ func (p *Pool) fail(err error) {
 }
 
 // Err returns the pool's first failure: a *PanicError from a panicked
-// task, the error given to Cancel, or a retry-exhaustion error from
-// SubmitRetry. It is nil while the pool is healthy.
+// task or the error given to Cancel. It is nil while the pool is
+// healthy.
 func (p *Pool) Err() error {
 	p.failMu.Lock()
 	defer p.failMu.Unlock()
@@ -270,11 +199,7 @@ func (p *Pool) Canceled() bool {
 	}
 }
 
-// Done returns a channel closed when the pool is canceled or fails.
-func (p *Pool) Done() <-chan struct{} { return p.cancelCh }
-
 func (p *Pool) worker(id int) {
-	var lane *trace.Lane // cached worker timeline; created on first traced task
 	for {
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closed {
@@ -287,27 +212,19 @@ func (p *Pool) worker(id int) {
 		task := p.queue[0]
 		p.queue = p.queue[1:]
 		depth := len(p.queue)
-		simulated := p.sim != nil
-		hook := p.taskHook
-		tr := p.tracer
-		obs := p.observer
 		p.mu.Unlock()
-
-		if tr != nil && lane == nil {
-			lane = tr.Lane(id, "worker-"+strconv.Itoa(id))
-		}
 
 		switch {
 		case p.Canceled():
 			// Drain without executing: the task's completion obligations
 			// (gates, dependents) are abandoned, but the outstanding
 			// count still reaches zero so Wait returns.
-		case simulated:
+		case p.sim != nil:
 			proc, start := p.simBegin(task.vready)
-			p.traceTask(id, tr, lane, task, depth, hook, obs)
+			p.runTask(id, task, depth)
 			p.simEnd(proc, start)
 		default:
-			p.traceTask(id, tr, lane, task, depth, hook, obs)
+			p.runTask(id, task, depth)
 		}
 		if p.outstanding.Add(-1) == 0 {
 			p.idleMu.Lock()
@@ -317,71 +234,50 @@ func (p *Pool) worker(id int) {
 	}
 }
 
-// traceTask runs one task, wrapped in a worker-lane span and a
-// queue-depth sample when tracing is enabled. With tr == nil it is
-// exactly runTask.
-func (p *Pool) traceTask(id int, tr *trace.Tracer, lane *trace.Lane, task queued, depth int, hook func(int64), obs Observer) {
-	if tr == nil {
-		p.runTask(id, task, hook, obs)
-		return
-	}
-	tr.CounterSample("queue depth", int64(depth))
-	var wait time.Duration
-	if task.enq > 0 {
-		wait = tr.Now() - task.enq
-	}
-	lane.BeginAt(task.tag, trace.CatTask, wait)
-	defer lane.End()
-	p.runTask(id, task, hook, obs)
-}
-
-// runTask executes one task with panic isolation: a panic (from the
-// task or the hook) becomes the pool's first-failure error and cancels
-// the pool; the worker goroutine survives. The observer sees
-// TaskStart before the task and TaskDone after it — with TaskPanic in
-// between when the task panicked (the deferred calls unwind in that
-// order).
-func (p *Pool) runTask(id int, task queued, hook func(int64), obs Observer) {
-	if obs != nil {
-		obs.TaskStart(id, task.tag)
-		defer obs.TaskDone(id, task.tag)
-	}
+// runTask executes one task with panic isolation, calling the
+// observers as the Observer contract describes: a panic (from the task
+// or an observer's TaskStart) becomes the pool's first-failure error
+// and cancels the pool; the worker goroutine survives.
+func (p *Pool) runTask(id int, task queued, depth int) {
+	started := 0 // observers whose TaskStart returned
 	defer func() {
 		if r := recover(); r != nil {
 			p.panics.Add(1)
-			if obs != nil {
-				obs.TaskPanic(id, task.tag, r)
+			for _, o := range p.obs {
+				o.TaskPanic(id, task.tag, r)
 			}
-			p.fail(&PanicError{Value: r, Stack: debug.Stack(), Label: p.getLabel()})
+			p.fail(&PanicError{Value: r, Stack: debug.Stack()})
+		}
+		for i := started - 1; i >= 0; i-- {
+			p.obs[i].TaskDone(id, task.tag)
 		}
 	}()
-	if hook != nil {
-		hook(p.seq.Add(1) - 1)
+	if len(p.obs) > 0 {
+		wait := time.Since(task.enq)
+		for _, o := range p.obs {
+			o.TaskStart(id, task.tag, wait, depth)
+			started++
+		}
 	}
 	task.f()
 	p.executed.Add(1)
 }
 
-// Submit enqueues a ready-to-run task. It never blocks and may be called
-// from inside other tasks. On a canceled pool the task is accepted but
-// drained without executing.
-func (p *Pool) Submit(task func()) {
-	p.SubmitTagged(DefaultTag, task)
-}
-
-// SubmitTagged is Submit with a task-kind tag: the tag names the
-// task's span on the executing worker's trace timeline. Tags should be
-// small constant strings (e.g. the paper's Fig. 3.2 kinds).
+// SubmitTagged enqueues a ready-to-run task. It never blocks and may be
+// called from inside other tasks. On a canceled pool the task is
+// accepted but drained without executing. The tag names the task kind
+// (e.g. the paper's Fig. 3.2 kinds) to the pool's observers; it should
+// be a small constant string.
 func (p *Pool) SubmitTagged(tag string, task func()) {
+	var enq time.Time
+	if len(p.obs) > 0 {
+		enq = time.Now()
+	}
 	p.outstanding.Add(1)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		panic("sched: Submit on closed pool")
-	}
-	var enq time.Duration
-	if p.tracer != nil {
-		enq = p.tracer.Now()
 	}
 	p.queue = append(p.queue, queued{f: task, tag: tag, enq: enq, vready: p.simReadyTime()})
 	if len(p.queue) > p.maxQueue {
@@ -389,32 +285,6 @@ func (p *Pool) SubmitTagged(tag string, task func()) {
 	}
 	p.cond.Signal()
 	p.mu.Unlock()
-}
-
-// SubmitRetry enqueues a task that may fail transiently: if task returns
-// a non-nil error it is requeued, up to attempts executions in total;
-// exhausting the attempts records the last error as the pool's failure
-// and cancels the pool. A panic is never retried — it is a first-class
-// failure like any other task panic.
-func (p *Pool) SubmitRetry(attempts int, task func() error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var run func(left int)
-	run = func(left int) {
-		if err := task(); err != nil {
-			if left > 1 {
-				p.retries.Add(1)
-				if obs := p.getObserver(); obs != nil {
-					obs.TaskRetry("retry", left-1)
-				}
-				p.SubmitTagged("retry", func() { run(left - 1) })
-				return
-			}
-			p.fail(fmt.Errorf("sched: task failed after %d attempts: %w", attempts, err))
-		}
-	}
-	p.Submit(func() { run(attempts) })
 }
 
 // Wait blocks until every submitted task (including tasks submitted by
@@ -440,20 +310,14 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 }
 
-// ParallelFor runs f(i) for i in [0, n) on the pool and blocks until all
-// iterations finish or the pool is canceled, in which case it returns
-// the pool's error without waiting for the drained iterations (the
-// caller must not read results produced by f after a non-nil return:
-// a straggler iteration may still be running). Iterations are batched
-// into contiguous chunks of the given grain (grain ≤ 0 means one
-// iteration per task — the paper's finest granularity). It must not be
-// called from inside a task.
-func (p *Pool) ParallelFor(n, grain int, f func(i int)) error {
-	return p.ParallelForTagged(DefaultTag, n, grain, f)
-}
-
-// ParallelForTagged is ParallelFor with a task-kind tag for the chunk
-// tasks' trace spans.
+// ParallelForTagged runs f(i) for i in [0, n) on the pool, as tasks
+// tagged tag, and blocks until all iterations finish or the pool is
+// canceled, in which case it returns the pool's error without waiting
+// for the drained iterations (the caller must not read results produced
+// by f after a non-nil return: a straggler iteration may still be
+// running). Iterations are batched into contiguous chunks of the given
+// grain (grain ≤ 0 means one iteration per task — the paper's finest
+// granularity). It must not be called from inside a task.
 func (p *Pool) ParallelForTagged(tag string, n, grain int, f func(i int)) error {
 	if n <= 0 {
 		return nil
@@ -473,15 +337,15 @@ func (p *Pool) ParallelForTagged(tag string, n, grain int, f func(i int)) error 
 		lo, hi := lo, hi
 		p.SubmitTagged(tag, func() {
 			// Record a panic before the decrement becomes visible, so a
-			// ParallelFor woken by the final decrement always observes
+			// ParallelForTagged woken by the final decrement always observes
 			// the failure in Err.
 			defer func() {
 				if r := recover(); r != nil {
 					p.panics.Add(1)
-					if obs := p.getObserver(); obs != nil {
-						obs.TaskPanic(-1, tag, r)
+					for _, o := range p.obs {
+						o.TaskPanic(-1, tag, r)
 					}
-					p.fail(&PanicError{Value: r, Stack: debug.Stack(), Label: p.getLabel()})
+					p.fail(&PanicError{Value: r, Stack: debug.Stack()})
 				}
 				if remaining.Add(-1) == 0 {
 					close(done)
@@ -515,14 +379,9 @@ type Gate struct {
 	task      func()
 }
 
-// NewGate creates a gate that submits task to the pool after need
-// completions. If need is 0 the task is submitted immediately.
-func NewGate(pool *Pool, need int, task func()) *Gate {
-	return NewGateTagged(pool, need, DefaultTag, task)
-}
-
-// NewGateTagged is NewGate with a task-kind tag for the gated task's
-// trace span.
+// NewGateTagged creates a gate that submits task, tagged tag, to the
+// pool after need completions. If need is 0 the task is submitted
+// immediately.
 func NewGateTagged(pool *Pool, need int, tag string, task func()) *Gate {
 	g := &Gate{pool: pool, tag: tag, task: task}
 	g.remaining.Store(int32(need))

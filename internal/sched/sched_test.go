@@ -12,7 +12,7 @@ func TestSubmitAndWait(t *testing.T) {
 	defer p.Close()
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
-		p.Submit(func() { n.Add(1) })
+		p.SubmitTagged("task", func() { n.Add(1) })
 	}
 	p.Wait()
 	if n.Load() != 100 {
@@ -34,10 +34,10 @@ func TestTasksSubmitTasks(t *testing.T) {
 			leaves.Add(1)
 			return
 		}
-		p.Submit(func() { spawn(depth - 1) })
-		p.Submit(func() { spawn(depth - 1) })
+		p.SubmitTagged("task", func() { spawn(depth - 1) })
+		p.SubmitTagged("task", func() { spawn(depth - 1) })
 	}
-	p.Submit(func() { spawn(10) })
+	p.SubmitTagged("task", func() { spawn(10) })
 	p.Wait()
 	if leaves.Load() != 1024 {
 		t.Fatalf("leaves = %d, want 1024", leaves.Load())
@@ -49,11 +49,11 @@ func TestWaitReturnsAfterNestedCompletion(t *testing.T) {
 	defer p.Close()
 	var order []int
 	var mu sync.Mutex
-	p.Submit(func() {
+	p.SubmitTagged("task", func() {
 		mu.Lock()
 		order = append(order, 1)
 		mu.Unlock()
-		p.Submit(func() {
+		p.SubmitTagged("task", func() {
 			mu.Lock()
 			order = append(order, 2)
 			mu.Unlock()
@@ -73,7 +73,7 @@ func TestSingleWorkerIsSequential(t *testing.T) {
 	var running atomic.Int32
 	var maxSeen atomic.Int32
 	for i := 0; i < 50; i++ {
-		p.Submit(func() {
+		p.SubmitTagged("task", func() {
 			cur := running.Add(1)
 			for {
 				m := maxSeen.Load()
@@ -95,22 +95,22 @@ func TestParallelFor(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	out := make([]int, 1000)
-	p.ParallelFor(len(out), 7, func(i int) { out[i] = i * i })
+	p.ParallelForTagged("task", len(out), 7, func(i int) { out[i] = i * i })
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
 	// Zero and negative n are no-ops.
-	p.ParallelFor(0, 1, func(int) { t.Error("called") })
-	p.ParallelFor(-3, 1, func(int) { t.Error("called") })
+	p.ParallelForTagged("task", 0, 1, func(int) { t.Error("called") })
+	p.ParallelForTagged("task", -3, 1, func(int) { t.Error("called") })
 }
 
 func TestParallelForGrainOne(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
 	var n atomic.Int64
-	p.ParallelFor(64, 0, func(i int) { n.Add(1) })
+	p.ParallelForTagged("task", 64, 0, func(i int) { n.Add(1) })
 	if n.Load() != 64 {
 		t.Fatalf("ran %d iterations", n.Load())
 	}
@@ -120,7 +120,7 @@ func TestGateFiresAfterAllDeps(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var fired atomic.Bool
-	g := NewGate(p, 3, func() { fired.Store(true) })
+	g := NewGateTagged(p, 3, "task", func() { fired.Store(true) })
 	g.Done()
 	g.Done()
 	p.Wait()
@@ -138,7 +138,7 @@ func TestGateZeroDepsFiresImmediately(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	var fired atomic.Bool
-	NewGate(p, 0, func() { fired.Store(true) })
+	NewGateTagged(p, 0, "task", func() { fired.Store(true) })
 	p.Wait()
 	if !fired.Load() {
 		t.Fatal("zero-dep gate never fired")
@@ -148,7 +148,7 @@ func TestGateZeroDepsFiresImmediately(t *testing.T) {
 func TestGateOverDonePanics(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
-	g := NewGate(p, 1, func() {})
+	g := NewGateTagged(p, 1, "task", func() {})
 	g.Done()
 	p.Wait()
 	defer func() {
@@ -175,7 +175,7 @@ func TestGateChain(t *testing.T) {
 				gates[i+1].Done()
 			}
 		}
-		gates[i] = NewGate(p, 1, next)
+		gates[i] = NewGateTagged(p, 1, "task", next)
 	}
 	gates[0].Done()
 	p.Wait()
@@ -197,7 +197,7 @@ func TestCloseDrainsQueue(t *testing.T) {
 	p := NewPool(2)
 	var n atomic.Int64
 	for i := 0; i < 500; i++ {
-		p.Submit(func() { n.Add(1) })
+		p.SubmitTagged("task", func() { n.Add(1) })
 	}
 	p.Close()
 	if n.Load() != 500 {
@@ -210,7 +210,7 @@ func TestManyWaiters(t *testing.T) {
 	defer p.Close()
 	var done atomic.Int64
 	for i := 0; i < 20; i++ {
-		p.Submit(func() { time.Sleep(time.Millisecond); done.Add(1) })
+		p.SubmitTagged("task", func() { time.Sleep(time.Millisecond); done.Add(1) })
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

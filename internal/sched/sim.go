@@ -16,7 +16,7 @@ import (
 //     the earliest available time;
 //   - a task's virtual start is max(processor available, task ready),
 //     where the ready time is the virtual moment its submitting task
-//     reached the Submit call;
+//     reached the SubmitTagged call;
 //   - the simulated makespan is the latest virtual completion.
 //
 // This is Graham-style greedy list scheduling driven by measured
@@ -37,32 +37,21 @@ type simState struct {
 
 // NewSimulatedPool returns a pool that executes tasks on one real
 // worker while simulating the given number of virtual processors.
-func NewSimulatedPool(virtualWorkers int) *Pool {
+func NewSimulatedPool(virtualWorkers int, obs ...Observer) *Pool {
 	if virtualWorkers < 1 {
 		panic("sched: invalid virtual worker count")
 	}
-	p := NewPool(1)
-	p.mu.Lock()
-	p.sim = &simState{procs: make([]time.Duration, virtualWorkers)}
-	p.mu.Unlock()
-	return p
-}
-
-// Simulated reports whether the pool is in simulation mode.
-func (p *Pool) Simulated() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sim != nil
+	return start(1, &simState{procs: make([]time.Duration, virtualWorkers)}, obs)
 }
 
 // SimStats returns the simulated makespan and the total measured task
 // work (the one-processor makespan). It is only meaningful after Wait.
 func (p *Pool) SimStats() (makespan, work time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.sim == nil {
 		return 0, 0
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.sim.makespan, p.sim.work
 }
 

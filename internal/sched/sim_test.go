@@ -21,14 +21,11 @@ func TestSimulatedPoolRunsAllTasks(t *testing.T) {
 	defer p.Close()
 	var n atomic.Int64
 	for i := 0; i < 64; i++ {
-		p.Submit(func() { n.Add(1) })
+		p.SubmitTagged("task", func() { n.Add(1) })
 	}
 	p.Wait()
 	if n.Load() != 64 {
 		t.Fatalf("ran %d tasks", n.Load())
-	}
-	if !p.Simulated() {
-		t.Fatal("pool not in simulation mode")
 	}
 	makespan, work := p.SimStats()
 	if makespan <= 0 || work <= 0 {
@@ -45,7 +42,7 @@ func TestSimulatedSpeedupOfIndependentTasks(t *testing.T) {
 	p := NewSimulatedPool(4)
 	defer p.Close()
 	for i := 0; i < 16; i++ {
-		p.Submit(func() { spin(2 * time.Millisecond) })
+		p.SubmitTagged("task", func() { spin(2 * time.Millisecond) })
 	}
 	p.Wait()
 	makespan, work := p.SimStats()
@@ -61,10 +58,10 @@ func TestSimulatedChainHasNoSpeedup(t *testing.T) {
 	defer p.Close()
 	const depth = 10
 	gates := make([]*Gate, depth+1)
-	gates[depth] = NewGate(p, 1, func() {})
+	gates[depth] = NewGateTagged(p, 1, "task", func() {})
 	for i := depth - 1; i >= 0; i-- {
 		next := gates[i+1]
-		gates[i] = NewGate(p, 1, func() {
+		gates[i] = NewGateTagged(p, 1, "task", func() {
 			spin(time.Millisecond)
 			next.Done()
 		})
@@ -82,7 +79,7 @@ func TestSimulatedSingleProcessorMakespanEqualsWork(t *testing.T) {
 	p := NewSimulatedPool(1)
 	defer p.Close()
 	for i := 0; i < 8; i++ {
-		p.Submit(func() { spin(500 * time.Microsecond) })
+		p.SubmitTagged("task", func() { spin(500 * time.Microsecond) })
 	}
 	p.Wait()
 	makespan, work := p.SimStats()
@@ -98,13 +95,13 @@ func TestSimulatedReadyTimePropagation(t *testing.T) {
 	p := NewSimulatedPool(4)
 	defer p.Close()
 	const d = 2 * time.Millisecond
-	gate := NewGate(p, 4, func() {
+	gate := NewGateTagged(p, 4, "task", func() {
 		for i := 0; i < 4; i++ {
-			p.Submit(func() { spin(d) })
+			p.SubmitTagged("task", func() { spin(d) })
 		}
 	})
 	for i := 0; i < 4; i++ {
-		p.Submit(func() { spin(d); gate.Done() })
+		p.SubmitTagged("task", func() { spin(d); gate.Done() })
 	}
 	p.Wait()
 	makespan, _ := p.SimStats()
@@ -119,11 +116,8 @@ func TestSimulatedReadyTimePropagation(t *testing.T) {
 func TestNonSimulatedPoolHasNoStats(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	p.Submit(func() {})
+	p.SubmitTagged("task", func() {})
 	p.Wait()
-	if p.Simulated() {
-		t.Fatal("plain pool claims simulation")
-	}
 	if m, w := p.SimStats(); m != 0 || w != 0 {
 		t.Fatalf("plain pool stats: %v %v", m, w)
 	}

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"strconv"
 
 	"realroots/internal/charpoly"
@@ -391,25 +392,17 @@ func (r *SolveRequest) coeffBits() int {
 	entry := 1
 	for _, row := range r.rows {
 		for _, v := range row {
+			mag := uint64(v)
 			if v < 0 {
-				v = -v
+				mag = -mag // two's complement: MinInt64 becomes 2^63
 			}
-			if b := bitLen64(v); b > entry {
+			if b := bits.Len64(mag); b > entry {
 				entry = b
 			}
 		}
 	}
-	logn := bitLen64(int64(n))
+	logn := bits.Len(uint(n))
 	return max(entry, n*(entry+logn)/2)
-}
-
-func bitLen64(v int64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
 }
 
 // solve runs the decoded request through the solver. A matrix goes to

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"errors"
 	"math"
 	"time"
 
 	"realroots/internal/core"
-	"realroots/internal/sched"
 	"realroots/internal/telemetry"
 	"realroots/internal/trace"
 )
@@ -39,7 +37,7 @@ func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Ti
 	led := s.cfg.Telemetry.Tenants()
 	led.AddSolve(p.tenant, elapsed.Seconds(), bitOps)
 
-	outcome := outcomeFor(err)
+	outcome := core.RunOutcome(err)
 	if err == nil && p.estimate > 0 && bitOps > 0 {
 		s.updateEWMA(&s.learnedRatio, float64(bitOps)/float64(p.estimate))
 	}
@@ -96,26 +94,6 @@ func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Ti
 	}, tracer)
 	s.traceKept.Add(reason, 1)
 	led.AddRetainedTrace(p.tenant)
-}
-
-// outcomeFor maps a solver error to the telemetry outcome taxonomy the
-// sampler and the retained-trace metadata use.
-func outcomeFor(err error) telemetry.Outcome {
-	var pe *sched.PanicError
-	switch {
-	case err == nil:
-		return telemetry.OutcomeOK
-	case errors.Is(err, core.ErrBudgetExceeded):
-		return telemetry.OutcomeBudget
-	case errors.Is(err, core.ErrDeadline):
-		return telemetry.OutcomeDeadline
-	case errors.Is(err, core.ErrCanceled):
-		return telemetry.OutcomeCanceled
-	case errors.As(err, &pe):
-		return telemetry.OutcomePanic
-	default:
-		return telemetry.OutcomeError
-	}
 }
 
 // updateEWMA folds one observation into a learned correction,

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -321,13 +320,3 @@ func TestUpdateEWMA(t *testing.T) {
 
 func errNaN() float64 { var z float64; return z / z }
 func errInf() float64 { var z float64; return 1 / z }
-
-// TestOutcomeFor maps solver errors onto telemetry outcomes.
-func TestOutcomeFor(t *testing.T) {
-	if got := outcomeFor(nil); got != telemetry.OutcomeOK {
-		t.Errorf("outcomeFor(nil) = %q", got)
-	}
-	if got := outcomeFor(errors.New("boom")); got != telemetry.OutcomeError {
-		t.Errorf("outcomeFor(generic) = %q", got)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
@@ -534,5 +535,53 @@ func TestTimeoutBoundsWideMatrix(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Errorf("504 after %v, want within 1s of a 20ms timeout", elapsed)
+	}
+}
+
+// TestCoeffBitsMinInt64 pins admission pricing of matrices with
+// MinInt64 entries: |MinInt64| = 2^63 is one bit wider than MaxInt64,
+// so such a matrix must be priced at least as high as its MaxInt64
+// twin.
+func TestCoeffBitsMinInt64(t *testing.T) {
+	price := func(rows [][]int64) int {
+		t.Helper()
+		body, err := json.Marshal(SolveRequest{Matrix: &MatrixInput{Rows: rows}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := DecodeSolveRequest(body)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return req.coeffBits()
+	}
+	fill := func(n int, diagOnly bool, v int64) [][]int64 {
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = make([]int64, n)
+			for j := range rows[i] {
+				if !diagOnly || i == j {
+					rows[i][j] = v
+				}
+			}
+		}
+		return rows
+	}
+	cases := []struct {
+		name     string
+		n        int
+		diagOnly bool
+	}{
+		{"diag", 1, true},
+		{"diag", 2, true},
+		{"diag", 64, true},
+		{"full", 64, false},
+	}
+	for _, c := range cases {
+		lo := price(fill(c.n, c.diagOnly, math.MinInt64))
+		hi := price(fill(c.n, c.diagOnly, math.MaxInt64))
+		if lo < hi {
+			t.Errorf("%s n=%d: MinInt64 priced at %d bits, below MaxInt64's %d", c.name, c.n, lo, hi)
+		}
 	}
 }

@@ -17,17 +17,15 @@ func TestDisabledTelemetryZeroAlloc(t *testing.T) {
 	var tel *Telemetry
 	var rep metrics.Report
 	if n := testing.AllocsPerRun(100, func() {
-		run := tel.RunStart("core", 50, 32, 8)
+		run := tel.Start(RunInfo{Kind: "core", Degree: 50, Mu: 32, Workers: 8})
 		run.PhaseBegin("remainder")
 		run.PhaseEnd("remainder")
-		run.Event("e", 1)
 		run.BudgetExhausted(1)
 		run.SchedStats(SchedStats{})
 		run.Utilization(trace.Summary{})
-		run.TaskStart(0, "t")
+		run.TaskStart(0, "t", 0, 0)
 		run.TaskDone(0, "t")
 		run.TaskPanic(0, "t", nil)
-		run.TaskRetry("t", 1)
 		run.Finish(OutcomeOK, 0, 0, rep)
 	}); n != 0 {
 		t.Fatalf("disabled telemetry run path allocates %.1f/op", n)
@@ -50,7 +48,7 @@ func BenchmarkDisabledRunLifecycle(b *testing.B) {
 	var rep metrics.Report
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		run := tel.RunStart("core", 50, 32, 8)
+		run := tel.Start(RunInfo{Kind: "core", Degree: 50, Mu: 32, Workers: 8})
 		run.PhaseBegin("remainder")
 		run.PhaseEnd("remainder")
 		run.Finish(OutcomeOK, 0, 0, rep)
@@ -61,7 +59,7 @@ func BenchmarkDisabledTaskHooks(b *testing.B) {
 	var run *Run
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		run.TaskStart(0, "t")
+		run.TaskStart(0, "t", 0, 0)
 		run.TaskDone(0, "t")
 	}
 }
@@ -86,10 +84,10 @@ func BenchmarkEnabledFlightEvent(b *testing.B) {
 
 func BenchmarkEnabledTaskSpan(b *testing.B) {
 	tel := New(Config{})
-	run := tel.RunStart("core", 50, 32, 8)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 50, Mu: 32, Workers: 8})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		run.TaskStart(0, "t")
+		run.TaskStart(0, "t", 0, 0)
 		run.TaskDone(0, "t")
 	}
 }

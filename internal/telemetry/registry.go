@@ -60,7 +60,6 @@ func (g *Registry) finishRun(o Outcome, elapsed time.Duration, roots int, bitOps
 	if hasSched {
 		g.sched.Executed += s.Executed
 		g.sched.Panics += s.Panics
-		g.sched.Retries += s.Retries
 		if s.MaxQueueDepth > g.sched.MaxQueueDepth {
 			g.sched.MaxQueueDepth = s.MaxQueueDepth
 		}
@@ -83,7 +82,6 @@ type Totals struct {
 	BitOps     int64
 	SchedTasks int64
 	Panics     int64
-	Retries    int64
 }
 
 // Totals returns a copy of the headline totals (zero value for a nil
@@ -100,7 +98,6 @@ func (g *Registry) Totals() Totals {
 		BitOps:     g.bitOps,
 		SchedTasks: g.sched.Executed,
 		Panics:     g.sched.Panics,
-		Retries:    g.sched.Retries,
 	}
 	for o, n := range g.solves {
 		t.Solves[o] = n
@@ -258,8 +255,6 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	e.sampleInt("realroots_sched_tasks_total", g.sched.Executed)
 	e.family("realroots_sched_panics_total", "Task panics isolated by the scheduler.", "counter")
 	e.sampleInt("realroots_sched_panics_total", g.sched.Panics)
-	e.family("realroots_sched_retries_total", "Task attempts requeued by SubmitRetry.", "counter")
-	e.sampleInt("realroots_sched_retries_total", g.sched.Retries)
 	e.family("realroots_sched_max_queue_depth", "Largest scheduler queue depth observed in any finished run.", "gauge")
 	e.sampleInt("realroots_sched_max_queue_depth", g.sched.MaxQueueDepth)
 

@@ -26,11 +26,11 @@ func populatedRegistry(t *testing.T) *Telemetry {
 	t.Helper()
 	tel := New(Config{FlightCapacity: 128})
 	for i, o := range Outcomes {
-		run := tel.RunStart("core", 10+i, 16, 2)
-		run.SchedStats(SchedStats{Executed: 7, Retries: 1, MaxQueueDepth: int64(3 + i)})
+		run := tel.Start(RunInfo{Kind: "core", Degree: 10 + i, Mu: 16, Workers: 2})
+		run.SchedStats(SchedStats{Executed: 7, Panics: 1, MaxQueueDepth: int64(3 + i)})
 		run.Finish(o, i, int64(1000*(i+1)), sampleReport())
 	}
-	run := tel.RunStart("core", 40, 32, 4)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 40, Mu: 32, Workers: 4})
 	run.Utilization(trace.Summary{Wall: time.Second, Busy: 3 * time.Second, Parallelism: 3, SerialFraction: 0.25})
 	run.Finish(OutcomeOK, 4, 500, sampleReport())
 	return tel
@@ -59,7 +59,7 @@ func TestWritePrometheusValidates(t *testing.T) {
 		`realroots_phase_bits_total{phase="tree",op="div",cost="actual"} `,
 		`realroots_operand_bits_ops_total{phase="remainder",bits="[4096,8192)"} `,
 		"realroots_sched_tasks_total 42",
-		"realroots_sched_retries_total 6",
+		"realroots_sched_panics_total 6",
 		"realroots_sched_max_queue_depth 8",
 		"realroots_traced_runs_total 1",
 		"realroots_trace_parallelism 3",
@@ -102,7 +102,7 @@ func TestRegistryTotals(t *testing.T) {
 	if tot.Solves[OutcomeOK] != 2 || tot.Solves[OutcomeBudget] != 1 {
 		t.Fatalf("solves: %+v", tot.Solves)
 	}
-	if tot.SchedTasks != 42 || tot.Retries != 6 {
+	if tot.SchedTasks != 42 || tot.Panics != 6 {
 		t.Fatalf("sched totals: %+v", tot)
 	}
 	nilTot := (*Registry)(nil).Totals()

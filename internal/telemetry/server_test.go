@@ -11,7 +11,7 @@ import (
 
 func TestServeEndpoints(t *testing.T) {
 	tel := New(Config{FlightCapacity: 128})
-	run := tel.RunStart("core", 12, 16, 2)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 12, Mu: 16, Workers: 2})
 	run.PhaseBegin("remainder")
 	run.PhaseEnd("remainder")
 	run.Finish(OutcomeOK, 3, 777, metrics.Report{})

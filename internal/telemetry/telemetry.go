@@ -4,8 +4,8 @@
 // run), telemetry is built to stay enabled in a long-running process:
 //
 //   - a structured event log on log/slog with per-solve lifecycle
-//     events (run ID, start/finish, phase transitions, retries, panic
-//     isolation, budget exhaustion, cancellation);
+//     events (run ID, start/finish, phase transitions, panic isolation,
+//     budget exhaustion, cancellation);
 //   - a metrics Registry accumulating per-run metrics.Counters
 //     snapshots, scheduler statistics, and trace utilization summaries,
 //     rendered in Prometheus text exposition format;
@@ -56,7 +56,6 @@ var Outcomes = []Outcome{
 type SchedStats struct {
 	Executed      int64
 	Panics        int64
-	Retries       int64
 	MaxQueueDepth int64
 }
 
@@ -173,14 +172,6 @@ func (t *Telemetry) Registry() *Registry {
 	return t.reg
 }
 
-// Logger returns the hub's structured logger, which may be nil.
-func (t *Telemetry) Logger() *slog.Logger {
-	if t == nil {
-		return nil
-	}
-	return t.logger
-}
-
 // RunInfo describes a solve run to Start: the entry point ("core" for
 // the parallel pipeline, "sturm" for the sequential baseline), the
 // problem shape, and — when the run serves a tracked request — the
@@ -195,13 +186,6 @@ type RunInfo struct {
 	// "request_id:<id>" control-lane flight event binds the run number
 	// to the ID, so one grep over either sink reconstructs the request.
 	RequestID string
-}
-
-// RunStart opens a new solve run and emits its start event; it is
-// Start without a request scope. On a nil hub it returns a nil *Run,
-// on which every method is a zero-allocation no-op.
-func (t *Telemetry) RunStart(kind string, degree int, mu uint, workers int) *Run {
-	return t.Start(RunInfo{Kind: kind, Degree: degree, Mu: mu, Workers: workers})
 }
 
 // Start opens a new solve run and emits its start event. On a nil hub
@@ -244,9 +228,9 @@ func (t *Telemetry) Start(info RunInfo) *Run {
 	return r
 }
 
-// Run is one solve's handle into the hub. It is created by RunStart
-// and closed by Finish. Its Task* methods satisfy sched's Observer
-// interface, so a *Run can be installed directly on a worker pool.
+// Run is one solve's handle into the hub. It is created by Start and
+// closed by Finish. Its Task* methods satisfy sched's Observer
+// interface, so a *Run attaches directly to a worker pool.
 // A nil *Run is valid everywhere and records nothing.
 type Run struct {
 	// ID is the process-unique run identifier (1-based).
@@ -263,15 +247,6 @@ type Run struct {
 	// run's control goroutine only.
 	sched    SchedStats
 	hasSched bool
-}
-
-// RequestID returns the request ID the run was started with (empty for
-// unscoped runs and nil runs).
-func (r *Run) RequestID() string {
-	if r == nil {
-		return ""
-	}
-	return r.requestID
 }
 
 // appendRequestID appends the requestId attribute when the run is
@@ -306,14 +281,6 @@ func (r *Run) PhaseEnd(name string) {
 		l.LogAttrs(context.Background(), slog.LevelDebug, "phase end",
 			r.appendRequestID([]slog.Attr{slog.Uint64("run", r.ID), slog.String("phase", name)})...)
 	}
-}
-
-// Event records a point event on the run's control lane.
-func (r *Run) Event(name string, value int64) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Event(r.ID, ControlLane, name, value)
 }
 
 // BudgetExhausted records the bit-operation budget tripping. It may be
@@ -380,10 +347,11 @@ func (r *Run) Finish(o Outcome, roots int, bitOps int64, rep metrics.Report) {
 	}
 }
 
-// TaskStart records a scheduler task beginning on a worker lane. With
-// TaskDone, TaskPanic, and TaskRetry it satisfies sched's Observer
+// TaskStart records a scheduler task beginning on a worker lane; the
+// queue wait and depth are the tracer's business, not the flight
+// recorder's. With TaskDone and TaskPanic it satisfies sched's Observer
 // interface.
-func (r *Run) TaskStart(worker int, tag string) {
+func (r *Run) TaskStart(worker int, tag string, _ time.Duration, _ int) {
 	if r == nil {
 		return
 	}
@@ -411,23 +379,6 @@ func (r *Run) TaskPanic(worker int, tag string, v any) {
 				slog.Int("worker", worker),
 				slog.String("task", tag),
 				slog.Any("value", v),
-			})...)
-	}
-}
-
-// TaskRetry records a failed attempt being requeued; left is the
-// number of attempts remaining.
-func (r *Run) TaskRetry(tag string, left int) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Event(r.ID, ControlLane, "retry:"+tag, int64(left))
-	if l := r.tel.logger; l != nil {
-		l.LogAttrs(context.Background(), slog.LevelWarn, "task retry",
-			r.appendRequestID([]slog.Attr{
-				slog.Uint64("run", r.ID),
-				slog.String("task", tag),
-				slog.Int("attemptsLeft", left),
 			})...)
 	}
 }

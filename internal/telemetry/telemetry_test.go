@@ -41,14 +41,13 @@ func TestRunLifecycleLog(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	tel := New(Config{Logger: logger})
 
-	run := tel.RunStart("core", 20, 16, 4)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 20, Mu: 16, Workers: 4})
 	if run.ID != 1 {
 		t.Fatalf("first run ID = %d", run.ID)
 	}
 	run.PhaseBegin("remainder")
 	run.PhaseEnd("remainder")
 	run.BudgetExhausted(12345)
-	run.TaskRetry("chunk", 2)
 	run.TaskPanic(3, "chunk", "boom")
 	run.Finish(OutcomeOK, 5, 999, metrics.Report{})
 
@@ -62,9 +61,6 @@ func TestRunLifecycleLog(t *testing.T) {
 	}
 	if be := findLog(lines, "budget exhausted"); be == nil || be["level"] != "WARN" {
 		t.Fatalf("budget exhausted line: %v", be)
-	}
-	if tr := findLog(lines, "task retry"); tr == nil || tr["level"] != "WARN" || tr["attemptsLeft"] != float64(2) {
-		t.Fatalf("task retry line: %v", tr)
 	}
 	if tp := findLog(lines, "task panic"); tp == nil || tp["level"] != "ERROR" || tp["worker"] != float64(3) {
 		t.Fatalf("task panic line: %v", tp)
@@ -83,7 +79,7 @@ func TestRunLifecycleLog(t *testing.T) {
 	for _, r := range d.Records {
 		names[r.Name] = true
 	}
-	for _, want := range []string{"start", "remainder", "budget_exhausted", "retry:chunk", "panic:chunk", "finish"} {
+	for _, want := range []string{"start", "remainder", "budget_exhausted", "panic:chunk", "finish"} {
 		if !names[want] {
 			t.Errorf("flight recorder missing %q record (have %v)", want, names)
 		}
@@ -109,7 +105,7 @@ func TestFinishLogLevels(t *testing.T) {
 	for _, tc := range cases {
 		var buf bytes.Buffer
 		tel := New(Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
-		tel.RunStart("core", 4, 4, 1).Finish(tc.o, 0, 0, metrics.Report{})
+		tel.Start(RunInfo{Kind: "core", Degree: 4, Mu: 4, Workers: 1}).Finish(tc.o, 0, 0, metrics.Report{})
 		fin := findLog(logLines(t, &buf), "solve finish")
 		if fin == nil || fin["level"] != tc.want {
 			t.Errorf("outcome %s logged at %v, want %s", tc.o, fin["level"], tc.want)
@@ -119,10 +115,7 @@ func TestFinishLogLevels(t *testing.T) {
 
 func TestNoLoggerStillRecords(t *testing.T) {
 	tel := New(Config{})
-	if tel.Logger() != nil {
-		t.Fatal("unexpected logger")
-	}
-	run := tel.RunStart("sturm", 8, 4, 1)
+	run := tel.Start(RunInfo{Kind: "sturm", Degree: 8, Mu: 4, Workers: 1})
 	run.PhaseBegin("sturm")
 	run.PhaseEnd("sturm")
 	run.Finish(OutcomeOK, 2, 10, metrics.Report{})
@@ -136,30 +129,28 @@ func TestNoLoggerStillRecords(t *testing.T) {
 
 func TestNilHubAndRun(t *testing.T) {
 	var tel *Telemetry
-	if tel.Flight() != nil || tel.Registry() != nil || tel.Logger() != nil {
+	if tel.Flight() != nil || tel.Registry() != nil {
 		t.Fatal("nil hub handed out non-nil sinks")
 	}
-	run := tel.RunStart("core", 10, 16, 2)
+	run := tel.Start(RunInfo{Kind: "core", Degree: 10, Mu: 16, Workers: 2})
 	if run != nil {
 		t.Fatal("nil hub returned a live run")
 	}
 	// Every method must be callable on the nil run.
 	run.PhaseBegin("a")
 	run.PhaseEnd("a")
-	run.Event("e", 1)
 	run.BudgetExhausted(1)
 	run.SchedStats(SchedStats{})
 	run.Finish(OutcomeOK, 0, 0, metrics.Report{})
-	run.TaskStart(0, "t")
+	run.TaskStart(0, "t", 0, 0)
 	run.TaskDone(0, "t")
 	run.TaskPanic(0, "t", nil)
-	run.TaskRetry("t", 1)
 }
 
 func TestRunIDsAreUnique(t *testing.T) {
 	tel := New(Config{})
-	a := tel.RunStart("core", 4, 4, 1)
-	b := tel.RunStart("sturm", 4, 4, 1)
+	a := tel.Start(RunInfo{Kind: "core", Degree: 4, Mu: 4, Workers: 1})
+	b := tel.Start(RunInfo{Kind: "sturm", Degree: 4, Mu: 4, Workers: 1})
 	if a.ID == b.ID {
 		t.Fatalf("duplicate run IDs: %d", a.ID)
 	}

@@ -26,6 +26,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -190,6 +191,44 @@ func (t *Tracer) CounterSample(name string, v int64) {
 		t.counters = append(t.counters, Counter{Name: name, At: at, Value: v})
 	}
 	t.mu.Unlock()
+}
+
+// TaskStart opens a task span named tag, carrying the task's queue
+// wait, on the lane of scheduler worker `worker`, and samples the
+// queue depth. With TaskDone and TaskPanic it satisfies sched's
+// Observer interface, so a tracer attaches to a pool like any other
+// observer.
+func (t *Tracer) TaskStart(worker int, tag string, wait time.Duration, depth int) {
+	if t == nil {
+		return
+	}
+	t.CounterSample("queue depth", int64(depth))
+	t.workerLane(worker).BeginAt(tag, CatTask, wait)
+}
+
+// TaskDone closes the task span TaskStart opened on worker's lane.
+func (t *Tracer) TaskDone(worker int, tag string) {
+	if t == nil {
+		return
+	}
+	t.workerLane(worker).End()
+}
+
+// TaskPanic records nothing: the panicking task's span still closes in
+// TaskDone, and a ParallelFor chunk panic reports worker -1, the
+// control lane, which another goroutine owns.
+func (t *Tracer) TaskPanic(int, string, any) {}
+
+// workerLane returns scheduler worker id's lane, creating it as
+// "worker-<id>" on first use (the name is built only then).
+func (t *Tracer) workerLane(id int) *Lane {
+	t.mu.Lock()
+	l := t.lanes[id]
+	t.mu.Unlock()
+	if l == nil {
+		l = t.Lane(id, "worker-"+strconv.Itoa(id))
+	}
+	return l
 }
 
 // Begin opens a span on the lane. Spans nest: a Begin while another

@@ -193,8 +193,9 @@ type Options struct {
 	// RequestID, if non-empty, names the external request this solve
 	// serves (rootd forwards the client's X-Request-Id here). The ID is
 	// stamped on every observability sink the run touches — structured
-	// logs, flight-recorder events, trace spans, and scheduler panic
-	// errors — so one ID recovers the run from any of them.
+	// logs (task panics included), the flight recorder's request_id
+	// event, and trace spans — so one ID recovers the run from any of
+	// them.
 	RequestID string
 }
 

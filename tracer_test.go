@@ -57,6 +57,15 @@ func TestTracerPublicAPI(t *testing.T) {
 		if err := trace.ValidateChrome(buf.Bytes()); err != nil {
 			t.Fatalf("workers=%d: ValidateChrome: %v", workers, err)
 		}
+		if workers > 1 {
+			// The pool's worker timelines: named lanes, queue waits on
+			// their task spans, and the queue-depth counter track.
+			for _, want := range []string{`"worker-0"`, `"wait_us"`, `"queue depth"`} {
+				if !strings.Contains(buf.String(), want) {
+					t.Errorf("workers=%d: Chrome export lacks %s", workers, want)
+				}
+			}
+		}
 		sum := tr.Summarize()
 		if sum.Wall <= 0 || sum.Busy <= 0 {
 			t.Errorf("workers=%d: summary %+v", workers, sum)
