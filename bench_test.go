@@ -209,6 +209,7 @@ func BenchmarkFindRootsHighDeg(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("P=%d", workers), func(b *testing.B) {
 			opts := &Options{Precision: 16, Profile: ProfileFast, Workers: workers}
+			b.ReportAllocs()
 			var pre, tree, outside time.Duration
 			for i := 0; i < b.N; i++ {
 				res, err := FindRoots(coeffs, opts)

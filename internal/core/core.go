@@ -317,7 +317,10 @@ type call struct {
 // the normalized polynomial and, when the remainder sequence reports
 // repeated roots, on each of its Yun factors.
 func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry.Run) (*Result, error) {
-	c := &call{opts: opts, mctx: metrics.Ctx{C: counters, Profile: opts.Profile}, run: run}
+	// One workspace list per solve: every remainder, tree and division
+	// operation draws its buffers from it, and it is dropped with the
+	// call when the solve returns.
+	c := &call{opts: opts, mctx: metrics.Ctx{C: counters, Profile: opts.Profile, Scratch: new(mp.Scratch)}, run: run}
 	n := in.degree()
 
 	ctx := opts.Ctx

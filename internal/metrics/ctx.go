@@ -25,10 +25,18 @@ type Ctx struct {
 	// per-operation state, never a package global; a nil Par keeps every
 	// product serial. Results are bit-identical either way.
 	Par mp.Parallel
+	// Scratch is the free list of arithmetic workspaces that DotDiv and
+	// the helpers built on it draw from; one solve owns one list and
+	// drops it when it returns. A nil Scratch gives each operation a
+	// transient workspace.
+	Scratch *mp.Scratch
 }
 
 // In returns a copy of the context attributed to phase p.
-func (c Ctx) In(p Phase) Ctx { return Ctx{C: c.C, Phase: p, Profile: c.Profile, Par: c.Par} }
+func (c Ctx) In(p Phase) Ctx {
+	c.Phase = p
+	return c
+}
 
 // A mulRecord is what one multiplication records: its model cost (the
 // paper's §4 schoolbook measure, xbits·ybits) and actual cost, its
@@ -44,8 +52,8 @@ type mulRecord struct {
 
 // attributeMul attributes one xbits-by-ybits multiplication under c's
 // profile and parallel hook. It is the one place that decides what a
-// multiplication records, whether it is recorded at once (recordMul)
-// or tallied with the rest of an evaluation (Tally.Mul).
+// multiplication records; Tally.Mul collects it with the rest of an
+// evaluation or a DotDiv.
 func (c Ctx) attributeMul(xbits, ybits int) mulRecord {
 	r := mulRecord{
 		bits:   int64(xbits) * int64(ybits),
@@ -59,20 +67,12 @@ func (c Ctx) attributeMul(xbits, ybits int) mulRecord {
 	return r
 }
 
-// recordMul logs one multiplication (see attributeMul).
-func (c Ctx) recordMul(xbits, ybits int) {
-	if c.C == nil {
-		return
-	}
-	c.C.addMul(c.Phase, c.attributeMul(xbits, ybits))
-}
-
-// A Tally collects the operations of one polynomial evaluation in plain
-// fields: the multiplications with their model and actual cost,
-// operand-size bucket and tier, and the additions. They reach the
-// shared Counters in one FlushEval, with one budget check, instead of
-// several atomic updates per Horner step. The flushed counts are
-// exactly what recording each operation through the Ctx produces. The
+// A Tally collects the operations of one polynomial evaluation, or of
+// one DotDiv, in plain fields: the multiplications with their model and
+// actual cost, operand-size bucket and tier, and the additions. They
+// reach the shared Counters in one flush, with one budget check,
+// instead of several atomic updates per operation. The flushed counts
+// are exactly what recording each operation on its own produces. The
 // zero value is empty.
 type Tally struct {
 	muls, mulBits, mulBitsActual, adds, parMuls int64
@@ -82,7 +82,7 @@ type Tally struct {
 }
 
 // Mul tallies one multiplication of xbits-by-ybits operands under c's
-// profile and parallel hook, as recordMul records it.
+// profile and parallel hook (see attributeMul).
 func (t *Tally) Mul(c Ctx, xbits, ybits int) {
 	r := c.attributeMul(xbits, ybits)
 	t.muls++
@@ -118,33 +118,36 @@ func (c Ctx) recordDiv(xbits, ybits int) {
 	c.C.AddDivCost(c.Phase, xbits, ybits, c.Profile.DivCost(xbits, ybits))
 }
 
-// Mul returns a new Int holding x*y, recording the multiplication.
-func (c Ctx) Mul(x, y *mp.Int) *mp.Int {
-	c.recordMul(x.BitLen(), y.BitLen())
-	if c.Par != nil {
-		return new(mp.Int).MulParallelProfile(c.Profile, c.Par, x, y)
+// DotDiv returns (Σ ±xᵢ·yᵢ) / d (see mp.DotDiv), computed in a
+// workspace from c.Scratch, and records what building the same value
+// from Mul, Add and DivExact records: one multiplication per term with a
+// Y, with its operand bit lengths; adds additions; and, when d is
+// non-nil, one division sized by the sum's bit length. The
+// multiplications and additions reach the Counters in one flush before
+// the arithmetic runs, the division after it.
+func (c Ctx) DotDiv(d *mp.Int, adds int, terms ...mp.Term) *mp.Int {
+	if c.C != nil {
+		var t Tally
+		for _, tm := range terms {
+			if tm.Y != nil {
+				t.Mul(c, tm.X.BitLen(), tm.Y.BitLen())
+			}
+		}
+		t.adds = int64(adds)
+		c.C.addTally(c.Phase, &t)
 	}
-	return new(mp.Int).MulProfile(c.Profile, x, y)
+	q, sumBits := mp.DotDiv(c.Profile, c.Par, c.Scratch, d, terms...)
+	if d != nil {
+		c.recordDiv(sumBits, d.BitLen())
+	}
+	return q
 }
 
-// MulInto sets z = x*y, recording the multiplication.
-func (c Ctx) MulInto(z, x, y *mp.Int) *mp.Int {
-	c.recordMul(x.BitLen(), y.BitLen())
-	if c.Par != nil {
-		return z.MulParallelProfile(c.Profile, c.Par, x, y)
-	}
-	return z.MulProfile(c.Profile, x, y)
-}
+// Mul returns a new Int holding x*y, recording the multiplication.
+func (c Ctx) Mul(x, y *mp.Int) *mp.Int { return c.DotDiv(nil, 0, mp.Term{X: x, Y: y}) }
 
 // Sqr returns a new Int holding x², recording it as a multiplication.
-func (c Ctx) Sqr(x *mp.Int) *mp.Int {
-	b := x.BitLen()
-	c.recordMul(b, b)
-	if c.Par != nil && c.Profile.MulParallelEngages(b, b) {
-		return new(mp.Int).MulParallelProfile(c.Profile, c.Par, x, x)
-	}
-	return new(mp.Int).SqrProfile(c.Profile, x)
-}
+func (c Ctx) Sqr(x *mp.Int) *mp.Int { return c.Mul(x, x) }
 
 // QuoRem sets z = x quo y and r = x rem y (truncated division),
 // recording the division, and returns (z, r).
@@ -154,16 +157,7 @@ func (c Ctx) QuoRem(z, x, y, r *mp.Int) (*mp.Int, *mp.Int) {
 }
 
 // DivExact returns a new Int holding x/y (exact), recording the division.
-func (c Ctx) DivExact(x, y *mp.Int) *mp.Int {
-	c.recordDiv(x.BitLen(), y.BitLen())
-	return new(mp.Int).DivExactProfile(c.Profile, x, y)
-}
-
-// DivExactInto sets z = x/y (exact), recording the division.
-func (c Ctx) DivExactInto(z, x, y *mp.Int) *mp.Int {
-	c.recordDiv(x.BitLen(), y.BitLen())
-	return z.DivExactProfile(c.Profile, x, y)
-}
+func (c Ctx) DivExact(x, y *mp.Int) *mp.Int { return c.DotDiv(y, 0, mp.Term{X: x}) }
 
 // Add returns a new Int holding x+y, recording the addition.
 func (c Ctx) Add(x, y *mp.Int) *mp.Int {

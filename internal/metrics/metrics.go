@@ -279,6 +279,11 @@ func (c *Counters) AddEval(p Phase) {
 // tallied in t (see Ctx.FlushEval).
 func (c *Counters) addEval(p Phase, t *Tally) {
 	c.evals[p].Add(1)
+	c.addTally(p, t)
+}
+
+// addTally records the operations tallied in t in phase p.
+func (c *Counters) addTally(p Phase, t *Tally) {
 	if t.adds != 0 {
 		c.add[p].Add(t.adds)
 	}

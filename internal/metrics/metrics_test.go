@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -128,12 +129,11 @@ func TestCtxArithmetic(t *testing.T) {
 	if ctx.DivExact(mp.NewInt(42), mp.NewInt(6)).Int64() != 7 {
 		t.Error("DivExact")
 	}
-	var dst mp.Int
-	if ctx.MulInto(&dst, mp.NewInt(3), mp.NewInt(3)).Int64() != 9 {
-		t.Error("MulInto")
+	if ctx.Mul(mp.NewInt(3), mp.NewInt(3)).Int64() != 9 {
+		t.Error("Mul")
 	}
-	if ctx.DivExactInto(&dst, mp.NewInt(9), mp.NewInt(3)).Int64() != 3 {
-		t.Error("DivExactInto")
+	if ctx.DivExact(mp.NewInt(9), mp.NewInt(3)).Int64() != 3 {
+		t.Error("DivExact")
 	}
 	rep := c.Snapshot()
 	if rep.Phases[PhaseRemainder].Muls != 3 || rep.Phases[PhaseRemainder].Divs != 2 || rep.Phases[PhaseRemainder].Adds != 2 {
@@ -144,6 +144,27 @@ func TestCtxArithmetic(t *testing.T) {
 	ctx2.Mul(mp.NewInt(2), mp.NewInt(2))
 	if c.Snapshot().Phases[PhaseTree].Muls != 1 {
 		t.Error("In did not switch phase")
+	}
+}
+
+type nopPar struct{}
+
+func (nopPar) Submit(func()) {}
+
+// TestInKeepsEveryField pins that a phase switch copies the whole
+// context: every field is set, so a field In dropped would show.
+func TestInKeepsEveryField(t *testing.T) {
+	c := Ctx{C: &Counters{}, Phase: PhaseSort, Profile: mp.Fast, Par: nopPar{}, Scratch: new(mp.Scratch)}
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("field %s is unset; set it so In is checked for it", v.Type().Field(i).Name)
+		}
+	}
+	want := c
+	want.Phase = PhaseTree
+	if got := c.In(PhaseTree); got != want {
+		t.Errorf("In(PhaseTree) = %+v, want %+v", got, want)
 	}
 }
 
@@ -364,7 +385,7 @@ func TestFlushEvalMatchesPerOpRecording(t *testing.T) {
 		ctxOp.C.AddEval(ctxOp.Phase)
 		var tl Tally
 		for _, sh := range shapes {
-			ctxOp.recordMul(sh[0], sh[1])
+			ctxOp.C.addMul(ctxOp.Phase, ctxOp.attributeMul(sh[0], sh[1]))
 			ctxOp.C.AddAdd(ctxOp.Phase)
 			tl.Mul(ctxT, sh[0], sh[1])
 			tl.Add()

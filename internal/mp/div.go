@@ -15,21 +15,53 @@ import "math/bits"
 // fastDivThreshold is the divisor limb count below which division falls
 // back to Knuth Algorithm D. Also used for the quotient length: when
 // the quotient has fewer limbs than this, Algorithm D's O(qlen·n) cost
-// is already modest.
-const fastDivThreshold = 40
+// is already modest. It is also the recursion's leaf size: blocks below
+// 2·fastDivThreshold limbs go to the packed Algorithm D. Measured with
+// BenchmarkDivShapes on 2n-by-n-bit exact divisions (medians of three
+// per sweep, two sweeps, 2-vCPU Xeon): with 40-limb leaves the
+// recursion lost to packed Algorithm D up to n = 16k bits (8k: 77 vs
+// 58 µs). With 256-limb (8192-bit) leaves it is even at the first 2:1
+// shape it takes, n = 16k bits (186–224 vs 205–222 µs), and wins from
+// n = 20k bits (241–263 vs 351–353 µs) to n = 128k bits (5.3–5.7 vs
+// 13.8–14.2 ms). 128-limb leaves would take n = 8k bits, where they
+// lose (65 vs 55 µs).
+const fastDivThreshold = 256
 
-// natDivFast returns the quotient and remainder of u / v (v != 0).
-func natDivFast(uIn, vIn nat) (q, r nat) {
-	n := len(vIn)
-	if n < fastDivThreshold || len(uIn)-n < fastDivThreshold {
-		if n < fastPackThreshold || len(uIn) < fastPackThreshold {
-			return natDiv(uIn, vIn)
-		}
-		// Too unbalanced (or too small) for the recursion to pay, but
-		// big enough that the packed Algorithm D quarters the limb work.
-		return natDivKnuth64(uIn, vIn)
+// natDivFast returns the quotient and remainder of u / v (v != 0) as
+// new nats, in a transient workspace.
+func natDivFast(u, v nat) (q, r nat) {
+	var w workspace
+	w.acc = pack(w.acc, u)
+	q, r = w.divFast(w.acc, v)
+	return q, append(nat(nil), r...)
+}
+
+// divFast divides the canonical packed u by v (v != 0): Knuth's
+// Algorithm D in the workspace while the divisor or the quotient is
+// short of fastDivThreshold limbs — on 32-bit limbs when either operand
+// is too short to pack — and the Burnikel–Ziegler recursion past it.
+// The quotient is a new nat; the remainder lies in the workspace, valid
+// until its next use, except past the threshold, where it is new too.
+// The workspace's x and y buffers must not hold u.
+func (w *workspace) divFast(u []uint64, v nat) (q, r nat) {
+	n, lu := len(v), len32(u)
+	switch {
+	case n < fastPackThreshold || lu < fastPackThreshold:
+		w.p32 = unpackTo(w.p32, u)
+		return w.quoRem32(w.p32, v)
+	case n < fastDivThreshold || lu-n < fastDivThreshold:
+		w.y = pack(w.y, v)
+		q64, r64 := w.quoRem64(u, w.y)
+		w.p32 = unpackTo(w.p32, r64)
+		return unpack(q64), w.p32
 	}
+	return w.burnikelZiegler(unpack(u), v)
+}
 
+// burnikelZiegler returns u / v as new nats by the recursion, whose
+// blocks below 2·fastDivThreshold limbs go to packed Algorithm D.
+func (w *workspace) burnikelZiegler(uIn, vIn nat) (q, r nat) {
+	n := len(vIn)
 	// Pad v to n2 = base·2^L limbs (base ≥ fastDivThreshold) with its
 	// top bit set, scaling u by the same power of two so the quotient
 	// is unchanged and the remainder is scaled by 2^sigma.
@@ -54,7 +86,7 @@ func natDivFast(uIn, vIn nat) (q, r nat) {
 	}
 	for i := t - 2; i >= 0; i-- {
 		blk := nat(u[i*n2 : (i+1)*n2]).norm()
-		qi, ri := bzDiv2n1n(natJoin(rem, blk, n2), v, n2)
+		qi, ri := w.bzDiv2n1n(natJoin(rem, blk, n2), v, n2)
 		copy(q[i*n2:], qi)
 		rem = ri
 	}
@@ -63,23 +95,23 @@ func natDivFast(uIn, vIn nat) (q, r nat) {
 
 // bzDiv2n1n divides a by the n-limb divisor b, where b has its top bit
 // set and a < b·β^n (so the quotient fits in n limbs and r < b).
-func bzDiv2n1n(a, b nat, n int) (q, r nat) {
+func (w *workspace) bzDiv2n1n(a, b nat, n int) (q, r nat) {
 	if n%2 != 0 || n < 2*fastDivThreshold {
-		return natDivKnuth64(a, b)
+		return w.knuth64(a, b)
 	}
 	h := n / 2
 	// a = aHi·β^h + aLo; aHi < b·β^h holds because a < b·β^(2h).
 	aHi := natBlockAt(a, h, len(a))
 	aLo := natBlockAt(a, 0, h)
-	q1, r1 := bzDiv3n2n(aHi, b, h)
-	q0, r := bzDiv3n2n(natJoin(r1, aLo, h), b, h)
+	q1, r1 := w.bzDiv3n2n(aHi, b, h)
+	q0, r := w.bzDiv3n2n(natJoin(r1, aLo, h), b, h)
 	return natJoin(q1, q0, h), r
 }
 
 // bzDiv3n2n divides the (at most 3h-limb) a by the 2h-limb divisor b,
 // where b has its top bit set and a < b·β^h (so the quotient fits in h
 // limbs and r < b).
-func bzDiv3n2n(a, b nat, h int) (q, r nat) {
+func (w *workspace) bzDiv3n2n(a, b nat, h int) (q, r nat) {
 	b1 := nat(b[h:]).norm() // top bit set, h limbs
 	b0 := natBlockAt(b, 0, h)
 	a2 := natBlockAt(a, 2*h, len(a))
@@ -91,7 +123,7 @@ func bzDiv3n2n(a, b nat, h int) (q, r nat) {
 	// β^h, so saturate at β^h−1 and let the correction loop settle it.
 	var qh, c nat
 	if natCmp(a2, b1) < 0 {
-		qh, c = bzDiv2n1n(natJoin(a2, a1, h), b1, h)
+		qh, c = w.bzDiv2n1n(natJoin(a2, a1, h), b1, h)
 	} else {
 		qh = make(nat, h)
 		for i := range qh {

@@ -5,13 +5,16 @@ import "math/bits"
 // 64-bit packed Knuth division for the Fast profile: the base-case
 // divider under the Burnikel–Ziegler recursion (div.go) and the whole
 // division when the quotient is too short for the recursion to pay.
-// Identical mathematics to natDiv — Algorithm D — but over packed
-// limbs, quartering the hardware multiply/divide count. Only reachable
-// from natDivFast; the Schoolbook profile never packs.
+// Identical mathematics to quoRem32 — Algorithm D — but over packed
+// limbs, quartering the hardware multiply/divide count, and in the
+// workspace's buffers. Only reachable from divFast; the Schoolbook
+// profile never packs.
 
-// shl64 returns x << s for 0 ≤ s < 64, with room for the overflow bits.
-func shl64(x []uint64, s uint) []uint64 {
-	z := make([]uint64, len(x)+1)
+// shl64To returns x << s for 0 ≤ s < 64 in len(x)+1 limbs, the top one
+// holding the carry, stored in z's storage, which grows only when its
+// capacity is short; z must not overlap x.
+func shl64To(z, x []uint64, s uint) []uint64 {
+	z = grow64(z, len(x)+1)
 	var carry uint64
 	for i, v := range x {
 		z[i] = v<<s | carry
@@ -23,41 +26,35 @@ func shl64(x []uint64, s uint) []uint64 {
 	return z
 }
 
-// shr64 returns x >> s for 0 ≤ s < 64.
-func shr64(x []uint64, s uint) []uint64 {
-	z := make([]uint64, len(x))
-	for i, v := range x {
-		z[i] = v >> s
-		if i+1 < len(x) {
-			z[i] |= x[i+1] << (64 - s)
-		}
-	}
-	return norm64(z)
-}
-
-// div64Knuth returns the quotient and remainder of u / v over 64-bit
-// limbs (v non-empty, canonical). Knuth TAOCP vol. 2, Algorithm 4.3.1 D.
-func div64Knuth(u, v []uint64) (q, r []uint64) {
+// quoRem64 divides u by v (canonical, v non-empty) by Knuth TAOCP vol.
+// 2, Algorithm 4.3.1 D over 64-bit limbs. The canonical quotient and
+// remainder lie in the workspace (the remainder is u itself when
+// u < v) and are valid until its next use.
+func (w *workspace) quoRem64(u, v []uint64) (q, r []uint64) {
 	n := len(v)
 	if len(u) < n || (len(u) == n && cmp64(u, v) < 0) {
 		return nil, u
 	}
 	if n == 1 {
-		q = make([]uint64, len(u))
+		q = grow64(w.q, len(u))
 		var rem uint64
 		for i := len(u) - 1; i >= 0; i-- {
 			q[i], rem = bits.Div64(rem, u[i], v[0])
 		}
-		return norm64(q), norm64([]uint64{rem})
+		w.q, w.un = q, append(w.un[:0], rem)
+		return norm64(q), norm64(w.un)
 	}
 
-	// D1: normalize so the divisor's top bit is set.
+	// D1: normalize so the divisor's top bit is set; the shift cannot
+	// overflow v, and u gains a high limb, possibly zero.
 	s := uint(bits.LeadingZeros64(v[n-1]))
-	vn := norm64(shl64(v, s)) // exactly n limbs: the shift cannot overflow
-	un := shl64(u, s)         // len(u)+1 limbs, top may be zero
+	w.vn = shl64To(w.vn, v, s)
+	w.un = shl64To(w.un, u, s)
+	vn, un := w.vn[:n], w.un
 	m := len(un) - 1 - n
 
-	q = make([]uint64, m+1)
+	w.q = grow64(w.q, m+1)
+	q = w.q
 	for j := m; j >= 0; j-- {
 		// D3: estimate the quotient digit from the top limbs.
 		qhat := ^uint64(0)
@@ -97,7 +94,7 @@ func div64Knuth(u, v []uint64) (q, r []uint64) {
 		}
 		q[j] = qhat
 	}
-	return norm64(q), shr64(norm64(un[:n]), s)
+	return norm64(q), shrInPlace64(norm64(un[:n]), s)
 }
 
 // cmp64 compares canonical packed values.
@@ -119,8 +116,10 @@ func cmp64(x, y []uint64) int {
 	return 0
 }
 
-// natDivKnuth64 is div64Knuth with 32-bit ends: pack, divide, unpack.
-func natDivKnuth64(u, v nat) (q, r nat) {
-	q64, r64 := div64Knuth(norm64(natTo64(u)), norm64(natTo64(v)))
-	return nat64To32(q64), nat64To32(r64)
+// knuth64 returns u / v as new nats by packed Algorithm D in the
+// workspace.
+func (w *workspace) knuth64(u, v nat) (q, r nat) {
+	w.x, w.y = pack(w.x, u), pack(w.y, v)
+	q64, r64 := w.quoRem64(w.x, w.y)
+	return unpack(q64), unpack(r64)
 }

@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 )
@@ -62,12 +63,15 @@ func FuzzQuoRemIdentity(f *testing.F) {
 // stretch expands a fuzz byte pattern by repetition so the resulting
 // operand crosses the karatsubaThreshold / fastDivThreshold limb counts
 // that the subquadratic kernels switch on (raw fuzz inputs are capped at
-// 64 bytes = 16 limbs, far below either threshold).
+// 64 bytes = 16 limbs, far below either threshold). Up to
+// fastDivThreshold/4 repetitions of a 64-byte pattern make a
+// 4·fastDivThreshold-limb operand, so a dividend can reach the
+// Burnikel–Ziegler recursion, which needs 2·fastDivThreshold limbs.
 func stretch(b []byte, rep uint16) []byte {
 	if len(b) == 0 {
 		return b
 	}
-	n := int(rep)%48 + 1
+	n := int(rep)%max(48, fastDivThreshold/4) + 1
 	out := make([]byte, 0, n*len(b))
 	for i := 0; i < n; i++ {
 		out = append(out, b...)
@@ -114,6 +118,8 @@ func FuzzFastDivVsBig(f *testing.F) {
 	f.Add([]byte{9, 8, 7, 6, 5, 4}, []byte{1, 2, 3}, uint16(47), uint16(44), false)
 	f.Add([]byte{0xff, 0xff, 0xff}, []byte{0xff, 0xff}, uint16(40), uint16(20), true)
 	f.Add([]byte{1}, []byte{3}, uint16(47), uint16(2), false)
+	// Past fastDivThreshold: a 1024-limb dividend by a 336-limb divisor.
+	f.Add(bytes.Repeat([]byte{0xa5, 0x3c, 0x99, 0x01}, 16), bytes.Repeat([]byte{0x7e, 0x11}, 32), uint16(63), uint16(20), true)
 	f.Fuzz(func(t *testing.T, ub, vb []byte, urep, vrep uint16, uneg bool) {
 		if len(ub) > 64 || len(vb) > 64 {
 			return
@@ -170,7 +176,7 @@ func FuzzFastGCDVsBig(f *testing.F) {
 
 // pack64 builds a packed 64-bit operand from a stretched fuzz pattern.
 func pack64(b []byte, rep uint16) []uint64 {
-	return natTo64(new(Int).SetBig(new(big.Int).SetBytes(stretch(b, rep))).abs)
+	return pack(nil, new(Int).SetBig(new(big.Int).SetBytes(stretch(b, rep))).abs)
 }
 
 // FuzzToom3VsBig cross-checks the Toom-3 kernel directly against

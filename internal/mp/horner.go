@@ -111,10 +111,11 @@ func (h *Horner) Step(a, c *Int, sh uint) {
 }
 
 // grow returns z[:n], reallocating (and copying z) only when z's
-// capacity is below n. Limbs past len(z) are not cleared.
+// capacity is below n. A buffer that must grow at least doubles (see
+// grow64). Limbs past len(z) are not cleared.
 func grow(z nat, n int) nat {
 	if cap(z) < n {
-		buf := make(nat, n)
+		buf := make(nat, n, max(n, 2*cap(z)))
 		copy(buf, z)
 		return buf
 	}

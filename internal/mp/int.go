@@ -162,9 +162,6 @@ func (z *Int) MulInt64(x *Int, v int64) *Int {
 // Sqr sets z to x² and returns z.
 func (z *Int) Sqr(x *Int) *Int { return z.Mul(x, x) }
 
-// SqrProfile sets z to x² under profile pr and returns z.
-func (z *Int) SqrProfile(pr Profile, x *Int) *Int { return z.MulProfile(pr, x, x) }
-
 // QuoRem sets z to the quotient x/y and r to the remainder x%y with
 // truncation toward zero (Go semantics: sign of r matches x), and returns
 // (z, r). y must be non-zero. z and r must be distinct.
@@ -324,7 +321,7 @@ func (z *Int) GCDProfile(pr Profile, x, y *Int) *Int {
 	if pr != Fast || (len(x.abs) < fastPackThreshold && len(y.abs) < fastPackThreshold) {
 		return z.GCD(x, y)
 	}
-	z.abs = nat64To32(gcd64(norm64(natTo64(x.abs)), norm64(natTo64(y.abs))))
+	z.abs = unpack(gcd64(pack(nil, x.abs), pack(nil, y.abs)))
 	z.neg = false
 	return z
 }

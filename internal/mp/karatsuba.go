@@ -21,10 +21,11 @@ package mp
 // faster. Also the pivot of the Fast profile's MulCost estimate.
 const karatsubaThreshold = 40
 
-// natMulFast returns x*y: the Fast profile's multiplication. Operands
-// above fastPackThreshold are packed into 64-bit limbs, quartering the
-// hardware multiply count relative to the 32-bit schoolbook loop, and
-// multiplied subquadratically (see mul64).
+// natMulFast returns x*y as a new nat: the Fast profile's
+// multiplication. Operands above fastPackThreshold are packed into
+// 64-bit limbs, quartering the hardware multiply count relative to the
+// 32-bit schoolbook loop, and multiplied subquadratically (see mul64To)
+// in a transient workspace.
 func natMulFast(x, y nat) nat {
 	if len(x) < len(y) {
 		x, y = y, x
@@ -33,5 +34,6 @@ func natMulFast(x, y nat) nat {
 	if len(y) < fastPackThreshold {
 		return natMulBasic(x, y)
 	}
-	return nat64To32(mul64(natTo64(x), natTo64(y)))
+	var w workspace
+	return unpack(w.mul64(pack(nil, x), pack(nil, y), fastTiers))
 }

@@ -9,6 +9,12 @@
 // A subquadratic arithmetic path (block-decomposed Karatsuba
 // multiplication, Burnikel–Ziegler division) is available through the
 // Profile type; Schoolbook, the zero value, is the default.
+//
+// DotDiv computes (Σ ±xᵢ·yᵢ)/d, the step the remainder sequence and the
+// tree products repeat, under either profile in a workspace drawn from
+// a per-computation Scratch list, so that it allocates only its result;
+// MulProfile and QuoRemProfile run the same kernels on a transient
+// workspace.
 package mp
 
 import "math/bits"
@@ -94,11 +100,17 @@ func natSub(x, y nat) nat {
 }
 
 // natMulBasic returns x*y using the schoolbook O(len(x)·len(y)) method.
-func natMulBasic(x, y nat) nat {
+func natMulBasic(x, y nat) nat { return natMulBasicTo(nil, x, y) }
+
+// natMulBasicTo returns x*y by the schoolbook row loop, stored in z's
+// storage, which grows only when its capacity is short; z must not
+// overlap x or y.
+func natMulBasicTo(z, x, y nat) nat {
 	if len(x) == 0 || len(y) == 0 {
-		return nil
+		return z[:0]
 	}
-	z := make(nat, len(x)+len(y))
+	z = grow(z, len(x)+len(y))
+	clear(z)
 	for i, xi := range x {
 		if xi == 0 {
 			continue
@@ -212,42 +224,51 @@ func natDivSmall(u nat, d uint32) (q nat, r uint32) {
 	return q.norm(), uint32(rem)
 }
 
-// natDiv returns the quotient and remainder of u / v (v != 0) using
-// Knuth's Algorithm D (TAOCP vol. 2, §4.3.1). Quadratic in the operand
-// sizes, matching the "mp" package the paper's implementation used.
-func natDiv(uIn, vIn nat) (q, r nat) {
-	if len(vIn) == 0 {
+// natDiv returns the quotient and remainder of u / v (v != 0) as new
+// nats, by Algorithm D in a transient workspace (see quoRem32).
+func natDiv(u, v nat) (q, r nat) {
+	var w workspace
+	q, r = w.quoRem32(u, v)
+	return q, append(nat(nil), r...)
+}
+
+// quoRem32 divides u by v (v != 0) using Knuth's Algorithm D (TAOCP
+// vol. 2, §4.3.1), quadratic in the operand sizes, matching the "mp"
+// package the paper's implementation used. The quotient is a new nat;
+// the remainder lies in the workspace (or is u itself) and is valid
+// until the workspace's next use.
+func (w *workspace) quoRem32(u, v nat) (q, r nat) {
+	n := len(v)
+	if n == 0 {
 		panic("mp: division by zero")
 	}
-	if natCmp(uIn, vIn) < 0 {
-		return nil, append(nat(nil), uIn...).norm()
+	if natCmp(u, v) < 0 {
+		return nil, u
 	}
-	if len(vIn) == 1 {
-		q, rr := natDivSmall(uIn, vIn[0])
-		if rr == 0 {
-			return q, nil
-		}
-		return q, nat{rr}
+	if n == 1 {
+		q, rr := natDivSmall(u, v[0])
+		w.un32 = append(w.un32[:0], rr)
+		return q, w.un32.norm()
 	}
 
-	// D1: normalize so that the top limb of v has its high bit set.
-	s := uint(bits.LeadingZeros32(vIn[len(vIn)-1]))
-	v := natShl(vIn, s)
-	u := natShl(uIn, s)
-	u = append(u, 0) // ensure an extra high limb for the first step
-	n := len(v)
-	m := len(u) - n - 1
+	// D1: normalize so that the top limb of v has its high bit set; u
+	// gains a high limb, possibly zero, for the first step.
+	s := uint(bits.LeadingZeros32(v[n-1]))
+	w.vn32 = shlLimbs(w.vn32, v, s)
+	w.un32 = shlLimbs(w.un32, u, s)
+	vn, un := w.vn32[:n], w.un32
+	m := len(un) - n - 1
 
 	q = make(nat, m+1)
-	vn1 := uint64(v[n-1])
-	vn2 := uint64(v[n-2])
+	vn1 := uint64(vn[n-1])
+	vn2 := uint64(vn[n-2])
 
 	for j := m; j >= 0; j-- {
 		// D3: estimate qhat.
-		u2 := uint64(u[j+n])<<limbBits | uint64(u[j+n-1])
+		u2 := uint64(un[j+n])<<limbBits | uint64(un[j+n-1])
 		qhat := u2 / vn1
 		rhat := u2 - qhat*vn1
-		for qhat >= limbBase || qhat*vn2 > rhat<<limbBits+uint64(u[j+n-2]) {
+		for qhat >= limbBase || qhat*vn2 > rhat<<limbBits+uint64(un[j+n-2]) {
 			qhat--
 			rhat += vn1
 			if rhat >= limbBase {
@@ -255,20 +276,20 @@ func natDiv(uIn, vIn nat) (q, r nat) {
 			}
 		}
 
-		// D4: multiply and subtract u[j..j+n] -= qhat*v.
+		// D4: multiply and subtract un[j..j+n] -= qhat*vn.
 		var borrow int64
 		var mulCarry uint64
 		for i := 0; i <= n; i++ {
 			var p uint64
 			if i < n {
-				t := qhat*uint64(v[i]) + mulCarry
+				t := qhat*uint64(vn[i]) + mulCarry
 				mulCarry = t >> limbBits
 				p = t & limbMask
 			} else {
 				p = mulCarry
 			}
-			t := int64(uint64(u[i+j])) - int64(p) + borrow
-			u[i+j] = uint32(uint64(t) & limbMask)
+			t := int64(uint64(un[i+j])) - int64(p) + borrow
+			un[i+j] = uint32(uint64(t) & limbMask)
 			borrow = t >> limbBits // arithmetic shift: 0 or -1
 		}
 
@@ -277,16 +298,29 @@ func natDiv(uIn, vIn nat) (q, r nat) {
 			qhat--
 			var c uint64
 			for i := 0; i < n; i++ {
-				t := uint64(u[i+j]) + uint64(v[i]) + c
-				u[i+j] = uint32(t)
+				t := uint64(un[i+j]) + uint64(vn[i]) + c
+				un[i+j] = uint32(t)
 				c = t >> limbBits
 			}
-			u[j+n] = uint32(uint64(u[j+n]) + c)
+			un[j+n] = uint32(uint64(un[j+n]) + c)
 		}
 		q[j] = uint32(qhat)
 	}
+	return q.norm(), natShrTo(un[:n], un[:n].norm(), s)
+}
 
-	r = nat(u[:n]).norm()
-	r = natShr(r, s)
-	return q.norm(), r
+// shlLimbs returns x << s for s < limbBits in len(x)+1 limbs, the top
+// one holding the carry, stored in z's storage, which grows only when
+// its capacity is short; z must not overlap x.
+func shlLimbs(z, x nat, s uint) nat {
+	z = grow(z, len(x)+1)
+	var carry uint32
+	for i, xi := range x {
+		z[i] = xi<<s | carry
+		// s == 0 makes the complementary shift 32, which produces 0 for
+		// a 64-bit operand — exactly the no-carry case.
+		carry = uint32(uint64(xi) >> (limbBits - s))
+	}
+	z[len(x)] = carry
+	return z
 }

@@ -45,24 +45,12 @@ func (p Profile) MulParallelEngages(xbits, ybits int) bool {
 		return false
 	}
 	lo, hi := min(xbits, ybits), max(xbits, ybits)
-	ly := ((lo+limbBits-1)/limbBits + 1) / 2
-	lx := ((hi+limbBits-1)/limbBits + 1) / 2
-	return ly >= parMul64Threshold && lx <= 2*ly
+	return parMulEngages(((hi+limbBits-1)/limbBits+1)/2, ((lo+limbBits-1)/limbBits+1)/2)
 }
 
-// MulParallelProfile sets z to x*y and returns z, like MulProfile, but
-// huge balanced products are split into quadrant panels offered to par.
-// The result is bit-identical to MulProfile's; par only changes where
-// the limb products run. A nil par, a small or lopsided product, or a
-// non-Fast profile all fall back to the serial path.
-func (z *Int) MulParallelProfile(pr Profile, par Parallel, x, y *Int) *Int {
-	if par == nil || !pr.MulParallelEngages(x.BitLen(), y.BitLen()) {
-		return z.MulProfile(pr, x, y)
-	}
-	neg := x.neg != y.neg
-	z.abs = nat64To32(parMul64(natTo64(x.abs), natTo64(y.abs), par, fastTiers))
-	z.neg = neg && len(z.abs) > 0
-	return z
+// parMulEngages is MulParallelEngages on packed limb counts lx ≥ ly.
+func parMulEngages(lx, ly int) bool {
+	return ly >= parMul64Threshold && lx <= 2*ly
 }
 
 // parMul64 multiplies quasi-balanced packed operands by splitting both

@@ -17,7 +17,7 @@ func refMul(x, y []uint64) *big.Int {
 
 func big64(x []uint64) *big.Int {
 	var v Int
-	v.abs = nat64To32(x)
+	v.abs = unpack(norm64(x))
 	return v.ToBig()
 }
 
@@ -162,9 +162,11 @@ func TestMulParallelVsSerial(t *testing.T) {
 	}
 }
 
-// TestMulParallelProfileInt checks the Int-level entry point: sign
-// handling, fallback below threshold, and agreement with MulProfile.
-func TestMulParallelProfileInt(t *testing.T) {
+// TestDotDivParallel checks the parallel path through DotDiv, the
+// entry point the solver's products take: sign handling, the serial
+// fallback below the threshold and for lopsided shapes, and agreement
+// with MulProfile.
+func TestDotDivParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large operands")
 	}
@@ -172,25 +174,22 @@ func TestMulParallelProfileInt(t *testing.T) {
 	defer pool.Close()
 	r := rand.New(rand.NewSource(13))
 	bits := parMul64Threshold * 2 * limbBits // comfortably above threshold
-	for i, tc := range []struct{ xb, yb int }{
-		{bits, bits}, {bits, bits / 2}, {200, 300}, {bits, 64},
+	var s Scratch
+	for i, tc := range []struct {
+		xb, yb int
+		neg    bool
+	}{
+		{bits, bits, false}, {bits, bits / 2, false}, {200, 300, false}, {bits, 64, false}, {bits, bits, true},
 	} {
 		x, y := RandInt(r, tc.xb), RandInt(r, tc.yb)
-		var want, got Int
-		want.MulProfile(Fast, x, y)
-		got.MulParallelProfile(Fast, pool, x, y)
-		if got.Cmp(&want) != 0 {
-			t.Fatalf("case %d: MulParallelProfile differs from MulProfile", i)
+		if tc.neg {
+			x.Neg(x)
 		}
-	}
-	// Negative operands through the parallel path proper.
-	x, y := RandInt(r, bits), RandInt(r, bits)
-	x.Neg(x)
-	var want, got Int
-	want.MulProfile(Fast, x, y)
-	got.MulParallelProfile(Fast, pool, x, y)
-	if got.Cmp(&want) != 0 {
-		t.Fatal("negative operand: MulParallelProfile differs from MulProfile")
+		var want Int
+		want.MulProfile(Fast, x, y)
+		if got, _ := DotDiv(Fast, pool, &s, nil, Term{X: x, Y: y}); got.Cmp(&want) != 0 {
+			t.Fatalf("case %d: DotDiv with a parallel hook differs from MulProfile", i)
+		}
 	}
 }
 

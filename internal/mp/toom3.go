@@ -53,6 +53,11 @@ type sval struct {
 
 func (a sval) isZero() bool { return len(a.m) == 0 }
 
+// add64 returns x + y as a new slice.
+func add64(x, y []uint64) []uint64 {
+	return add64To(make([]uint64, max(len(x), len(y))+1), x, y)
+}
+
 // sub64 returns x − y for normalized x ≥ y (cmp64 lives in div64.go).
 func sub64(x, y []uint64) []uint64 {
 	z := make([]uint64, len(x))

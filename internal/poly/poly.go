@@ -156,29 +156,62 @@ func (p *Poly) Mul(q *Poly) *Poly { return p.MulCtx(metrics.Ctx{}, q) }
 // MulCtx returns p*q using the schoolbook coefficient convolution,
 // recording each coefficient multiplication in ctx. This is the operation
 // whose count dominates the tree-polynomial phase (paper §4.2: the cost
-// of a polynomial matrix product is bounded via md(A)·md(B)).
-func (p *Poly) MulCtx(ctx metrics.Ctx, q *Poly) *Poly {
-	if p.IsZero() || q.IsZero() {
+// of a polynomial matrix product is bounded via md(A)·md(B)). Each
+// output coefficient is one ctx.DotDiv over its products; the
+// convolution's additions are not recorded.
+func (p *Poly) MulCtx(ctx metrics.Ctx, q *Poly) *Poly { return mulAdd(ctx, 0, p, q, nil, nil) }
+
+// MulAddCtx returns a·b + c·d, recording the coefficient multiplications
+// of both products and the additions that adding them as polynomials
+// (AddCtx) records: one per coefficient of the longer product. Each
+// output coefficient is one ctx.DotDiv over the products of both
+// convolutions.
+func MulAddCtx(ctx metrics.Ctx, a, b, c, d *Poly) *Poly { return mulAdd(ctx, 1, a, b, c, d) }
+
+// mulAdd returns a·b + c·d, where c and d may be nil, recording adds
+// additions per output coefficient; see MulCtx and MulAddCtx.
+func mulAdd(ctx metrics.Ctx, adds int, a, b, c, d *Poly) *Poly {
+	n := max(prodLen(a, b), prodLen(c, d))
+	if n == 0 {
 		return Zero()
 	}
-	c := make([]*mp.Int, len(p.c)+len(q.c)-1)
-	for i := range c {
-		c[i] = new(mp.Int)
+	out := make([]*mp.Int, n)
+	terms := make([]mp.Term, 0, convTerms(a, b)+convTerms(c, d))
+	for k := range out {
+		terms = appendConv(appendConv(terms[:0], a, b, k), c, d, k)
+		out[k] = ctx.DotDiv(nil, adds, terms...)
 	}
-	var t mp.Int
-	for i, pi := range p.c {
-		if pi.IsZero() {
-			continue
-		}
-		for j, qj := range q.c {
-			if qj.IsZero() {
-				continue
-			}
-			ctx.MulInto(&t, pi, qj)
-			c[i+j].Add(c[i+j], &t)
+	return (&Poly{c: out}).norm()
+}
+
+// prodLen returns the coefficient count of p·q; nil counts as zero.
+func prodLen(p, q *Poly) int {
+	if p == nil || q == nil || p.IsZero() || q.IsZero() {
+		return 0
+	}
+	return len(p.c) + len(q.c) - 1
+}
+
+// convTerms bounds the number of products in one coefficient of p·q.
+func convTerms(p, q *Poly) int {
+	if prodLen(p, q) == 0 {
+		return 0
+	}
+	return min(len(p.c), len(q.c))
+}
+
+// appendConv appends to terms the products p_i·q_{k-i} of coefficient
+// k of p·q, skipping zero factors.
+func appendConv(terms []mp.Term, p, q *Poly, k int) []mp.Term {
+	if prodLen(p, q) == 0 {
+		return terms
+	}
+	for i := max(0, k-len(q.c)+1); i <= min(k, len(p.c)-1); i++ {
+		if pi, qj := p.c[i], q.c[k-i]; !pi.IsZero() && !qj.IsZero() {
+			terms = append(terms, mp.Term{X: pi, Y: qj})
 		}
 	}
-	return (&Poly{c: c}).norm()
+	return terms
 }
 
 // ScaleInt returns p·v.
@@ -200,7 +233,8 @@ func (p *Poly) ScaleIntCtx(ctx metrics.Ctx, v *mp.Int) *Poly {
 // panics otherwise (see mp.Int.DivExact).
 func (p *Poly) DivExactInt(v *mp.Int) *Poly { return p.DivExactIntCtx(metrics.Ctx{}, v) }
 
-// DivExactIntCtx returns p/v, recording the divisions in ctx.
+// DivExactIntCtx returns p/v, recording the divisions in ctx. Each
+// coefficient is one exact division in a ctx.DotDiv workspace.
 func (p *Poly) DivExactIntCtx(ctx metrics.Ctx, v *mp.Int) *Poly {
 	c := make([]*mp.Int, len(p.c))
 	for i, ci := range p.c {

@@ -128,7 +128,7 @@ func mul2(ctx metrics.Ctx, a, b [2][2]*poly.Poly) [2][2]*poly.Poly {
 	var z [2][2]*poly.Poly
 	for r := 0; r < 2; r++ {
 		for c := 0; c < 2; c++ {
-			z[r][c] = a[r][0].MulCtx(ctx, b[0][c]).AddCtx(ctx, a[r][1].MulCtx(ctx, b[1][c]))
+			z[r][c] = poly.MulAddCtx(ctx, a[r][0], b[0][c], a[r][1], b[1][c])
 		}
 	}
 	return z

@@ -134,7 +134,6 @@ func recur(p *poly.Poly, opts Options) ([][]*mp.Int, []*poly.Poly, int, error) {
 	f[1] = coeffs(p.Derivative(), n-1)
 	q := make([]*poly.Poly, n)
 
-	one := mp.NewInt(1)
 	for i := 1; i < n; i++ {
 		if opts.Stop != nil {
 			if err := opts.Stop(); err != nil {
@@ -145,27 +144,27 @@ func recur(p *poly.Poly, opts Options) ([][]*mp.Int, []*poly.Poly, int, error) {
 		ci1 := f[i-1][n-i+1] // c_{i-1}
 		// q_{i,1} = c_{i-1}·c_i ; q_{i,0} = c_i·f_{i-1,n-i} - f_{i,n-i-1}·c_{i-1}.
 		q1 := ctx.Mul(ci1, ci)
-		q0 := ctx.Sub(ctx.Mul(ci, f[i-1][n-i]), ctx.Mul(f[i][n-i-1], ci1))
+		q0 := ctx.DotDiv(nil, 1, mp.Term{X: ci, Y: f[i-1][n-i]}, mp.Term{X: f[i][n-i-1], Y: ci1, Neg: true})
 		q[i] = poly.New(q0, q1)
 
 		cisq := ctx.Sqr(ci)
-		divisor := one
+		var divisor *mp.Int // nil divides by 1, and no division runs
 		if i >= 2 {
-			divisor = ctx.Sqr(ci1)
+			if d := ctx.Sqr(ci1); !d.IsOne() {
+				divisor = d
+			}
 		}
 
-		// f_{i+1,j} for 0 ≤ j ≤ n-i-1, each independent of the others.
+		// f_{i+1,j} for 0 ≤ j ≤ n-i-1, each independent of the others:
+		// one fused sum of products and exact division per coefficient.
 		next := make([]*mp.Int, n-i)
 		body := func(j int) {
-			t := ctx.Mul(f[i][j], q0)
-			if j >= 1 {
-				t = ctx.Add(t, ctx.Mul(f[i][j-1], q1))
-			}
-			t = ctx.Sub(t, ctx.Mul(cisq, f[i-1][j]))
-			if divisor.IsOne() {
-				next[j] = t
+			t0 := mp.Term{X: f[i][j], Y: q0}
+			tc := mp.Term{X: cisq, Y: f[i-1][j], Neg: true}
+			if j == 0 {
+				next[j] = ctx.DotDiv(divisor, 1, t0, tc)
 			} else {
-				next[j] = ctx.DivExact(t, divisor)
+				next[j] = ctx.DotDiv(divisor, 2, t0, mp.Term{X: f[i][j-1], Y: q1}, tc)
 			}
 		}
 		if opts.Pool != nil {

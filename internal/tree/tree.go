@@ -44,7 +44,7 @@ func (a *Matrix2) Mul(ctx metrics.Ctx, b *Matrix2) *Matrix2 {
 // splits each matrix product into these four entry computations, one
 // task per entry (§3.2).
 func MulEntry(ctx metrics.Ctx, a, b *Matrix2, r, c int) *poly.Poly {
-	return a[r][0].MulCtx(ctx, b[0][c]).AddCtx(ctx, a[r][1].MulCtx(ctx, b[1][c]))
+	return poly.MulAddCtx(ctx, a[r][0], b[0][c], a[r][1], b[1][c])
 }
 
 // DivExact returns a with every entry divided exactly by v.

@@ -209,9 +209,12 @@ func reverseSlice(s []dyadic.Dyadic) {
 // interval of root in the mirrored polynomial: x̃(-r) = -(⌊2^µ·r⌋·2^-µ),
 // determined exactly with one extra sign test when r lies on the grid.
 func mirror(pneg *poly.Poly, iv Interval, approx dyadic.Dyadic, mu uint, ctx metrics.Ctx) dyadic.Dyadic {
-	// approx = ⌈2^µ r⌉/2^µ. If r is exactly on the grid (p(-approx)=0 …
-	// i.e. pneg(approx)=0), then -r's ceiling is -approx.
-	if pneg.SignAtCtx(ctx, approx.Num(), approx.Scale()) == 0 {
+	// approx = ⌈2^µ r⌉/2^µ. If r is exactly on the grid (pneg(approx)=0
+	// with approx in r's isolating interval), then -r's ceiling is
+	// -approx. A zero of pneg at approx outside the interval is the next
+	// root, one grid step or less above r.
+	inside := approx.Equal(iv.Lo) && iv.Lo.Equal(iv.Hi) || iv.Lo.Cmp(approx) < 0 && approx.Cmp(iv.Hi) < 0
+	if inside && pneg.SignAtCtx(ctx, approx.Num(), approx.Scale()) == 0 {
 		return approx.Neg()
 	}
 	// Otherwise ⌊2^µ r⌋ = ⌈2^µ r⌉ - 1 and x̃(-r) = -(approx - 2^-µ).

@@ -180,6 +180,33 @@ func TestFindRootsAgreesWithSturm(t *testing.T) {
 	}
 }
 
+// TestFindRootsNegativeNeighbourOnGrid pins the mirror step when the
+// grid point above a negative root's mirror image is the next root: at
+// µ = 1, -57/4 must round up to -14 although -29/2 is a root, and -11/4
+// to -5/2 although -3 is one.
+func TestFindRootsNegativeNeighbourOnGrid(t *testing.T) {
+	for _, roots := range [][]*mp.Int{
+		{mp.NewInt(-57), mp.NewInt(-58)}, // -57/4, -29/2 in quarters
+		{mp.NewInt(-11), mp.NewInt(-12)}, // -11/4, -3 in quarters
+	} {
+		p := poly.FromInt64s(1)
+		for _, r := range roots {
+			p = p.Mul(poly.New(new(mp.Int).Neg(r), mp.NewInt(4)))
+		}
+		got, err := FindRoots(p, 1, noCtx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sturm.FindRoots(p, 1, noCtx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || !got[0].Equal(want[0]) || !got[1].Equal(want[1]) {
+			t.Errorf("roots %v/4 at µ = 1: vca %v, sturm %v", roots, got, want)
+		}
+	}
+}
+
 func TestFindRootsMixedComplex(t *testing.T) {
 	// (x²+1)(x-3)(x+5): the isolator must find only the real roots.
 	p := poly.FromInt64s(1, 0, 1).Mul(poly.FromRoots(mp.NewInt(3), mp.NewInt(-5)))
