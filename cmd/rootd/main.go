@@ -9,19 +9,26 @@
 // hub. SIGINT/SIGTERM drain gracefully: in-flight solves finish under
 // -drain-timeout, then the process exits.
 //
-// Every solve is traced (bounded span capture) and tail-sampled: the
-// trace is retained in /debug/traces when the solve errored, exceeded
-// its budget, ran slower than the rolling -tail-quantile, parallelized
+// Every solve is traced (bounded span capture): the trace is the one
+// record of which worker ran which task. Each trace is summarized once,
+// after the solve, into rootd_parallel_efficiency,
+// rootd_serial_fraction and rootd_phase_seconds, and tail-sampled: it
+// is retained in /debug/traces when the solve errored, exceeded its
+// budget, ran slower than the rolling -tail-quantile, parallelized
 // below -tail-min-efficiency, or carried an X-Debug-Trace header.
 // Retained traces download as Chrome trace-event JSON from
-// /debug/traces/<seq>. Per-tenant usage (bit ops, solve seconds, cache
-// hits, rejections, retained traces) accumulates in /debug/tenants and
-// the rootd_tenant_* metric families.
+// /debug/traces/<seq>. The flight recorder at /debug/flight keeps each
+// solve's lifecycle: start, request ID, phase spans, budget trip and
+// finish. Per-tenant usage (bit ops, solve seconds, cache hits,
+// rejections, retained traces) accumulates in /debug/tenants and the
+// rootd_tenant_* metric families; the per-tenant latency histograms
+// are labelled with the same ledger rows.
 //
 // Every request carries an end-to-end ID: the client's X-Request-Id
 // header (or a generated one), echoed in the response header and body
 // and stamped on every observability sink the solve touches — the
-// structured solve log, flight-recorder events, latency-histogram
+// structured solve log (whose finish record carries a failed solve's
+// error), the flight recorder's request_id event, latency-histogram
 // exemplars on /metrics, the /debug/requests inspector, and trace
 // spans. One ID recovers a request from any of them.
 //

@@ -43,9 +43,6 @@ type Options struct {
 	// SequentialPrecompute forces the remainder-sequence stage to run
 	// sequentially even when Workers > 1 — the paper's run-time option.
 	SequentialPrecompute bool
-	// Grain batches coefficient tasks in the remainder stage; ≤ 0 means
-	// one coefficient per task.
-	Grain int
 	// Profile selects the big-integer arithmetic algorithms for this run:
 	// mp.Schoolbook (the zero value) is the paper's quadratic cost model,
 	// mp.Fast enables the subquadratic kernels. The profile is carried on
@@ -81,9 +78,11 @@ type Options struct {
 	// computed tree (tests and debugging).
 	CheckTree bool
 	// Telemetry, if non-nil, receives the run's lifecycle: a structured
-	// start/finish log record, phase and scheduler-task records in the
-	// flight recorder, and — at Finish — the run's outcome, wall time,
-	// and arithmetic metrics folded into the hub's registry. Unlike
+	// start/finish log record (a failed run's with its error), the
+	// start, request binding, phase spans, budget trip and finish in
+	// the flight recorder, and — at Finish — the run's outcome, wall
+	// time, scheduler stats and arithmetic metrics folded into the
+	// hub's registry. Task timelines are the Tracer's alone. Unlike
 	// Tracer it is designed to stay attached in production: its memory
 	// is bounded and a nil hub adds no allocations. When set and
 	// Counters is nil, internal counters are allocated so the registry
@@ -118,9 +117,10 @@ type Options struct {
 	OnPhase func(phase string)
 	// RequestID, if non-empty, names the external request this run
 	// serves (rootd's X-Request-Id). It is stamped on every telemetry
-	// sink the run touches — slog records (task panics included), a
-	// flight-recorder event binding the run number to the ID, and
-	// trace spans — so one ID recovers the run from any of them.
+	// sink the run touches — slog records (including the finish record
+	// that carries a task panic's value), a flight-recorder event
+	// binding the run number to the ID, and trace spans — so one ID
+	// recovers the run from any of them.
 	RequestID string
 }
 
@@ -281,18 +281,11 @@ func solve(in input, opts Options) (*Result, error) {
 	}
 	res, err := solveRun(in, opts, counters, run)
 	if run != nil {
-		// Summarize sorts every lane's intervals; with always-on
-		// serving-path tracing this runs on every solve, so skip the
-		// work entirely when nothing was recorded (e.g. a degree-1
-		// short-circuit or a capped-out tracer).
-		if opts.Tracer != nil && opts.Tracer.SpanCount() > 0 {
-			run.Utilization(opts.Tracer.Summarize())
-		}
 		nroots := 0
 		if err == nil && res != nil {
 			nroots = len(res.Roots)
 		}
-		run.Finish(RunOutcome(err), nroots, counters.BitOps(), counters.Snapshot())
+		run.Finish(RunOutcome(err), err, nroots, counters.BitOps(), counters.Snapshot())
 	}
 	return res, err
 }
@@ -348,20 +341,13 @@ func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry
 		return nil
 	}
 
-	pool := newPool(opts, run)
+	pool := newPool(opts)
 	c.pool = pool
 	if pool != nil {
 		if run != nil {
 			// Registered before the Close defer so it runs after it
 			// (LIFO): the stats snapshot then covers the full drain.
-			defer func() {
-				s := pool.Stats()
-				run.SchedStats(telemetry.SchedStats{
-					Executed:      s.Executed,
-					Panics:        s.Panics,
-					MaxQueueDepth: int64(s.MaxQueueDepth),
-				})
-			}()
+			defer func() { run.SchedStats(pool.Stats()) }()
 		}
 		defer pool.Close()
 		// Forward context cancellation to the pool; the watchdog exits
@@ -527,7 +513,7 @@ func (c *call) pipeline(p *poly.Poly) ([]dyadic.Dyadic, error) {
 	if c.pool != nil {
 		executed = c.pool.Executed()
 	}
-	seqOpts := remseq.Options{Ctx: c.mctx, Grain: opts.Grain, Stop: c.stop}
+	seqOpts := remseq.Options{Ctx: c.mctx, Stop: c.stop}
 	if c.pool != nil && !opts.SequentialPrecompute {
 		seqOpts.Pool = c.pool
 	}
@@ -646,18 +632,16 @@ func solveSequential(seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts 
 
 // newPool builds a call's scheduler pool, or returns nil for a
 // sequential run. Its observers are fixed here, in order: the tracer,
-// the telemetry run, then the fault-injection hook, so a panic the
-// hook injects reaches the other two after they saw the task start.
-func newPool(opts Options, run *telemetry.Run) *sched.Pool {
+// then the fault-injection hook, so a task the hook fails still has a
+// closed span on the tracer. The tracer is the pool's only recorder;
+// the telemetry run sees the pool through its final Stats.
+func newPool(opts Options) *sched.Pool {
 	if opts.SimulateWorkers <= 0 && opts.Workers <= 1 {
 		return nil
 	}
 	var obs []sched.Observer
 	if opts.Tracer != nil {
 		obs = append(obs, opts.Tracer)
-	}
-	if run != nil {
-		obs = append(obs, run)
 	}
 	if opts.TaskHook != nil {
 		obs = append(obs, &taskHook{hook: opts.TaskHook})
@@ -677,13 +661,12 @@ type taskHook struct {
 
 func (h *taskHook) TaskStart(int, string, time.Duration, int) { h.hook(h.seq.Add(1) - 1) }
 func (h *taskHook) TaskDone(int, string)                      {}
-func (h *taskHook) TaskPanic(int, string, any)                {}
 
 // parMulSubmitter adapts the scheduler pool to mp's Parallel hook,
-// tagging panel tasks so they are distinguishable on trace timelines
-// and in the flight recorder. Dropping tasks is safe: a canceled pool
-// drains its queue without executing, and the multiplication's claim
-// loop completes on the calling worker regardless.
+// tagging panel tasks so they are distinguishable on trace timelines.
+// Dropping tasks is safe: a canceled pool drains its queue without
+// executing, and the multiplication's claim loop completes on the
+// calling worker regardless.
 type parMulSubmitter struct{ pool *sched.Pool }
 
 func (s parMulSubmitter) Submit(task func()) { s.pool.SubmitTagged("parmul", task) }

@@ -564,7 +564,7 @@ func TestFindRootsOfMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tel := telemetry.New(telemetry.Config{FlightCapacity: 8192})
+		tel := telemetry.New(telemetry.Config{})
 		tr := trace.New()
 		var mu sync.Mutex
 		var phases []string

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,11 +38,15 @@ func TestRunOutcome(t *testing.T) {
 	}
 }
 
+// TestTelemetryEndToEnd: on a 2-worker solve the tracer is the
+// scheduler's only recorder. Every task the pool ran is a span on the
+// tracer, and the flight recorder holds the run's lifecycle alone:
+// start, the request binding, one span per phase, and finish.
 func TestTelemetryEndToEnd(t *testing.T) {
-	tel := telemetry.New(telemetry.Config{FlightCapacity: 8192})
+	tel := telemetry.New(telemetry.Config{})
 	tr := trace.New()
 	p := poly.FromRoots(mp.NewInt(1), mp.NewInt(-2), mp.NewInt(5), mp.NewInt(-7))
-	res, err := FindRoots(p, Options{Mu: 8, Workers: 2, Telemetry: tel, Tracer: tr})
+	res, err := FindRoots(p, Options{Mu: 8, Workers: 2, Telemetry: tel, Tracer: tr, RequestID: "e2e-1"})
 	if err != nil {
 		t.Fatalf("FindRoots: %v", err)
 	}
@@ -51,34 +58,78 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if tot.Solves[telemetry.OutcomeOK] != 1 {
 		t.Fatalf("registry solves: %+v", tot.Solves)
 	}
-	if tot.Roots != 4 || tot.BitOps <= 0 || tot.SchedTasks <= 0 {
-		t.Fatalf("registry totals: %+v", tot)
+	if tot.Roots != 4 || tot.BitOps <= 0 || tot.SchedTasks <= 0 || tot.SchedTasks != res.Stats.Tasks {
+		t.Fatalf("registry totals: %+v (run executed %d tasks)", tot, res.Stats.Tasks)
+	}
+
+	var taskSpans int64
+	for _, l := range tr.Lanes() {
+		for _, s := range l.Spans() {
+			if l.ID >= 0 && s.Cat == trace.CatTask {
+				taskSpans++
+			}
+		}
+	}
+	if taskSpans != res.Stats.Tasks {
+		t.Errorf("tracer holds %d task spans, want one per executed task (%d)", taskSpans, res.Stats.Tasks)
 	}
 
 	d := tel.Flight().Dump()
 	if err := d.Validate(); err != nil {
 		t.Fatalf("flight dump: %v", err)
 	}
-	spans := map[string]int{}
-	events := map[string]int{}
+	var got []string
 	for _, r := range d.Records {
-		switch r.Kind {
-		case telemetry.KindBegin:
-			spans[r.Name]++
-		case telemetry.KindEvent:
-			events[r.Name]++
+		if r.Lane != telemetry.ControlLane {
+			t.Errorf("worker-lane record in the flight recorder: %+v", r)
+		}
+		got = append(got, r.Kind.String()+" "+r.Name)
+	}
+	want := []string{
+		"event start", "event request_id:e2e-1",
+		"begin remainder", "end remainder",
+		"begin solve", "end solve",
+		"event finish",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flight records %q, want %q", got, want)
+	}
+}
+
+// TestTelemetryTaskPanicFinishRecord: with no task observer on the
+// hub, a task panic's value reaches the log through the run's finish
+// record, at ERROR and under the request's ID.
+func TestTelemetryTaskPanicFinishRecord(t *testing.T) {
+	var buf bytes.Buffer
+	tel := telemetry.New(telemetry.Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
+	p := poly.FromRoots(mp.NewInt(1), mp.NewInt(-2), mp.NewInt(5), mp.NewInt(-7))
+	_, err := FindRoots(p, Options{Mu: 8, Workers: 2, Telemetry: tel, RequestID: "panic-1",
+		TaskHook: func(seq int64) {
+			if seq == 3 {
+				panic("injected fault 3")
+			}
+		}})
+	var pe *sched.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a task panic", err)
+	}
+	var fin map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad log line %q: %v", line, err)
+		}
+		if rec["msg"] == "solve finish" {
+			fin = rec
 		}
 	}
-	for _, phase := range []string{"remainder", "solve"} {
-		if spans[phase] != 1 {
-			t.Errorf("phase span %q recorded %d times, want 1", phase, spans[phase])
-		}
+	if fin == nil {
+		t.Fatalf("no solve finish record in\n%s", buf.String())
 	}
-	if events["start"] != 1 || events["finish"] != 1 {
-		t.Errorf("lifecycle events: %v", events)
-	}
-	if tot.SchedTasks > 0 && len(spans) <= 2 {
-		t.Errorf("no task spans reached the flight recorder: %v", spans)
+	msg, _ := fin["error"].(string)
+	if fin["level"] != "ERROR" || fin["outcome"] != "panic" || fin["requestId"] != "panic-1" ||
+		!strings.Contains(msg, "injected fault 3") {
+		t.Errorf("solve finish record %v, want ERROR with the panic value and request ID", fin)
 	}
 }
 
@@ -125,7 +176,7 @@ func TestTelemetrySimulatedRun(t *testing.T) {
 // sequence first stops on the repeated roots and each factor is then
 // solved on its own.
 func TestTelemetryRepeatedRootsOneRun(t *testing.T) {
-	tel := telemetry.New(telemetry.Config{FlightCapacity: 8192})
+	tel := telemetry.New(telemetry.Config{})
 	p := poly.FromRoots(mp.NewInt(1), mp.NewInt(-4), mp.NewInt(-4), mp.NewInt(9), mp.NewInt(9), mp.NewInt(9), mp.NewInt(6))
 	for _, workers := range []int{1, 2} {
 		rm, err := FindRootsWithMultiplicity(p, Options{Mu: 8, Workers: workers, Telemetry: tel})

@@ -7,18 +7,12 @@ import (
 
 	"realroots/internal/core"
 	"realroots/internal/telemetry"
-	"realroots/internal/trace"
 )
 
 // DefaultSoakSolves is the soak workload when neither Config.SoakSolves
 // nor Config.SoakDuration is set — small and fixed so the default run
 // (and its golden output) is deterministic.
 const DefaultSoakSolves = 16
-
-// soakTraceEvery attaches a fresh Tracer to every soakTraceEvery-th
-// solve so the telemetry registry's utilization gauges stay fed during
-// a soak without paying unbounded trace memory on every solve.
-const soakTraceEvery = 5
 
 // Soak is the long-running operational workload behind
 // `rootbench -exp soak`: it cycles through the configured grid cells
@@ -72,11 +66,6 @@ func Soak(w io.Writer, cfg Config) error {
 			opts.SimulateWorkers = c.procs
 		} else {
 			opts.Workers = c.procs
-		}
-		var tr *trace.Tracer
-		if done%soakTraceEvery == 0 {
-			tr = trace.New()
-			opts.Tracer = tr
 		}
 		if _, err := core.FindRoots(p, opts); err != nil {
 			if err := cfg.interrupted(); err != nil {

@@ -70,12 +70,10 @@ type Sequence struct {
 // Options configures Compute.
 type Options struct {
 	// Pool, if non-nil, computes each iteration's coefficients in
-	// parallel (§3.1). Nil runs sequentially — the paper's run-time
-	// option for a sequential precomputation stage.
+	// parallel (§3.1), one task per coefficient. Nil runs sequentially
+	// — the paper's run-time option for a sequential precomputation
+	// stage.
 	Pool *sched.Pool
-	// Grain is the number of coefficient tasks batched per scheduler
-	// task; ≤ 0 means one coefficient per task (finest grain).
-	Grain int
 	// Ctx records the arithmetic in the remainder phase.
 	Ctx metrics.Ctx
 	// Stop, if non-nil, is polled once per sequence iteration; a
@@ -171,7 +169,7 @@ func recur(p *poly.Poly, opts Options) ([][]*mp.Int, []*poly.Poly, int, error) {
 			// On a canceled pool some iterations were drained (and a
 			// straggler may still be writing next); abort without
 			// reading the partial row.
-			if err := opts.Pool.ParallelForTagged("precompute", n-i, opts.Grain, body); err != nil {
+			if err := opts.Pool.ParallelForTagged("precompute", n-i, body); err != nil {
 				return nil, nil, 0, err
 			}
 		} else {

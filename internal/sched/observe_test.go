@@ -117,7 +117,7 @@ func TestTracedGateAndParallelForTags(t *testing.T) {
 	tr := trace.New()
 	p := NewPool(2, tr)
 	g := NewGateTagged(p, 2, "sort", func() {})
-	_ = p.ParallelForTagged("precompute", 8, 4, func(i int) {})
+	_ = p.ParallelForTagged("precompute", 8, func(i int) {})
 	g.Done()
 	g.Done()
 	p.Wait()
@@ -129,8 +129,8 @@ func TestTracedGateAndParallelForTags(t *testing.T) {
 			byTag[s.Name]++
 		}
 	}
-	if byTag["precompute"] != 2 {
-		t.Errorf("precompute spans = %d, want 2 (8 iterations / grain 4)", byTag["precompute"])
+	if byTag["precompute"] != 8 {
+		t.Errorf("precompute spans = %d, want 8 (one per iteration)", byTag["precompute"])
 	}
 	if byTag["sort"] != 1 {
 		t.Errorf("sort spans = %d, want 1", byTag["sort"])
@@ -166,7 +166,7 @@ type recordingObserver struct {
 }
 
 type obsEvent struct {
-	kind   string // "start", "done", "panic"
+	kind   string // "start" or "done"
 	worker int
 	tag    string
 	wait   time.Duration
@@ -187,9 +187,6 @@ func (o *recordingObserver) TaskStart(worker int, tag string, wait time.Duration
 }
 func (o *recordingObserver) TaskDone(worker int, tag string) {
 	o.add(obsEvent{kind: "done", worker: worker, tag: tag})
-}
-func (o *recordingObserver) TaskPanic(worker int, tag string, v any) {
-	o.add(obsEvent{kind: "panic", worker: worker, tag: tag})
 }
 
 func (o *recordingObserver) all() []obsEvent {
@@ -224,8 +221,7 @@ func (c *countingObserver) TaskStart(int, string, time.Duration, int) {
 		panic("injected")
 	}
 }
-func (c *countingObserver) TaskDone(int, string)       {}
-func (c *countingObserver) TaskPanic(int, string, any) {}
+func (c *countingObserver) TaskDone(int, string) {}
 
 func (c *countingObserver) seqs() []int64 {
 	c.mu.Lock()
@@ -234,8 +230,8 @@ func (c *countingObserver) seqs() []int64 {
 }
 
 // TestObserverListOrder pins the order in which a pool calls its
-// observers: starts in list order, dones in reverse, and on a panic
-// every observer's TaskPanic, in list order, before the dones.
+// observers: starts in list order, dones in reverse, and a panicking
+// task the same.
 func TestObserverListOrder(t *testing.T) {
 	var order []string
 	a := &recordingObserver{name: "a", order: &order}
@@ -252,7 +248,7 @@ func TestObserverListOrder(t *testing.T) {
 	order = order[:0]
 	p.SubmitTagged("boom", func() { panic("kaboom") })
 	p.Wait()
-	want = []string{"start:a", "start:b", "start:c", "panic:a", "panic:b", "panic:c", "done:c", "done:b", "done:a"}
+	want = []string{"start:a", "start:b", "start:c", "done:c", "done:b", "done:a"}
 	if !slices.Equal(order, want) {
 		t.Fatalf("panicking task: order %v, want %v", order, want)
 	}
@@ -283,8 +279,8 @@ func TestObserverBalancedStartDone(t *testing.T) {
 }
 
 // TestObserverPanicOrder pins the contract documented on Observer:
-// a panicking task still produces a balanced Start/Done pair, with
-// TaskPanic in between and on the same worker.
+// a panicking task still produces a balanced Start/Done pair on one
+// worker, and its value reaches the pool's Err.
 func TestObserverPanicOrder(t *testing.T) {
 	obs := &recordingObserver{}
 	p := NewPool(1, obs)
@@ -298,42 +294,45 @@ func TestObserverPanicOrder(t *testing.T) {
 		kinds = append(kinds, e.kind)
 		workers = append(workers, e.worker)
 	}
-	want := []string{"start", "panic", "done"}
-	if len(kinds) != 3 || kinds[0] != want[0] || kinds[1] != want[1] || kinds[2] != want[2] {
+	if want := []string{"start", "done"}; !slices.Equal(kinds, want) {
 		t.Fatalf("event order %v, want %v", kinds, want)
 	}
-	if workers[0] != workers[1] || workers[1] != workers[2] {
-		t.Fatalf("panic reported across workers: %v", workers)
+	if workers[0] != workers[1] {
+		t.Fatalf("task spans workers %v", workers)
+	}
+	var pe *PanicError
+	if !errors.As(p.Err(), &pe) || pe.Value != "kaboom" {
+		t.Fatalf("Err = %v, want the task's panic", p.Err())
 	}
 }
 
-// TestObserverParallelForPanic: a ParallelFor body panic is recovered
-// per chunk and reported with worker -1 (the chunk's worker identity is
-// the enclosing task, whose Start/Done still balance).
+// TestObserverParallelForPanic: a ParallelForTagged body panic is
+// recovered inside its task, whose Start/Done still balance, and fails
+// the loop with the panic.
 func TestObserverParallelForPanic(t *testing.T) {
 	obs := &recordingObserver{}
 	p := NewPool(2, obs)
 	defer p.Close()
-	err := p.ParallelForTagged("chunk", 8, 4, func(i int) {
+	err := p.ParallelForTagged("chunk", 8, func(i int) {
 		if i == 5 {
 			panic("body")
 		}
 	})
-	if err == nil {
-		t.Fatal("ParallelForTagged swallowed the panic")
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "body" {
+		t.Fatalf("ParallelForTagged = %v, want the body's panic", err)
 	}
 	// On the cancel path ParallelForTagged returns without waiting for
-	// a straggler chunk; Wait returns once its TaskDone has run.
+	// a straggler iteration; Wait returns once its TaskDone has run.
 	p.Wait()
 	by := obs.byKind()
-	if len(by["panic"]) != 1 {
-		t.Fatalf("panic callbacks = %d, want 1", len(by["panic"]))
-	}
-	if e := by["panic"][0]; e.worker != -1 || e.tag != "chunk" {
-		t.Fatalf("panic event %+v, want worker -1 tag chunk", e)
-	}
 	if len(by["start"]) != len(by["done"]) {
 		t.Fatalf("unbalanced start/done: %d/%d", len(by["start"]), len(by["done"]))
+	}
+	for _, e := range by["done"] {
+		if e.tag != "chunk" || e.worker < 0 || e.worker > 1 {
+			t.Fatalf("done event %+v, want tag chunk on worker 0..1", e)
+		}
 	}
 }
 

@@ -137,8 +137,9 @@ func TestTaskHookSeesEveryTask(t *testing.T) {
 }
 
 // TestTaskHookPanicBecomesPoolError: when the last observer's TaskStart
-// panics, the pool fails with a *PanicError, and every earlier observer
-// sees start → panic → done for that task on one worker.
+// panics, the pool fails with a *PanicError carrying the panic value,
+// and every earlier observer still sees a balanced start and done for
+// each task it saw start.
 func TestTaskHookPanicBecomesPoolError(t *testing.T) {
 	rec := &recordingObserver{}
 	hook := &countingObserver{panicAt: 3}
@@ -149,25 +150,11 @@ func TestTaskHookPanicBecomesPoolError(t *testing.T) {
 	}
 	waitOrFatal(t, p, 5*time.Second)
 	var pe *PanicError
-	if err := p.Err(); !errors.As(err, &pe) {
+	if err := p.Err(); !errors.As(err, &pe) || pe.Value != "injected" {
 		t.Fatalf("Err = %v, want *PanicError from the observer", err)
 	}
 	by := rec.byKind()
-	if len(by["panic"]) != 1 {
-		t.Fatalf("panic callbacks = %d, want 1", len(by["panic"]))
-	}
-	w := by["panic"][0].worker
-	var onWorker []string
-	for _, e := range rec.all() {
-		if e.worker == w {
-			onWorker = append(onWorker, e.kind)
-		}
-	}
-	// The failing task's events are the last three on its worker.
-	if k := len(onWorker); k < 3 || !slices.Equal(onWorker[k-3:], []string{"start", "panic", "done"}) {
-		t.Fatalf("events on worker %d: %v, want ... start panic done", w, onWorker)
-	}
-	if len(by["start"]) != len(by["done"]) {
+	if len(by["start"]) < 4 || len(by["start"]) != len(by["done"]) {
 		t.Fatalf("unbalanced start/done: %d/%d", len(by["start"]), len(by["done"]))
 	}
 }
@@ -178,7 +165,7 @@ func TestParallelForReturnsOnCancel(t *testing.T) {
 	cause := errors.New("abort")
 	start := make(chan struct{})
 	var once atomic.Bool
-	err := p.ParallelForTagged("task", 1000, 1, func(i int) {
+	err := p.ParallelForTagged("task", 1000, func(i int) {
 		if once.CompareAndSwap(false, true) {
 			close(start)
 			p.Cancel(cause)
@@ -194,7 +181,7 @@ func TestParallelForReturnsOnCancel(t *testing.T) {
 func TestParallelForPanicPropagates(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	err := p.ParallelForTagged("task", 100, 3, func(i int) {
+	err := p.ParallelForTagged("task", 100, func(i int) {
 		if i == 41 {
 			panic("iteration failed")
 		}
@@ -210,7 +197,7 @@ func TestParallelForHealthyReturnsNil(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
 	out := make([]int, 500)
-	if err := p.ParallelForTagged("task", len(out), 11, func(i int) { out[i] = i }); err != nil {
+	if err := p.ParallelForTagged("task", len(out), func(i int) { out[i] = i }); err != nil {
 		t.Fatalf("ParallelFor = %v", err)
 	}
 	for i, v := range out {

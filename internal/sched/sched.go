@@ -43,20 +43,20 @@ func (e *PanicError) Error() string {
 }
 
 // An Observer receives the pool's task lifecycle: the tracer's worker
-// timelines, the telemetry flight recorder and fault injection all
-// attach this way (*trace.Tracer and *telemetry.Run satisfy it
-// structurally, so sched imports neither). A pool's observers are
-// fixed when it is built. Calls come from every worker concurrently and
-// sit on the task's critical path, so they must be safe for concurrent
-// use and cheap.
+// timelines and fault injection attach this way (*trace.Tracer
+// satisfies it structurally, so sched does not import trace). A pool's
+// observers are fixed when it is built. Calls come from every worker
+// concurrently and sit on the task's critical path, so they must be
+// safe for concurrent use and cheap.
 //
 // For each executed task the pool calls TaskStart on every observer in
 // list order, inside the task's panic isolation: a panic there fails
 // the pool with a *PanicError exactly as a panic in the task body does.
-// After a recovered panic TaskPanic goes to every observer. TaskDone
-// then goes, in reverse list order, to each observer whose TaskStart
-// returned, so spans opened by earlier observers enclose those of later
-// ones. A task drained after cancellation calls no observer.
+// TaskDone then goes, in reverse list order, to each observer whose
+// TaskStart returned, so spans opened by earlier observers enclose
+// those of later ones. A panic reaches observers only as that balanced
+// TaskDone; its value is the pool's Err. A task drained after
+// cancellation calls no observer.
 type Observer interface {
 	// TaskStart is called on the executing worker before the task
 	// runs. wait is the time from submission to start; depth is the
@@ -65,10 +65,6 @@ type Observer interface {
 	// TaskDone is called on the executing worker after the task
 	// returns or panics.
 	TaskDone(worker int, tag string)
-	// TaskPanic is called when a task panic is recovered. worker is -1
-	// for panics isolated inside ParallelForTagged bodies, whose recovery
-	// happens in the chunk closure rather than the worker loop.
-	TaskPanic(worker int, tag string, v any)
 }
 
 // A Pool is a fixed set of worker goroutines draining a dynamic FIFO
@@ -243,9 +239,6 @@ func (p *Pool) runTask(id int, task queued, depth int) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.panics.Add(1)
-			for _, o := range p.obs {
-				o.TaskPanic(id, task.tag, r)
-			}
 			p.fail(&PanicError{Value: r, Stack: debug.Stack()})
 		}
 		for i := started - 1; i >= 0; i-- {
@@ -310,31 +303,21 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 }
 
-// ParallelForTagged runs f(i) for i in [0, n) on the pool, as tasks
-// tagged tag, and blocks until all iterations finish or the pool is
-// canceled, in which case it returns the pool's error without waiting
-// for the drained iterations (the caller must not read results produced
-// by f after a non-nil return: a straggler iteration may still be
-// running). Iterations are batched into contiguous chunks of the given
-// grain (grain ≤ 0 means one iteration per task — the paper's finest
-// granularity). It must not be called from inside a task.
-func (p *Pool) ParallelForTagged(tag string, n, grain int, f func(i int)) error {
+// ParallelForTagged runs f(i) for i in [0, n) on the pool, one
+// iteration per task (the paper's finest granularity) tagged tag, and
+// blocks until all iterations finish or the pool is canceled, in which
+// case it returns the pool's error without waiting for the drained
+// iterations (the caller must not read results produced by f after a
+// non-nil return: a straggler iteration may still be running). It must
+// not be called from inside a task.
+func (p *Pool) ParallelForTagged(tag string, n int, f func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
-	if grain <= 0 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
 	var remaining atomic.Int64
-	remaining.Store(int64(chunks))
+	remaining.Store(int64(n))
 	done := make(chan struct{})
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
+	for i := 0; i < n; i++ {
 		p.SubmitTagged(tag, func() {
 			// Record a panic before the decrement becomes visible, so a
 			// ParallelForTagged woken by the final decrement always observes
@@ -342,23 +325,18 @@ func (p *Pool) ParallelForTagged(tag string, n, grain int, f func(i int)) error 
 			defer func() {
 				if r := recover(); r != nil {
 					p.panics.Add(1)
-					for _, o := range p.obs {
-						o.TaskPanic(-1, tag, r)
-					}
 					p.fail(&PanicError{Value: r, Stack: debug.Stack()})
 				}
 				if remaining.Add(-1) == 0 {
 					close(done)
 				}
 			}()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
+			f(i)
 		})
 	}
 	select {
 	case <-done:
-		// All chunks ran; the pool may still have failed concurrently
+		// All iterations ran; the pool may still have failed concurrently
 		// (e.g. another phase's task), but this loop's results are
 		// complete. Report the failure anyway: callers must stop.
 		return p.Err()

@@ -95,24 +95,28 @@ func TestParallelFor(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	out := make([]int, 1000)
-	p.ParallelForTagged("task", len(out), 7, func(i int) { out[i] = i * i })
+	p.ParallelForTagged("task", len(out), func(i int) { out[i] = i * i })
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
 	// Zero and negative n are no-ops.
-	p.ParallelForTagged("task", 0, 1, func(int) { t.Error("called") })
-	p.ParallelForTagged("task", -3, 1, func(int) { t.Error("called") })
+	p.ParallelForTagged("task", 0, func(int) { t.Error("called") })
+	p.ParallelForTagged("task", -3, func(int) { t.Error("called") })
 }
 
 func TestParallelForGrainOne(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
 	var n atomic.Int64
-	p.ParallelForTagged("task", 64, 0, func(i int) { n.Add(1) })
+	p.ParallelForTagged("task", 64, func(i int) { n.Add(1) })
 	if n.Load() != 64 {
 		t.Fatalf("ran %d iterations", n.Load())
+	}
+	p.Wait()
+	if got := p.Executed(); got != 64 {
+		t.Fatalf("ran %d tasks, want one per iteration", got)
 	}
 }
 

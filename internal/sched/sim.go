@@ -33,6 +33,10 @@ type simState struct {
 	inTask   bool
 	curStart time.Duration
 	curReal  time.Time
+
+	// now is the clock task durations are measured on: time.Now,
+	// except in tests that drive a clock of their own.
+	now func() time.Time
 }
 
 // NewSimulatedPool returns a pool that executes tasks on one real
@@ -41,7 +45,7 @@ func NewSimulatedPool(virtualWorkers int, obs ...Observer) *Pool {
 	if virtualWorkers < 1 {
 		panic("sched: invalid virtual worker count")
 	}
-	return start(1, &simState{procs: make([]time.Duration, virtualWorkers)}, obs)
+	return start(1, &simState{procs: make([]time.Duration, virtualWorkers), now: time.Now}, obs)
 }
 
 // SimStats returns the simulated makespan and the total measured task
@@ -65,7 +69,7 @@ func (p *Pool) simReadyTime() time.Duration {
 		return 0
 	}
 	if p.sim.inTask {
-		return p.sim.curStart + time.Since(p.sim.curReal)
+		return p.sim.curStart + p.sim.now().Sub(p.sim.curReal)
 	}
 	return p.sim.makespan
 }
@@ -88,7 +92,7 @@ func (p *Pool) simBegin(ready time.Duration) (proc int, start time.Duration) {
 	}
 	s.inTask = true
 	s.curStart = start
-	s.curReal = time.Now()
+	s.curReal = s.now()
 	return proc, start
 }
 
@@ -99,7 +103,7 @@ func (p *Pool) simEnd(proc int, start time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.sim
-	d := time.Since(s.curReal)
+	d := s.now().Sub(s.curReal)
 	end := start + d
 	s.procs[proc] = end
 	if end > s.makespan {

@@ -56,8 +56,9 @@ const (
 	MaxDegree = 256
 	// MaxCoeffDigits bounds each coefficient's decimal length.
 	MaxCoeffDigits = 8192
-	// MaxMatrixDim bounds symmetric-matrix inputs; charpoly
-	// construction is Θ(n⁴), so it is far below MaxDegree.
+	// MaxMatrixDim bounds symmetric-matrix inputs, far below MaxDegree:
+	// the charpoly takes O(n³) word operations per prime, and the
+	// number of primes grows with the entries' width and with n.
 	MaxMatrixDim = 64
 	// MaxPrecision bounds the requested µ.
 	MaxPrecision = 4096

@@ -63,8 +63,7 @@ func postSolveWithID(t *testing.T, url, id, body string) (int, http.Header, []by
 func TestRequestIDPropagation(t *testing.T) {
 	logw := &syncWriter{}
 	hub := telemetry.New(telemetry.Config{
-		Logger:         slog.New(slog.NewJSONHandler(logw, nil)),
-		FlightCapacity: 4096,
+		Logger: slog.New(slog.NewJSONHandler(logw, nil)),
 	})
 	_, hs := newTestServer(t, Config{Telemetry: hub})
 

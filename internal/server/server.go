@@ -172,16 +172,7 @@ type Server struct {
 	serialFrac   telemetry.Float64 // rootd_serial_fraction
 	learnedEff   telemetry.Float64 // EWMA of measured parallel efficiency
 	learnedRatio telemetry.Float64 // EWMA of measured/estimated bit ops
-
-	// tenants caps the tenant label's cardinality (see tenantLabel).
-	tenantMu sync.Mutex
-	tenants  map[string]bool
 }
-
-// maxTenantSeries bounds distinct tenant label values on the per-tenant
-// histograms; tenants beyond the cap share the "other" series so a
-// tenant-name flood cannot grow the exposition without bound.
-const maxTenantSeries = 32
 
 // New creates a Server from cfg.
 func New(cfg Config) *Server {
@@ -190,7 +181,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		queue:   newFairQueue(cfg.MaxConcurrent, cfg.MaxQueue),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now),
-		tenants: map[string]bool{},
 	}
 	// The admission corrections start neutral (×1) and learn from
 	// completed solves; see observeSolve.
@@ -274,22 +264,11 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 	reg.RegisterTenantFamilies(s.cfg.Telemetry.Tenants())
 }
 
-// tenantLabel maps a tenant to its histogram label value, capping the
-// number of distinct values at maxTenantSeries.
+// tenantLabel is a tenant's label value on the per-tenant histograms:
+// the name of its ledger row, so the histogram series and the ledger
+// rows share one cap (telemetry.MaxTenants) and one overflow row.
 func (s *Server) tenantLabel(tenant string) string {
-	if tenant == "" {
-		return "anonymous"
-	}
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if s.tenants[tenant] {
-		return tenant
-	}
-	if len(s.tenants) >= maxTenantSeries {
-		return "other"
-	}
-	s.tenants[tenant] = true
-	return tenant
+	return s.cfg.Telemetry.Tenants().RowName(tenant)
 }
 
 // newRequestID generates a server-side request ID for clients that did

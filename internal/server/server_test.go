@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -399,6 +400,60 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestTenantLabelsMatchLedger: 70 tenants overflow the ledger's cap of
+// telemetry.MaxTenants, and the per-tenant histograms are labelled with
+// the ledger's row names, so /metrics and /debug/tenants name the same
+// tenants and fold the same ones into "other".
+func TestTenantLabelsMatchLedger(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	const tenants = 70
+	for i := 0; i < tenants; i++ {
+		// A distinct polynomial per tenant, so each request leads a solve
+		// and is observed on the queue-wait histogram too.
+		body := fmt.Sprintf(`{"tenant":"t%02d","poly":{"coeffs":["%d","0","1"]},"precision":8}`, i, -(i + 2))
+		status, _, data := postSolve(t, hs.URL, body)
+		decodeOK(t, status, data)
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	var dump telemetry.TenantsDump
+	if err := json.Unmarshal(get("/debug/tenants?format=json"), &dump); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, r := range dump.Tenants {
+		rows = append(rows, r.Tenant)
+	}
+	if len(rows) != telemetry.MaxTenants+1 || !slices.Contains(rows, telemetry.OverflowTenant) {
+		t.Fatalf("ledger rows %v, want %d tenants and %q", rows, telemetry.MaxTenants, telemetry.OverflowTenant)
+	}
+	metrics := string(get("/metrics"))
+	for _, family := range []string{"rootd_request_seconds", "rootd_queue_wait_seconds"} {
+		prefix := family + `_count{tenant="`
+		var labels []string
+		for _, line := range strings.Split(metrics, "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				labels = append(labels, rest[:strings.IndexByte(rest, '"')])
+			}
+		}
+		slices.Sort(labels)
+		if !slices.Equal(labels, rows) {
+			t.Errorf("%s tenant labels %v, want the ledger rows %v", family, labels, rows)
 		}
 	}
 }

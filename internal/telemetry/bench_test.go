@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"realroots/internal/metrics"
-	"realroots/internal/trace"
+	"realroots/internal/sched"
 )
 
 // The disabled-telemetry contract: a nil hub, run, or flight recorder
@@ -21,12 +21,8 @@ func TestDisabledTelemetryZeroAlloc(t *testing.T) {
 		run.PhaseBegin("remainder")
 		run.PhaseEnd("remainder")
 		run.BudgetExhausted(1)
-		run.SchedStats(SchedStats{})
-		run.Utilization(trace.Summary{})
-		run.TaskStart(0, "t", 0, 0)
-		run.TaskDone(0, "t")
-		run.TaskPanic(0, "t", nil)
-		run.Finish(OutcomeOK, 0, 0, rep)
+		run.SchedStats(sched.PoolStats{})
+		run.Finish(OutcomeOK, nil, 0, 0, rep)
 	}); n != 0 {
 		t.Fatalf("disabled telemetry run path allocates %.1f/op", n)
 	}
@@ -51,16 +47,7 @@ func BenchmarkDisabledRunLifecycle(b *testing.B) {
 		run := tel.Start(RunInfo{Kind: "core", Degree: 50, Mu: 32, Workers: 8})
 		run.PhaseBegin("remainder")
 		run.PhaseEnd("remainder")
-		run.Finish(OutcomeOK, 0, 0, rep)
-	}
-}
-
-func BenchmarkDisabledTaskHooks(b *testing.B) {
-	var run *Run
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		run.TaskStart(0, "t", 0, 0)
-		run.TaskDone(0, "t")
+		run.Finish(OutcomeOK, nil, 0, 0, rep)
 	}
 }
 
@@ -79,15 +66,5 @@ func BenchmarkEnabledFlightEvent(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.Event(1, 0, "e", int64(i))
-	}
-}
-
-func BenchmarkEnabledTaskSpan(b *testing.B) {
-	tel := New(Config{})
-	run := tel.Start(RunInfo{Kind: "core", Degree: 50, Mu: 32, Workers: 8})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		run.TaskStart(0, "t", 0, 0)
-		run.TaskDone(0, "t")
 	}
 }

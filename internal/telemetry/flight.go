@@ -62,15 +62,15 @@ type Record struct {
 	Seq uint64 `json:"seq"`
 	// Run is the ID of the solve run the record belongs to.
 	Run uint64 `json:"run"`
-	// Lane is the worker index, or ControlLane for lifecycle/phase
-	// records.
+	// Lane is the record's timeline: ControlLane for the lifecycle and
+	// phase records a solve writes.
 	Lane int `json:"lane"`
 	// Kind is begin/end/event.
 	Kind RecordKind `json:"kind"`
 	// Name is the span or event name (for KindBegin/KindEnd, the span
 	// name that must match between the pair).
 	Name string `json:"name"`
-	// Cat is the span category (trace.CatPhase or trace.CatTask);
+	// Cat is the span category (trace.CatPhase for a solve's phases);
 	// empty for events.
 	Cat string `json:"cat,omitempty"`
 	// AtNs is the record time in nanoseconds since the recorder was

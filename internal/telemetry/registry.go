@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"realroots/internal/metrics"
-	"realroots/internal/trace"
+	"realroots/internal/sched"
 )
 
 // Registry accumulates per-run telemetry into process-lifetime totals
@@ -32,10 +32,7 @@ type Registry struct {
 	roots        int64
 	bitOps       int64
 	agg          metrics.Report
-	sched        SchedStats // counters summed; MaxQueueDepth is the max
-	tracedRuns   int64
-	parallelism  float64
-	serialFrac   float64
+	pool         sched.PoolStats // counters summed; MaxQueueDepth is the max
 }
 
 func newRegistry(f *Flight) *Registry {
@@ -48,7 +45,7 @@ func (g *Registry) runStarted() {
 	g.mu.Unlock()
 }
 
-func (g *Registry) finishRun(o Outcome, elapsed time.Duration, roots int, bitOps int64, rep metrics.Report, s SchedStats, hasSched bool) {
+func (g *Registry) finishRun(o Outcome, elapsed time.Duration, roots int, bitOps int64, rep metrics.Report, s sched.PoolStats) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.runsFinished++
@@ -57,21 +54,9 @@ func (g *Registry) finishRun(o Outcome, elapsed time.Duration, roots int, bitOps
 	g.roots += int64(roots)
 	g.bitOps += bitOps
 	g.agg = g.agg.Add(rep)
-	if hasSched {
-		g.sched.Executed += s.Executed
-		g.sched.Panics += s.Panics
-		if s.MaxQueueDepth > g.sched.MaxQueueDepth {
-			g.sched.MaxQueueDepth = s.MaxQueueDepth
-		}
-	}
-}
-
-func (g *Registry) setUtilization(s trace.Summary) {
-	g.mu.Lock()
-	g.tracedRuns++
-	g.parallelism = s.Parallelism
-	g.serialFrac = s.SerialFraction
-	g.mu.Unlock()
+	g.pool.Executed += s.Executed
+	g.pool.Panics += s.Panics
+	g.pool.MaxQueueDepth = max(g.pool.MaxQueueDepth, s.MaxQueueDepth)
 }
 
 // Totals is a plain snapshot of the registry's headline numbers, for
@@ -96,8 +81,8 @@ func (g *Registry) Totals() Totals {
 		Solves:     make(map[Outcome]int64, len(g.solves)),
 		Roots:      g.roots,
 		BitOps:     g.bitOps,
-		SchedTasks: g.sched.Executed,
-		Panics:     g.sched.Panics,
+		SchedTasks: g.pool.Executed,
+		Panics:     g.pool.Panics,
 	}
 	for o, n := range g.solves {
 		t.Solves[o] = n
@@ -252,18 +237,11 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	}
 
 	e.family("realroots_sched_tasks_total", "Scheduler tasks executed.", "counter")
-	e.sampleInt("realroots_sched_tasks_total", g.sched.Executed)
+	e.sampleInt("realroots_sched_tasks_total", g.pool.Executed)
 	e.family("realroots_sched_panics_total", "Task panics isolated by the scheduler.", "counter")
-	e.sampleInt("realroots_sched_panics_total", g.sched.Panics)
+	e.sampleInt("realroots_sched_panics_total", g.pool.Panics)
 	e.family("realroots_sched_max_queue_depth", "Largest scheduler queue depth observed in any finished run.", "gauge")
-	e.sampleInt("realroots_sched_max_queue_depth", g.sched.MaxQueueDepth)
-
-	e.family("realroots_traced_runs_total", "Runs that published a trace utilization summary.", "counter")
-	e.sampleInt("realroots_traced_runs_total", g.tracedRuns)
-	e.family("realroots_trace_parallelism", "Achieved parallelism (busy/wall) of the most recent traced run.", "gauge")
-	e.sampleFloat("realroots_trace_parallelism", g.parallelism)
-	e.family("realroots_trace_serial_fraction", "Serial fraction (wall time with at most one busy lane) of the most recent traced run.", "gauge")
-	e.sampleFloat("realroots_trace_serial_fraction", g.serialFrac)
+	e.sampleInt("realroots_sched_max_queue_depth", int64(g.pool.MaxQueueDepth))
 
 	e.family("realroots_flight_capacity", "Flight recorder ring capacity in records.", "gauge")
 	e.sampleInt("realroots_flight_capacity", int64(g.flight.Capacity()))

@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"realroots/internal/metrics"
-	"realroots/internal/trace"
+	"realroots/internal/sched"
 )
 
 // sampleReport builds a metrics report with every family populated so
@@ -24,15 +23,14 @@ func sampleReport() metrics.Report {
 
 func populatedRegistry(t *testing.T) *Telemetry {
 	t.Helper()
-	tel := New(Config{FlightCapacity: 128})
+	tel := New(Config{})
 	for i, o := range Outcomes {
 		run := tel.Start(RunInfo{Kind: "core", Degree: 10 + i, Mu: 16, Workers: 2})
-		run.SchedStats(SchedStats{Executed: 7, Panics: 1, MaxQueueDepth: int64(3 + i)})
-		run.Finish(o, i, int64(1000*(i+1)), sampleReport())
+		run.SchedStats(sched.PoolStats{Executed: 7, Panics: 1, MaxQueueDepth: 3 + i})
+		run.Finish(o, nil, i, int64(1000*(i+1)), sampleReport())
 	}
 	run := tel.Start(RunInfo{Kind: "core", Degree: 40, Mu: 32, Workers: 4})
-	run.Utilization(trace.Summary{Wall: time.Second, Busy: 3 * time.Second, Parallelism: 3, SerialFraction: 0.25})
-	run.Finish(OutcomeOK, 4, 500, sampleReport())
+	run.Finish(OutcomeOK, nil, 4, 500, sampleReport())
 	return tel
 }
 
@@ -61,14 +59,16 @@ func TestWritePrometheusValidates(t *testing.T) {
 		"realroots_sched_tasks_total 42",
 		"realroots_sched_panics_total 6",
 		"realroots_sched_max_queue_depth 8",
-		"realroots_traced_runs_total 1",
-		"realroots_trace_parallelism 3",
-		"realroots_trace_serial_fraction 0.25",
-		"realroots_flight_capacity 128",
+		"realroots_flight_capacity 4096",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// Each rootd trace is summarized once, into the rootd_* gauges; the
+	// registry keeps no trace summary of its own.
+	if strings.Contains(out, "realroots_trace") {
+		t.Error("exposition still carries realroots_trace* families")
 	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", out)

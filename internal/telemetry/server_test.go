@@ -10,11 +10,11 @@ import (
 )
 
 func TestServeEndpoints(t *testing.T) {
-	tel := New(Config{FlightCapacity: 128})
+	tel := New(Config{})
 	run := tel.Start(RunInfo{Kind: "core", Degree: 12, Mu: 16, Workers: 2})
 	run.PhaseBegin("remainder")
 	run.PhaseEnd("remainder")
-	run.Finish(OutcomeOK, 3, 777, metrics.Report{})
+	run.Finish(OutcomeOK, nil, 3, 777, metrics.Report{})
 
 	srv, err := tel.Serve("127.0.0.1:0")
 	if err != nil {

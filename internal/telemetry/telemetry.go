@@ -4,22 +4,25 @@
 // run), telemetry is built to stay enabled in a long-running process:
 //
 //   - a structured event log on log/slog with per-solve lifecycle
-//     events (run ID, start/finish, phase transitions, panic isolation,
-//     budget exhaustion, cancellation);
+//     events (run ID, start, budget exhaustion, and a finish record
+//     that carries a failed run's error);
 //   - a metrics Registry accumulating per-run metrics.Counters
-//     snapshots, scheduler statistics, and trace utilization summaries,
-//     rendered in Prometheus text exposition format;
+//     snapshots and scheduler statistics, rendered in Prometheus text
+//     exposition format;
 //   - a Flight recorder: a fixed-size lock-free ring buffer of recent
-//     spans and events that can be dumped on error, SIGQUIT, or request.
+//     solve lifecycles (start, request binding, phase spans, budget
+//     trip, finish) that can be dumped on error, SIGQUIT, or request.
+//     Which worker ran which task is the tracer's record, not the
+//     flight recorder's.
 //
 // Everything is nil-safe in the style of metrics.Counters and
 // trace.Tracer: a nil *Telemetry (and the nil *Run it hands out) makes
 // every call a zero-allocation no-op, so the solver can be plumbed
 // unconditionally and pay nothing when telemetry is disabled.
 //
-// The package depends only on internal/metrics and internal/trace so
-// that sched and core can feed it without an import cycle: sched
-// declares a structural Observer interface that *Run satisfies.
+// The package depends only on internal/metrics, internal/sched (for
+// its PoolStats) and internal/trace, none of which import it, so core
+// feeds it without an import cycle.
 package telemetry
 
 import (
@@ -29,6 +32,7 @@ import (
 	"time"
 
 	"realroots/internal/metrics"
+	"realroots/internal/sched"
 	"realroots/internal/trace"
 )
 
@@ -51,39 +55,24 @@ var Outcomes = []Outcome{
 	OutcomeOK, OutcomeCanceled, OutcomeDeadline, OutcomeBudget, OutcomePanic, OutcomeError,
 }
 
-// SchedStats mirrors sched.PoolStats without importing the scheduler
-// (sched feeds telemetry, so the dependency must point this way).
-type SchedStats struct {
-	Executed      int64
-	Panics        int64
-	MaxQueueDepth int64
-}
-
 // ControlLane is the flight-recorder lane for run-lifecycle and phase
-// records, matching trace.ControlLane; worker lanes are ≥ 0.
+// records, matching trace.ControlLane. A solve writes no other lane.
 const ControlLane = trace.ControlLane
 
-// DefaultFlightCapacity is the flight-recorder ring size used when
-// Config.FlightCapacity is zero.
-const DefaultFlightCapacity = 4096
+// FlightCapacity is the hub's flight-recorder ring size in records.
+const FlightCapacity = 4096
 
 // Config configures a telemetry hub.
 type Config struct {
 	// Logger receives the structured solve log. nil disables logging;
 	// the registry and flight recorder still run.
 	Logger *slog.Logger
-	// FlightCapacity is the flight-recorder ring size in records
-	// (0 = DefaultFlightCapacity).
-	FlightCapacity int
 	// TraceStoreCapacity is the tail-sampled trace ring size
 	// (0 = trace.DefaultStoreCapacity; < 0 disables the store and
 	// sampler — Traces()/TailSampler() return nil).
 	TraceStoreCapacity int
 	// Tail tunes the tail sampler's retention policy.
 	Tail TailConfig
-	// MaxTenants bounds the per-tenant usage ledger
-	// (0 = DefaultMaxTenants).
-	MaxTenants int
 }
 
 // Telemetry is the hub tying the three sinks together. One hub serves
@@ -101,15 +90,11 @@ type Telemetry struct {
 
 // New creates a telemetry hub.
 func New(cfg Config) *Telemetry {
-	capacity := cfg.FlightCapacity
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
 	t := &Telemetry{
 		logger:   cfg.Logger,
-		flight:   NewFlight(capacity),
+		flight:   NewFlight(FlightCapacity),
 		requests: NewRequestTracker(DefaultRequestRingCapacity),
-		tenants:  NewTenantLedger(cfg.MaxTenants),
+		tenants:  NewTenantLedger(MaxTenants),
 	}
 	if cfg.TraceStoreCapacity >= 0 {
 		t.traces = trace.NewStore(cfg.TraceStoreCapacity)
@@ -199,9 +184,6 @@ func (t *Telemetry) Start(info RunInfo) *Run {
 		ID:        t.runSeq.Add(1),
 		tel:       t,
 		kind:      info.Kind,
-		degree:    info.Degree,
-		mu:        info.Mu,
-		workers:   info.Workers,
 		requestID: info.RequestID,
 		start:     time.Now(),
 	}
@@ -229,24 +211,19 @@ func (t *Telemetry) Start(info RunInfo) *Run {
 }
 
 // Run is one solve's handle into the hub. It is created by Start and
-// closed by Finish. Its Task* methods satisfy sched's Observer
-// interface, so a *Run attaches directly to a worker pool.
-// A nil *Run is valid everywhere and records nothing.
+// closed by Finish. A nil *Run is valid everywhere and records nothing.
 type Run struct {
 	// ID is the process-unique run identifier (1-based).
 	ID        uint64
 	tel       *Telemetry
 	kind      string
-	degree    int
-	mu        uint
-	workers   int
 	requestID string
 	start     time.Time
 
-	// sched stats reported before Finish via SchedStats; written by the
-	// run's control goroutine only.
-	sched    SchedStats
-	hasSched bool
+	// pool is the final scheduler snapshot reported via SchedStats
+	// (zero for a run without a pool); written by the run's control
+	// goroutine only.
+	pool sched.PoolStats
 }
 
 // appendRequestID appends the requestId attribute when the run is
@@ -258,17 +235,13 @@ func (r *Run) appendRequestID(attrs []slog.Attr) []slog.Attr {
 	return append(attrs, slog.String("requestId", r.requestID))
 }
 
-// PhaseBegin opens a named pipeline phase (flight-recorder span on the
-// control lane plus a debug-level log event).
+// PhaseBegin opens a named pipeline phase: a flight-recorder span on
+// the control lane.
 func (r *Run) PhaseBegin(name string) {
 	if r == nil {
 		return
 	}
 	r.tel.flight.Begin(r.ID, ControlLane, name, trace.CatPhase)
-	if l := r.tel.logger; l != nil && l.Enabled(context.Background(), slog.LevelDebug) {
-		l.LogAttrs(context.Background(), slog.LevelDebug, "phase begin",
-			r.appendRequestID([]slog.Attr{slog.Uint64("run", r.ID), slog.String("phase", name)})...)
-	}
 }
 
 // PhaseEnd closes the innermost open phase opened with name.
@@ -277,10 +250,6 @@ func (r *Run) PhaseEnd(name string) {
 		return
 	}
 	r.tel.flight.End(r.ID, ControlLane, name)
-	if l := r.tel.logger; l != nil && l.Enabled(context.Background(), slog.LevelDebug) {
-		l.LogAttrs(context.Background(), slog.LevelDebug, "phase end",
-			r.appendRequestID([]slog.Attr{slog.Uint64("run", r.ID), slog.String("phase", name)})...)
-	}
 }
 
 // BudgetExhausted records the bit-operation budget tripping. It may be
@@ -299,33 +268,25 @@ func (r *Run) BudgetExhausted(bitOps int64) {
 
 // SchedStats reports the run's final scheduler statistics; call it
 // before Finish (typically from a defer capturing pool.Stats()).
-func (r *Run) SchedStats(s SchedStats) {
+func (r *Run) SchedStats(s sched.PoolStats) {
 	if r == nil {
 		return
 	}
-	r.sched = s
-	r.hasSched = true
-}
-
-// Utilization publishes a completed run's trace utilization summary to
-// the registry gauges. Call it only after the traced run finished.
-func (r *Run) Utilization(s trace.Summary) {
-	if r == nil {
-		return
-	}
-	r.tel.reg.setUtilization(s)
+	r.pool = s
 }
 
 // Finish closes the run: it emits the finish event and log record and
 // folds the run's totals (outcome, wall time, roots, bit-operation
-// metrics, scheduler stats) into the registry.
-func (r *Run) Finish(o Outcome, roots int, bitOps int64, rep metrics.Report) {
+// metrics, scheduler stats) into the registry. err is the run's error,
+// nil on success; the log record of a failed run carries its text, so
+// a task panic's value reaches the log.
+func (r *Run) Finish(o Outcome, err error, roots int, bitOps int64, rep metrics.Report) {
 	if r == nil {
 		return
 	}
 	elapsed := time.Since(r.start)
 	r.tel.flight.Event(r.ID, ControlLane, "finish", int64(roots))
-	r.tel.reg.finishRun(o, elapsed, roots, bitOps, rep, r.sched, r.hasSched)
+	r.tel.reg.finishRun(o, elapsed, roots, bitOps, rep, r.pool)
 	if l := r.tel.logger; l != nil {
 		level := slog.LevelInfo
 		switch o {
@@ -335,50 +296,17 @@ func (r *Run) Finish(o Outcome, roots int, bitOps int64, rep metrics.Report) {
 		default:
 			level = slog.LevelWarn
 		}
-		l.LogAttrs(context.Background(), level, "solve finish",
-			r.appendRequestID([]slog.Attr{
-				slog.Uint64("run", r.ID),
-				slog.String("kind", r.kind),
-				slog.String("outcome", string(o)),
-				slog.Int("roots", roots),
-				slog.Int64("bitOps", bitOps),
-				slog.Duration("elapsed", elapsed),
-			})...)
-	}
-}
-
-// TaskStart records a scheduler task beginning on a worker lane; the
-// queue wait and depth are the tracer's business, not the flight
-// recorder's. With TaskDone and TaskPanic it satisfies sched's Observer
-// interface.
-func (r *Run) TaskStart(worker int, tag string, _ time.Duration, _ int) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Begin(r.ID, worker, tag, trace.CatTask)
-}
-
-// TaskDone records a scheduler task finishing on a worker lane.
-func (r *Run) TaskDone(worker int, tag string) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.End(r.ID, worker, tag)
-}
-
-// TaskPanic records a task panic isolated by the scheduler.
-func (r *Run) TaskPanic(worker int, tag string, v any) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Event(r.ID, worker, "panic:"+tag, 0)
-	if l := r.tel.logger; l != nil {
-		l.LogAttrs(context.Background(), slog.LevelError, "task panic",
-			r.appendRequestID([]slog.Attr{
-				slog.Uint64("run", r.ID),
-				slog.Int("worker", worker),
-				slog.String("task", tag),
-				slog.Any("value", v),
-			})...)
+		attrs := []slog.Attr{
+			slog.Uint64("run", r.ID),
+			slog.String("kind", r.kind),
+			slog.String("outcome", string(o)),
+			slog.Int("roots", roots),
+			slog.Int64("bitOps", bitOps),
+			slog.Duration("elapsed", elapsed),
+		}
+		if err != nil {
+			attrs = append(attrs, slog.String("error", err.Error()))
+		}
+		l.LogAttrs(context.Background(), level, "solve finish", r.appendRequestID(attrs)...)
 	}
 }

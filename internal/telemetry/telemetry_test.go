@@ -3,11 +3,13 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"strings"
 	"testing"
 
 	"realroots/internal/metrics"
+	"realroots/internal/sched"
 )
 
 // logLines parses a JSON-lines slog buffer.
@@ -48,26 +50,26 @@ func TestRunLifecycleLog(t *testing.T) {
 	run.PhaseBegin("remainder")
 	run.PhaseEnd("remainder")
 	run.BudgetExhausted(12345)
-	run.TaskPanic(3, "chunk", "boom")
-	run.Finish(OutcomeOK, 5, 999, metrics.Report{})
+	run.Finish(OutcomeOK, nil, 5, 999, metrics.Report{})
 
 	lines := logLines(t, &buf)
 	start := findLog(lines, "solve start")
 	if start == nil || start["kind"] != "core" || start["degree"] != float64(20) {
 		t.Fatalf("solve start line: %v", start)
 	}
-	if pb := findLog(lines, "phase begin"); pb == nil || pb["phase"] != "remainder" {
-		t.Fatalf("phase begin line: %v", pb)
-	}
 	if be := findLog(lines, "budget exhausted"); be == nil || be["level"] != "WARN" {
 		t.Fatalf("budget exhausted line: %v", be)
-	}
-	if tp := findLog(lines, "task panic"); tp == nil || tp["level"] != "ERROR" || tp["worker"] != float64(3) {
-		t.Fatalf("task panic line: %v", tp)
 	}
 	fin := findLog(lines, "solve finish")
 	if fin == nil || fin["outcome"] != "ok" || fin["level"] != "INFO" || fin["roots"] != float64(5) {
 		t.Fatalf("solve finish line: %v", fin)
+	}
+	if _, ok := fin["error"]; ok {
+		t.Errorf("successful run logged an error: %v", fin)
+	}
+	// Phases are flight-recorder spans only, even at DEBUG.
+	if len(lines) != 3 {
+		t.Errorf("logged %d records, want start, budget exhausted and finish: %v", len(lines), lines)
 	}
 
 	// The same lifecycle also landed in the flight recorder…
@@ -79,7 +81,7 @@ func TestRunLifecycleLog(t *testing.T) {
 	for _, r := range d.Records {
 		names[r.Name] = true
 	}
-	for _, want := range []string{"start", "remainder", "budget_exhausted", "panic:chunk", "finish"} {
+	for _, want := range []string{"start", "remainder", "budget_exhausted", "finish"} {
 		if !names[want] {
 			t.Errorf("flight recorder missing %q record (have %v)", want, names)
 		}
@@ -105,10 +107,17 @@ func TestFinishLogLevels(t *testing.T) {
 	for _, tc := range cases {
 		var buf bytes.Buffer
 		tel := New(Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
-		tel.Start(RunInfo{Kind: "core", Degree: 4, Mu: 4, Workers: 1}).Finish(tc.o, 0, 0, metrics.Report{})
+		var err error
+		if tc.o != OutcomeOK {
+			err = errors.New("cause of " + string(tc.o))
+		}
+		tel.Start(RunInfo{Kind: "core", Degree: 4, Mu: 4, Workers: 1}).Finish(tc.o, err, 0, 0, metrics.Report{})
 		fin := findLog(logLines(t, &buf), "solve finish")
 		if fin == nil || fin["level"] != tc.want {
 			t.Errorf("outcome %s logged at %v, want %s", tc.o, fin["level"], tc.want)
+		}
+		if err != nil && fin["error"] != err.Error() {
+			t.Errorf("outcome %s logged error %v, want %q", tc.o, fin["error"], err)
 		}
 	}
 }
@@ -118,7 +127,7 @@ func TestNoLoggerStillRecords(t *testing.T) {
 	run := tel.Start(RunInfo{Kind: "sturm", Degree: 8, Mu: 4, Workers: 1})
 	run.PhaseBegin("sturm")
 	run.PhaseEnd("sturm")
-	run.Finish(OutcomeOK, 2, 10, metrics.Report{})
+	run.Finish(OutcomeOK, nil, 2, 10, metrics.Report{})
 	if tel.Flight().Written() == 0 {
 		t.Fatal("flight recorder idle without a logger")
 	}
@@ -140,11 +149,8 @@ func TestNilHubAndRun(t *testing.T) {
 	run.PhaseBegin("a")
 	run.PhaseEnd("a")
 	run.BudgetExhausted(1)
-	run.SchedStats(SchedStats{})
-	run.Finish(OutcomeOK, 0, 0, metrics.Report{})
-	run.TaskStart(0, "t", 0, 0)
-	run.TaskDone(0, "t")
-	run.TaskPanic(0, "t", nil)
+	run.SchedStats(sched.PoolStats{})
+	run.Finish(OutcomeOK, nil, 0, 0, metrics.Report{})
 }
 
 func TestRunIDsAreUnique(t *testing.T) {

@@ -18,10 +18,11 @@ import (
 // TenantsSchema versions the /debug/tenants JSON dump.
 const TenantsSchema = "realroots/tenants/v1"
 
-// DefaultMaxTenants bounds the ledger's row count; tenants beyond the
-// cap are folded into the OverflowTenant row so a tenant-ID cardinality
-// attack cannot grow the ledger (mirroring rootd's label-series cap).
-const DefaultMaxTenants = 64
+// MaxTenants bounds the hub ledger's row count; tenants beyond the cap
+// are folded into the OverflowTenant row so a tenant-ID cardinality
+// attack cannot grow the ledger, or rootd's per-tenant label series,
+// which are named after its rows.
+const MaxTenants = 64
 
 // Ledger row names for the two synthetic tenants.
 const (
@@ -95,11 +96,11 @@ type TenantLedger struct {
 }
 
 // NewTenantLedger creates a ledger holding at most maxTenants rows
-// (<= 0 selects DefaultMaxTenants). The synthetic anonymous/overflow
-// rows do not count against the cap.
+// (<= 0 selects MaxTenants). The synthetic anonymous/overflow rows do
+// not count against the cap.
 func NewTenantLedger(maxTenants int) *TenantLedger {
 	if maxTenants <= 0 {
-		maxTenants = DefaultMaxTenants
+		maxTenants = MaxTenants
 	}
 	l := &TenantLedger{maxTenants: maxTenants}
 	empty := map[string]*TenantUsage{}
@@ -146,6 +147,20 @@ func (l *TenantLedger) usage(tenant string) *TenantUsage {
 	next[tenant] = u
 	l.rows.Store(&next)
 	return u
+}
+
+// RowName returns the name of the row that accounts tenant, without
+// adding one: AnonymousTenant for "", the tenant itself once it has a
+// row, and OverflowTenant otherwise (the cap folded it, or it has not
+// been accounted yet).
+func (l *TenantLedger) RowName(tenant string) string {
+	if tenant == "" {
+		return AnonymousTenant
+	}
+	if l != nil && (*l.rows.Load())[tenant] != nil {
+		return tenant
+	}
+	return OverflowTenant
 }
 
 // AddRequest accounts one incoming request.

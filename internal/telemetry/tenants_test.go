@@ -76,6 +76,31 @@ func TestTenantLedgerOverflow(t *testing.T) {
 	}
 }
 
+// TestTenantLedgerRowName: the lookup names the row a tenant is
+// accounted in and never adds one.
+func TestTenantLedgerRowName(t *testing.T) {
+	l := NewTenantLedger(1)
+	if got := l.RowName("a"); got != OverflowTenant {
+		t.Errorf("RowName before any accounting = %q, want %q", got, OverflowTenant)
+	}
+	if n := len(l.Dump().Tenants); n != 0 {
+		t.Fatalf("RowName added %d rows", n)
+	}
+	l.AddRequest("a")
+	l.AddRequest("b") // over the cap
+	for tenant, want := range map[string]string{"a": "a", "b": OverflowTenant, "": AnonymousTenant} {
+		if got := l.RowName(tenant); got != want {
+			t.Errorf("RowName(%q) = %q, want %q", tenant, got, want)
+		}
+	}
+	if n := len(l.Dump().Tenants); n != 2 {
+		t.Errorf("ledger has %d rows, want a and other", n)
+	}
+	if got := (*TenantLedger)(nil).RowName("a"); got != OverflowTenant {
+		t.Errorf("nil ledger RowName = %q", got)
+	}
+}
+
 func TestTenantLedgerNilSafe(t *testing.T) {
 	var l *TenantLedger
 	l.AddRequest("a")

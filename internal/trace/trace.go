@@ -195,9 +195,8 @@ func (t *Tracer) CounterSample(name string, v int64) {
 
 // TaskStart opens a task span named tag, carrying the task's queue
 // wait, on the lane of scheduler worker `worker`, and samples the
-// queue depth. With TaskDone and TaskPanic it satisfies sched's
-// Observer interface, so a tracer attaches to a pool like any other
-// observer.
+// queue depth. With TaskDone it satisfies sched's Observer interface,
+// so a tracer attaches to a pool like any other observer.
 func (t *Tracer) TaskStart(worker int, tag string, wait time.Duration, depth int) {
 	if t == nil {
 		return
@@ -213,11 +212,6 @@ func (t *Tracer) TaskDone(worker int, tag string) {
 	}
 	t.workerLane(worker).End()
 }
-
-// TaskPanic records nothing: the panicking task's span still closes in
-// TaskDone, and a ParallelFor chunk panic reports worker -1, the
-// control lane, which another goroutine owns.
-func (t *Tracer) TaskPanic(int, string, any) {}
 
 // workerLane returns scheduler worker id's lane, creating it as
 // "worker-<id>" on first use (the name is built only then).

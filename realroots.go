@@ -184,7 +184,7 @@ type Options struct {
 	// Telemetry, if non-nil, attaches the run to an always-on telemetry
 	// hub: a structured slog record per solve lifecycle event, the
 	// run's metrics folded into a Prometheus-scrapable registry, and
-	// recent spans kept in a bounded flight recorder. Create one hub
+	// its lifecycle and phase spans kept in a bounded flight recorder. Create one hub
 	// per process with NewTelemetry and share it across runs; serve its
 	// endpoints with Telemetry.Serve. Unlike Tracer, a hub is designed
 	// to stay attached in production: its memory is bounded and nil
@@ -193,9 +193,9 @@ type Options struct {
 	// RequestID, if non-empty, names the external request this solve
 	// serves (rootd forwards the client's X-Request-Id here). The ID is
 	// stamped on every observability sink the run touches — structured
-	// logs (task panics included), the flight recorder's request_id
-	// event, and trace spans — so one ID recovers the run from any of
-	// them.
+	// logs (including the finish record that carries a task panic's
+	// value), the flight recorder's request_id event, and trace spans —
+	// so one ID recovers the run from any of them.
 	RequestID string
 }
 
@@ -525,7 +525,7 @@ func FindRealRootsContext(ctx context.Context, coeffs []*big.Int, opts *Options)
 		if err == nil {
 			nroots = len(ds)
 		}
-		run.Finish(core.RunOutcome(err), nroots, counters.BitOps(), counters.Snapshot())
+		run.Finish(core.RunOutcome(err), err, nroots, counters.BitOps(), counters.Snapshot())
 	}
 	if err != nil {
 		if core.IsResilience(err) {
