@@ -77,9 +77,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile (go tool pprof) to this file on exit")
 
-		telemetryAddr = fs.String("telemetry", "", "serve /metrics, /debug/flight, and /debug/pprof on this address (e.g. :9090) for the duration of the run")
+		telemetryAddr = fs.String("telemetry", "", "serve /metrics, the /debug inspectors and /debug/pprof on this address (e.g. :9090) for the duration of the run")
 		slogOut       = fs.String("slog", "", "write the structured solve log (JSON lines) to this file ('-' for stderr)")
-		flightOut     = fs.String("flight-out", "", "write the flight-recorder dump (JSON, schema "+telemetry.FlightSchema+") to this file on exit")
 		metricsOut    = fs.String("metrics-out", "", "write the final Prometheus text exposition to this file on exit")
 		soakSolves    = fs.Int("soak-solves", 0, "soak experiment: stop after this many solves (default "+strconv.Itoa(harness.DefaultSoakSolves)+" when no -soak-seconds)")
 		soakSeconds   = fs.Float64("soak-seconds", 0, "soak experiment: stop after this much wall time")
@@ -195,7 +194,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 	// operational output goes to stderr so -json '-' stdout stays pure.
 	// (The soak experiment creates its own private hub when none is
 	// configured, so it works without these flags too.)
-	if *telemetryAddr != "" || *slogOut != "" || *flightOut != "" || *metricsOut != "" {
+	if *telemetryAddr != "" || *slogOut != "" || *metricsOut != "" {
 		tcfg := telemetry.Config{}
 		if *slogOut != "" {
 			lw := io.Writer(stderr)
@@ -219,49 +218,20 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 				fmt.Fprintf(stderr, "rootbench: %v\n", err)
 				return 2
 			}
-			fmt.Fprintf(stderr, "rootbench: telemetry on http://%s (/metrics, /debug/flight, /debug/pprof/)\n", srv.Addr())
+			fmt.Fprintf(stderr, "rootbench: telemetry on http://%s (/metrics, /debug/pprof/)\n", srv.Addr())
 			defer srv.Close()
 		}
 
-		// SIGQUIT dumps the flight recorder to stderr without stopping
-		// the run.
-		quit := make(chan os.Signal, 1)
-		signal.Notify(quit, syscall.SIGQUIT)
-		defer signal.Stop(quit)
-		go func() {
-			for range quit {
-				fmt.Fprintln(stderr, "rootbench: SIGQUIT flight dump:")
-				if err := tel.Flight().Dump().WriteJSON(stderr); err != nil {
-					fmt.Fprintf(stderr, "rootbench: flight dump: %v\n", err)
-				}
-			}
-		}()
-
-		defer func() {
-			if *metricsOut != "" {
+		if *metricsOut != "" {
+			defer func() {
 				if err := writeFileWith(*metricsOut, tel.Registry().WritePrometheus); err != nil {
 					fmt.Fprintf(stderr, "rootbench: %v\n", err)
 					if code == 0 {
 						code = 1
 					}
 				}
-			}
-			if *flightOut != "" {
-				if err := writeFileWith(*flightOut, tel.Flight().Dump().WriteJSON); err != nil {
-					fmt.Fprintf(stderr, "rootbench: %v\n", err)
-					if code == 0 {
-						code = 1
-					}
-				}
-			} else if code == 1 {
-				// A failed run with no dump destination still leaves its
-				// last moments on stderr for postmortem.
-				fmt.Fprintln(stderr, "rootbench: flight dump (run failed):")
-				if err := tel.Flight().Dump().WriteJSON(stderr); err != nil {
-					fmt.Fprintf(stderr, "rootbench: flight dump: %v\n", err)
-				}
-			}
-		}()
+			}()
+		}
 	}
 
 	if *cpuprofile != "" {

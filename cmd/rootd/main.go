@@ -4,22 +4,22 @@
 // exact rationals plus decimal renderings. Solves run on a shared pool
 // with bounded per-solve parallelism behind cost-model admission
 // control, per-tenant rate limits, fair queuing, and a deduplicating
-// LRU result cache; /metrics, /debug/flight, /debug/requests,
-// /debug/traces, /debug/tenants, and /debug/pprof expose the telemetry
-// hub. SIGINT/SIGTERM drain gracefully: in-flight solves finish under
+// LRU result cache; /metrics, /debug/requests, /debug/traces,
+// /debug/tenants, and /debug/pprof expose the telemetry hub.
+// SIGINT/SIGTERM drain gracefully: in-flight solves finish under
 // -drain-timeout, then the process exits.
 //
-// Every solve is traced (bounded span capture): the trace is the one
-// record of which worker ran which task. Each trace is summarized once,
-// after the solve, into rootd_parallel_efficiency,
-// rootd_serial_fraction and rootd_phase_seconds, and tail-sampled: it
-// is retained in /debug/traces when the solve errored, exceeded its
-// budget, ran slower than the rolling -tail-quantile, parallelized
-// below -tail-min-efficiency, or carried an X-Debug-Trace header.
-// Retained traces download as Chrome trace-event JSON from
-// /debug/traces/<seq>. The flight recorder at /debug/flight keeps each
-// solve's lifecycle: start, request ID, phase spans, budget trip and
-// finish. Per-tenant usage (bit ops, solve seconds, cache hits,
+// Every solve is traced (at most 4096 spans per lane): the trace is
+// the one record of the solve's phases and of which worker ran which
+// task. Each trace is summarized once, after the solve, into
+// rootd_parallel_efficiency, rootd_serial_fraction, rootd_phase_seconds
+// and the phaseSeconds of the leading request's /debug/requests row,
+// and tail-sampled: it is retained in /debug/traces (the 64 most
+// recent) when the solve errored, exceeded its budget, ran slower than
+// the rolling p95, parallelized below an efficiency of 0.25, or
+// carried an X-Debug-Trace header. Retained traces download as Chrome
+// trace-event JSON from /debug/traces/<seq>; -no-trace turns tracing
+// off. Per-tenant usage (bit ops, solve seconds, cache hits,
 // rejections, retained traces) accumulates in /debug/tenants and the
 // rootd_tenant_* metric families; the per-tenant latency histograms
 // are labelled with the same ledger rows.
@@ -27,10 +27,11 @@
 // Every request carries an end-to-end ID: the client's X-Request-Id
 // header (or a generated one), echoed in the response header and body
 // and stamped on every observability sink the solve touches — the
-// structured solve log (whose finish record carries a failed solve's
-// error), the flight recorder's request_id event, latency-histogram
-// exemplars on /metrics, the /debug/requests inspector, and trace
-// spans. One ID recovers a request from any of them.
+// structured solve log (whose start, budget-trip and finish records
+// carry it, the finish record with a failed solve's error),
+// latency-histogram exemplars on /metrics, the /debug/requests
+// inspector, and trace spans. One ID recovers a request from any of
+// them.
 //
 // Example:
 //
@@ -89,10 +90,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		cacheSize    = fs.Int("cache", 256, "LRU result-cache entries (-1 disables)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "in-flight deadline on shutdown")
 		quiet        = fs.Bool("quiet", false, "suppress the structured solve log")
-		traceStore   = fs.Int("trace-store", 0, "retained-trace ring capacity (0 = 64; -1 disables the store)")
-		traceSpans   = fs.Int("trace-max-spans", 0, "per-lane span cap for always-on solve tracing (0 = 4096)")
-		tailQuantile = fs.Float64("tail-quantile", 0, "rolling latency quantile above which traces are retained (0 = 0.95; >=1 disables slow retention)")
-		tailMinEff   = fs.Float64("tail-min-efficiency", 0, "parallel-efficiency floor below which traces are retained (0 = 0.25; negative disables)")
 		noTrace      = fs.Bool("no-trace", false, "disable always-on solve tracing (tail sampling and efficiency gauges stop)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -119,17 +116,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		RatePerSec:        *rate,
 		Burst:             *burst,
 		CacheEntries:      *cacheSize,
-		TraceMaxSpans:     *traceSpans,
 		DisableTracing:    *noTrace,
-		Telemetry: telemetry.New(telemetry.Config{
-			Logger:             logger,
-			TraceStoreCapacity: *traceStore,
-			Tail: telemetry.TailConfig{
-				Quantile:      *tailQuantile,
-				MinEfficiency: *tailMinEff,
-			},
-		}),
-		Logger: logger,
+		Telemetry:         telemetry.New(telemetry.Config{Logger: logger}),
+		Logger:            logger,
 	})
 	running, err := srv.ListenAndServe(*addr)
 	if err != nil {

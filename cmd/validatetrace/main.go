@@ -1,23 +1,26 @@
 // Command validatetrace checks that observability output files emitted
-// by rootbench parse against their schemas: Chrome trace-event JSON
-// (rootbench -trace), flight-recorder dumps (rootbench -flight-out or
-// GET /debug/flight), Prometheus text expositions (rootbench
-// -metrics-out or GET /metrics), request-inspector dumps (GET
-// /debug/requests?format=json), tail-sampled trace stores (GET
-// /debug/traces?format=json), per-tenant usage ledgers (GET
-// /debug/tenants?format=json), and bench-grid JSON (rootbench -json).
-// The file kind is sniffed from the content, so CI can pass all of them
-// in one call.
+// by rootbench and rootd parse against their schemas: Chrome
+// trace-event JSON (rootbench -trace, GET /debug/traces/<seq>),
+// Prometheus text expositions (rootbench -metrics-out or GET
+// /metrics), request-inspector dumps (GET /debug/requests?format=json),
+// tail-sampled trace stores (GET /debug/traces?format=json), per-tenant
+// usage ledgers (GET /debug/tenants?format=json), and bench-grid JSON
+// (rootbench -json). The file kind is read from the content, so CI can
+// pass all of them in one call: an exposition starts with "# HELP";
+// any other file is JSON whose top-level "schema" names its kind, and
+// a JSON document with no schema and a "traceEvents" array is a Chrome
+// trace.
 //
 // Usage:
 //
-//	validatetrace trace.json flight.json metrics.prom grid.json ...
+//	validatetrace trace.json metrics.prom requests.json grid.json ...
 //
 // Exits 0 when every file validates, 1 otherwise.
 package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 
@@ -49,20 +52,26 @@ func validateFile(path string) (kind string, err error) {
 	if err != nil {
 		return "", err
 	}
+	if bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("# HELP")) {
+		return "prometheus-exposition", telemetry.ValidateExposition(data)
+	}
+	var head struct {
+		Schema      string          `json:"schema"`
+		TraceEvents json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return "", fmt.Errorf("neither a Prometheus exposition nor a JSON object: %w", err)
+	}
 	switch {
-	case bytes.Contains(data, []byte(`"traceEvents"`)):
-		return "chrome-trace", trace.ValidateChrome(data)
-	case bytes.Contains(data, []byte(telemetry.FlightSchema)):
-		return "flight-dump", telemetry.ValidateDumpJSON(data)
-	case bytes.Contains(data, []byte(telemetry.RequestsSchema)):
+	case head.Schema == telemetry.RequestsSchema:
 		_, err := telemetry.ValidateRequestsJSON(data)
 		return "requests-dump", err
-	case bytes.Contains(data, []byte(trace.StoreSchema)):
+	case head.Schema == trace.StoreSchema:
 		return "trace-store", trace.ValidateStoreJSON(data)
-	case bytes.Contains(data, []byte(telemetry.TenantsSchema)):
+	case head.Schema == telemetry.TenantsSchema:
 		return "tenants-dump", telemetry.ValidateTenantsJSON(data)
-	case bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("# HELP")):
-		return "prometheus-exposition", telemetry.ValidateExposition(data)
+	case head.Schema == "" && head.TraceEvents != nil:
+		return "chrome-trace", trace.ValidateChrome(data)
 	default:
 		return "bench-grid", harness.ValidateGridJSON(data)
 	}

@@ -22,12 +22,13 @@ func writeTemp(t *testing.T, name string, data []byte) string {
 }
 
 func TestValidateFileSniffsKinds(t *testing.T) {
-	// Flight dump.
-	f := telemetry.NewFlight(64)
-	f.Begin(1, 0, "task", "task")
-	f.End(1, 0, "task")
-	var flight bytes.Buffer
-	if err := f.Dump().WriteJSON(&flight); err != nil {
+	// Chrome trace.
+	tr := trace.New()
+	l := tr.Lane(trace.ControlLane, "control")
+	l.Begin("solve", trace.CatPhase)
+	l.End()
+	var chrome bytes.Buffer
+	if err := tr.WriteChrome(&chrome); err != nil {
 		t.Fatal(err)
 	}
 
@@ -60,16 +61,33 @@ func TestValidateFileSniffsKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A request ID or a tenant may be any [A-Za-z0-9._-] name, the
+	// Chrome trace's top-level key included: the schema decides.
+	reqs := telemetry.NewRequestTracker(0)
+	reqs.Start(telemetry.RequestInfo{ID: "traceEvents", Tenant: "traceEvents"}).Finish("ok")
+	var requestsDump bytes.Buffer
+	if err := json.NewEncoder(&requestsDump).Encode(reqs.Dump()); err != nil {
+		t.Fatal(err)
+	}
+	led = telemetry.NewTenantLedger(0)
+	led.AddRequest("traceEvents")
+	var trickyTenants bytes.Buffer
+	if err := json.NewEncoder(&trickyTenants).Encode(led.Dump()); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"flight.json", flight.Bytes(), "flight-dump"},
+		{"trace.json", chrome.Bytes(), "chrome-trace"},
 		{"metrics.prom", expo.Bytes(), "prometheus-exposition"},
 		{"grid.json", grid.Bytes(), "bench-grid"},
 		{"traces.json", storeDump.Bytes(), "trace-store"},
 		{"tenants.json", tenantsDump.Bytes(), "tenants-dump"},
+		{"requests-traceEvents.json", requestsDump.Bytes(), "requests-dump"},
+		{"tenants-traceEvents.json", trickyTenants.Bytes(), "tenants-dump"},
 	}
 	for _, tc := range cases {
 		kind, err := validateFile(writeTemp(t, tc.name, tc.data))
@@ -83,9 +101,8 @@ func TestValidateFileSniffsKinds(t *testing.T) {
 }
 
 func TestValidateFileRejectsCorrupt(t *testing.T) {
-	corruptFlight := []byte(`{"schema":"realroots/flight/v1","capacity":0,"written":0,"dropped":0,"records":[]}`)
-	if _, err := validateFile(writeTemp(t, "bad-flight.json", corruptFlight)); err == nil {
-		t.Error("corrupt flight dump validated")
+	if _, err := validateFile(writeTemp(t, "bad-trace.json", []byte(`{"traceEvents":[]}`))); err == nil {
+		t.Error("Chrome trace without events validated")
 	}
 	corruptExpo := []byte("# HELP a b\na 1\n") // sample without TYPE
 	if _, err := validateFile(writeTemp(t, "bad.prom", corruptExpo)); err == nil {

@@ -123,7 +123,7 @@ func CharPolyStop(a *Matrix, stop func() error) (*poly.Poly, error) {
 	// Every coefficient is at most 2^b in magnitude. A product of odd
 	// primes with b+2 bits exceeds 2^(b+1), twice that, so the residue
 	// of least magnitude is the coefficient itself.
-	ps := primesFor(coeffBits(a) + 2)
+	ps := primesFor(CoeffBits(a) + 2)
 	t := len(ps)
 	h := make([]uint64, n*n)
 	cp := make([]uint64, (n+1)*(n+2)/2)
@@ -332,8 +332,9 @@ func isPrime(n uint64) bool {
 	return true
 }
 
-// coeffBits returns b such that every coefficient of det(λI − A) other
-// than the leading 1 is at most 2^b in magnitude. The coefficient of
+// CoeffBits returns b such that every coefficient of det(λI − A) other
+// than the leading 1 is at most 2^b in magnitude; b is 0 for the zero
+// matrix. The coefficient of
 // λ^(n−k) is, up to sign, the sum of the k×k principal minors; by
 // Hadamard's inequality each is at most the product of its rows'
 // Euclidean norms, so the coefficient is at most e_k(r_1, …, r_n), the
@@ -342,7 +343,7 @@ func isPrime(n uint64) bool {
 // up by one ulp, so rounding can only raise them, and the norms are
 // scaled by 2^−E, 2^E above the largest, so that e_k stays below
 // C(n, k) instead of overflowing.
-func coeffBits(a *Matrix) int {
+func CoeffBits(a *Matrix) int {
 	n := a.n
 	var norms []float64
 	top := 0.0

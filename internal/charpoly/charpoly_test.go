@@ -298,7 +298,7 @@ func TestCharPolyMatchesFaddeevLeVerrier(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("%s: charpoly differs from Faddeev–LeVerrier", c.name)
 		}
-		if b := coeffBits(c.m); got.MaxCoeffBits() > b {
+		if b := CoeffBits(c.m); got.MaxCoeffBits() > b {
 			t.Errorf("%s: a coefficient has %d bits, above the bound 2^%d", c.name, got.MaxCoeffBits(), b)
 		}
 	}
@@ -322,8 +322,8 @@ func TestCharPolyClosedFormsAtBound(t *testing.T) {
 	if got, want := CharPoly(diag), poly.FromRoots(roots...); !got.Equal(want) {
 		t.Errorf("charpoly(diag(MinInt64)) differs from (λ + 2^63)^64")
 	}
-	if b := coeffBits(diag); b < 4032 || b > 4034 {
-		t.Errorf("coeffBits(diag(MinInt64)) = %d, want within 2 bits above 4032", b)
+	if b := CoeffBits(diag); b < 4032 || b > 4034 {
+		t.Errorf("CoeffBits(diag(MinInt64)) = %d, want within 2 bits above 4032", b)
 	}
 	// −2^63·J has rank one: λ^63·(λ + 64·2^63).
 	c := make([]*mp.Int, n+1)
@@ -369,7 +369,7 @@ func TestCharPolyConcurrent(t *testing.T) {
 
 func TestCharPolyStop(t *testing.T) {
 	a := randomSymmetricWide(rand.New(rand.NewSource(3)), 12)
-	primes := len(primesFor(coeffBits(a) + 2))
+	primes := len(primesFor(CoeffBits(a) + 2))
 	if primes < 10 {
 		t.Fatalf("%d primes; the test wants a matrix that needs many", primes)
 	}

@@ -77,12 +77,11 @@ type Options struct {
 	// CheckTree enables the Theorem 1 structural self-check on the
 	// computed tree (tests and debugging).
 	CheckTree bool
-	// Telemetry, if non-nil, receives the run's lifecycle: a structured
-	// start/finish log record (a failed run's with its error), the
-	// start, request binding, phase spans, budget trip and finish in
-	// the flight recorder, and — at Finish — the run's outcome, wall
-	// time, scheduler stats and arithmetic metrics folded into the
-	// hub's registry. Task timelines are the Tracer's alone. Unlike
+	// Telemetry, if non-nil, receives the run's lifecycle: structured
+	// start, budget-trip and finish log records (a failed run's finish
+	// with its error), and — at Finish — the run's outcome, wall time,
+	// scheduler stats and arithmetic metrics folded into the hub's
+	// registry. Phase spans and task timelines are the Tracer's. Unlike
 	// Tracer it is designed to stay attached in production: its memory
 	// is bounded and a nil hub adds no allocations. When set and
 	// Counters is nil, internal counters are allocated so the registry
@@ -109,18 +108,20 @@ type Options struct {
 	// isolation: it may sleep, cancel, or panic, and a panic fails the
 	// run with a *sched.PanicError. Parallel and simulated runs only.
 	TaskHook func(seq int64)
-	// OnPhase, if non-nil, is called as each pipeline phase begins
-	// ("precompute", "tree", "interval"): once per phase for a
-	// squarefree input, and again for each Yun factor of an input with
-	// repeated roots — a test hook for exercising cancellation at exact
-	// phase boundaries. A matrix input first reports "charpoly".
+	// OnPhase, if non-nil, is called as each pipeline phase begins,
+	// with the name of the phase's control-lane trace span: "remainder"
+	// and "solve" once each for a squarefree input, and again for each
+	// Yun factor of an input with repeated roots; a matrix input first
+	// reports "charpoly". Within "solve", "interval" is reported when
+	// the first interval problem starts; it has no span of its own.
+	// rootd shows the latest name in /debug/requests, and tests cancel
+	// at exact phase boundaries with it.
 	OnPhase func(phase string)
 	// RequestID, if non-empty, names the external request this run
-	// serves (rootd's X-Request-Id). It is stamped on every telemetry
-	// sink the run touches — slog records (including the finish record
-	// that carries a task panic's value), a flight-recorder event
-	// binding the run number to the ID, and trace spans — so one ID
-	// recovers the run from any of them.
+	// serves (rootd's X-Request-Id). It is stamped on the slog records
+	// the run writes (including the finish record that carries a task
+	// panic's value) and on its trace spans, so one ID recovers the run
+	// from either.
 	RequestID string
 }
 
@@ -297,7 +298,6 @@ type call struct {
 	opts    Options
 	mctx    metrics.Ctx
 	pool    *sched.Pool // nil on sequential runs
-	run     *telemetry.Run
 	ctl     *trace.Lane
 	stop    func() error
 	onPhase func(phase string)
@@ -313,7 +313,7 @@ func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry
 	// One workspace list per solve: every remainder, tree and division
 	// operation draws its buffers from it, and it is dropped with the
 	// call when the solve returns.
-	c := &call{opts: opts, mctx: metrics.Ctx{C: counters, Profile: opts.Profile, Scratch: new(mp.Scratch)}, run: run}
+	c := &call{opts: opts, mctx: metrics.Ctx{C: counters, Profile: opts.Profile, Scratch: new(mp.Scratch)}}
 	n := in.degree()
 
 	ctx := opts.Ctx
@@ -443,13 +443,24 @@ func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry
 // call's stop check once per prime and records no arithmetic in the
 // counters, so the deadline bounds it and MaxBitOps does not.
 func (c *call) charPoly(m *charpoly.Matrix) (*poly.Poly, error) {
-	c.onPhase("charpoly")
-	c.run.PhaseBegin("charpoly")
-	c.ctl.Begin("charpoly", trace.CatPhase)
-	p, err := charpoly.CharPolyStop(m, c.stop)
-	c.ctl.End()
-	c.run.PhaseEnd("charpoly")
+	var p *poly.Poly
+	err := c.phase("charpoly", func() (err error) {
+		p, err = charpoly.CharPolyStop(m, c.stop)
+		return err
+	})
 	return p, err
+}
+
+// phase runs one pipeline phase: it tells OnPhase that the phase has
+// begun and records fn's run as the phase's control-lane span, so the
+// names OnPhase reports and the trace's phase spans are the same. The
+// span is closed when fn returns, failed or not.
+func (c *call) phase(name string, fn func() error) error {
+	c.onPhase(name)
+	c.ctl.Begin(name, trace.CatPhase)
+	err := fn()
+	c.ctl.End()
+	return err
 }
 
 // solveFactors handles an input whose remainder sequence terminated
@@ -505,55 +516,53 @@ func (c *call) pipeline(p *poly.Poly) ([]dyadic.Dyadic, error) {
 	}
 
 	// Stage 1: remainder and quotient sequences.
-	c.onPhase("precompute")
-	c.run.PhaseBegin("remainder")
-	c.ctl.Begin("remainder", trace.CatPhase)
-	t0 := time.Now()
-	var executed int64
-	if c.pool != nil {
-		executed = c.pool.Executed()
-	}
-	seqOpts := remseq.Options{Ctx: c.mctx, Stop: c.stop}
-	if c.pool != nil && !opts.SequentialPrecompute {
-		seqOpts.Pool = c.pool
-	}
-	seq, err := remseq.Compute(p, seqOpts)
-	if err == nil {
-		err = seq.Validate()
-	}
-	c.stats.Precompute += time.Since(t0)
-	if c.pool != nil {
-		c.stats.TaskKinds.Precompute += c.pool.Executed() - executed
-	}
-	c.ctl.End()
-	c.run.PhaseEnd("remainder")
+	var seq *remseq.Sequence
+	err := c.phase("remainder", func() (err error) {
+		t0 := time.Now()
+		var executed int64
+		if c.pool != nil {
+			executed = c.pool.Executed()
+		}
+		seqOpts := remseq.Options{Ctx: c.mctx, Stop: c.stop}
+		if c.pool != nil && !opts.SequentialPrecompute {
+			seqOpts.Pool = c.pool
+		}
+		seq, err = remseq.Compute(p, seqOpts)
+		if err == nil {
+			err = seq.Validate()
+		}
+		c.stats.Precompute += time.Since(t0)
+		if c.pool != nil {
+			c.stats.TaskKinds.Precompute += c.pool.Executed() - executed
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Stage 2: tree polynomials and interval problems.
-	c.onPhase("tree")
-	if err := c.stop(); err != nil {
-		return nil, err
-	}
-	t1 := time.Now()
-	c.run.PhaseBegin("solve")
-	c.ctl.Begin("solve", trace.CatPhase)
-	root := tree.Build(n)
-	bound := p.RootBound()
-	var onInterval sync.Once
-	intervalPhase := func() { onInterval.Do(func() { c.onPhase("interval") }) }
-	if c.pool == nil {
-		err = solveSequential(seq, root, bound, opts, c.mctx, c.ctl, c.stop, intervalPhase)
-	} else {
-		err = solveParallel(c.pool, seq, root, bound, opts, c.mctx, &c.tally, intervalPhase)
-	}
-	c.ctl.End()
-	c.run.PhaseEnd("solve")
-	if err == nil && opts.CheckTree {
-		err = tree.CheckShape(root, n)
-	}
-	c.stats.TreeSolve += time.Since(t1)
+	var root *tree.Node
+	err = c.phase("solve", func() (err error) {
+		if err = c.stop(); err != nil {
+			return err
+		}
+		t1 := time.Now()
+		root = tree.Build(n)
+		bound := p.RootBound()
+		var onInterval sync.Once
+		intervalPhase := func() { onInterval.Do(func() { c.onPhase("interval") }) }
+		if c.pool == nil {
+			err = solveSequential(seq, root, bound, opts, c.mctx, c.ctl, c.stop, intervalPhase)
+		} else {
+			err = solveParallel(c.pool, seq, root, bound, opts, c.mctx, &c.tally, intervalPhase)
+		}
+		if err == nil && opts.CheckTree {
+			err = tree.CheckShape(root, n)
+		}
+		c.stats.TreeSolve += time.Since(t1)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"realroots/internal/metrics"
 	"realroots/internal/poly"
 	"realroots/internal/sched"
+	"realroots/internal/trace"
 )
 
 // testPoly returns a modest all-real-roots polynomial: the product of
@@ -110,12 +111,13 @@ func TestCancelBeforeRun(t *testing.T) {
 
 func TestCancelAtPhaseBoundariesSequential(t *testing.T) {
 	p := testPoly(12)
-	for _, phase := range []string{"precompute", "tree", "interval"} {
+	for _, phase := range []string{"remainder", "solve", "interval"} {
 		t.Run(phase, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var seen []string
-			opts := Options{Mu: 16, Ctx: ctx, OnPhase: func(ph string) {
+			tr := trace.New()
+			opts := Options{Mu: 16, Ctx: ctx, Tracer: tr, OnPhase: func(ph string) {
 				seen = append(seen, ph)
 				if ph == phase {
 					cancel()
@@ -126,25 +128,45 @@ func TestCancelAtPhaseBoundariesSequential(t *testing.T) {
 			if seen[len(seen)-1] != phase {
 				t.Fatalf("phases seen %v, want run to stop at %q", seen, phase)
 			}
+			checkPhaseSpanClosed(t, tr, phase)
 		})
+	}
+}
+
+// checkPhaseSpanClosed checks that a run canceled as phase began left a
+// well-formed trace whose last phase span is phase's own ("solve" for
+// interval, which has none), closed although the phase failed.
+func checkPhaseSpanClosed(t *testing.T, tr *trace.Tracer, phase string) {
+	t.Helper()
+	if err := tr.Validate(); err != nil {
+		t.Errorf("trace after canceling at %q: %v", phase, err)
+	}
+	want := phase
+	if phase == "interval" {
+		want = "solve"
+	}
+	if spans := phaseSpans(tr); len(spans) == 0 || spans[len(spans)-1] != want {
+		t.Errorf("phase spans %v, want the last to be %q", spans, want)
 	}
 }
 
 func TestCancelAtPhaseBoundariesParallel(t *testing.T) {
 	p := testPoly(12)
-	// The precompute and tree boundaries abort deterministically via
+	// The remainder and solve boundaries abort deterministically via
 	// the stop() polls on the submitting goroutine.
-	for _, phase := range []string{"precompute", "tree"} {
+	for _, phase := range []string{"remainder", "solve"} {
 		t.Run(phase, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			opts := Options{Mu: 16, Workers: 4, Ctx: ctx, OnPhase: func(ph string) {
+			tr := trace.New()
+			opts := Options{Mu: 16, Workers: 4, Ctx: ctx, Tracer: tr, OnPhase: func(ph string) {
 				if ph == phase {
 					cancel()
 				}
 			}}
 			res, err := FindRoots(p, opts)
 			checkPartial(t, res, err, ErrCanceled)
+			checkPhaseSpanClosed(t, tr, phase)
 		})
 	}
 	// The interval boundary is signalled from inside a pool task, so
@@ -225,12 +247,12 @@ func TestTaskHookPanicIsIsolated(t *testing.T) {
 }
 
 func TestPartialStatsOnMidRunCancel(t *testing.T) {
-	// Cancel at the tree boundary: the precompute stage completed, so
+	// Cancel at the solve boundary: the remainder stage completed, so
 	// the partial stats must show it.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	res, err := FindRoots(testPoly(12), Options{Mu: 16, Ctx: ctx, OnPhase: func(ph string) {
-		if ph == "tree" {
+		if ph == "solve" {
 			cancel()
 		}
 	}})
@@ -265,10 +287,10 @@ func TestNoGoroutineLeakAcrossFailureModes(t *testing.T) {
 	p := testPoly(10)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		// Canceled mid-tree.
+		// Canceled at the solve phase.
 		ctx, cancel := context.WithCancel(context.Background())
 		_, _ = FindRoots(p, Options{Mu: 16, Workers: 4, Ctx: ctx, OnPhase: func(ph string) {
-			if ph == "tree" {
+			if ph == "solve" {
 				cancel()
 			}
 		}})

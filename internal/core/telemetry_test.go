@@ -38,12 +38,28 @@ func TestRunOutcome(t *testing.T) {
 	}
 }
 
-// TestTelemetryEndToEnd: on a 2-worker solve the tracer is the
-// scheduler's only recorder. Every task the pool ran is a span on the
-// tracer, and the flight recorder holds the run's lifecycle alone:
-// start, the request binding, one span per phase, and finish.
+// logRecords parses a JSON-lines slog buffer.
+func logRecords(t *testing.T, buf *bytes.Buffer) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad log line %q: %v", line, err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestTelemetryEndToEnd: on a 2-worker solve the tracer is the one
+// recorder of the pool's tasks and the pipeline's phases. Every task
+// the pool ran is a span on a worker lane, the phases are spans on the
+// control lane, and the solve log holds the run's start and finish
+// under the request's ID.
 func TestTelemetryEndToEnd(t *testing.T) {
-	tel := telemetry.New(telemetry.Config{})
+	var buf bytes.Buffer
+	tel := telemetry.New(telemetry.Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
 	tr := trace.New()
 	p := poly.FromRoots(mp.NewInt(1), mp.NewInt(-2), mp.NewInt(5), mp.NewInt(-7))
 	res, err := FindRoots(p, Options{Mu: 8, Workers: 2, Telemetry: tel, Tracer: tr, RequestID: "e2e-1"})
@@ -73,27 +89,41 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if taskSpans != res.Stats.Tasks {
 		t.Errorf("tracer holds %d task spans, want one per executed task (%d)", taskSpans, res.Stats.Tasks)
 	}
+	if got, want := phaseSpans(tr), []string{"remainder", "solve"}; !slices.Equal(got, want) {
+		t.Errorf("phase spans %q, want %q", got, want)
+	}
+	if tr.RequestID() != "e2e-1" {
+		t.Errorf("tracer request ID %q, want e2e-1", tr.RequestID())
+	}
 
-	d := tel.Flight().Dump()
-	if err := d.Validate(); err != nil {
-		t.Fatalf("flight dump: %v", err)
-	}
+	recs := logRecords(t, &buf)
 	var got []string
-	for _, r := range d.Records {
-		if r.Lane != telemetry.ControlLane {
-			t.Errorf("worker-lane record in the flight recorder: %+v", r)
+	for _, rec := range recs {
+		got = append(got, rec["msg"].(string))
+		if rec["requestId"] != "e2e-1" {
+			t.Errorf("log record %v lacks requestId e2e-1", rec)
 		}
-		got = append(got, r.Kind.String()+" "+r.Name)
 	}
-	want := []string{
-		"event start", "event request_id:e2e-1",
-		"begin remainder", "end remainder",
-		"begin solve", "end solve",
-		"event finish",
+	if want := []string{"solve start", "solve finish"}; !slices.Equal(got, want) {
+		t.Errorf("log records %q, want %q", got, want)
 	}
-	if !slices.Equal(got, want) {
-		t.Errorf("flight records %q, want %q", got, want)
+}
+
+// phaseSpans lists the names of the tracer's CatPhase spans on the
+// control lane, in the order they began.
+func phaseSpans(tr *trace.Tracer) []string {
+	var names []string
+	for _, l := range tr.Lanes() {
+		if l.ID != trace.ControlLane {
+			continue
+		}
+		for _, s := range l.Spans() {
+			if s.Cat == trace.CatPhase {
+				names = append(names, s.Name)
+			}
+		}
 	}
+	return names
 }
 
 // TestTelemetryTaskPanicFinishRecord: with no task observer on the
@@ -114,11 +144,7 @@ func TestTelemetryTaskPanicFinishRecord(t *testing.T) {
 		t.Fatalf("err = %v, want a task panic", err)
 	}
 	var fin map[string]any
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad log line %q: %v", line, err)
-		}
+	for _, rec := range logRecords(t, &buf) {
 		if rec["msg"] == "solve finish" {
 			fin = rec
 		}
@@ -133,8 +159,11 @@ func TestTelemetryTaskPanicFinishRecord(t *testing.T) {
 	}
 }
 
+// TestTelemetryBudgetOutcome: the budget trip is one WARN record in
+// the solve log, and the run's outcome in the registry.
 func TestTelemetryBudgetOutcome(t *testing.T) {
-	tel := telemetry.New(telemetry.Config{})
+	var buf bytes.Buffer
+	tel := telemetry.New(telemetry.Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
 	p := poly.FromRoots(mp.NewInt(1), mp.NewInt(-2), mp.NewInt(5), mp.NewInt(-7))
 	_, err := FindRoots(p, Options{Mu: 8, Workers: 1, MaxBitOps: 10, Telemetry: tel})
 	if !errors.Is(err, ErrBudgetExceeded) {
@@ -143,14 +172,14 @@ func TestTelemetryBudgetOutcome(t *testing.T) {
 	if tot := tel.Registry().Totals(); tot.Solves[telemetry.OutcomeBudget] != 1 {
 		t.Fatalf("registry solves: %+v", tot.Solves)
 	}
-	found := false
-	for _, r := range tel.Flight().Dump().Records {
-		if r.Name == "budget_exhausted" {
-			found = true
+	var trips []map[string]any
+	for _, rec := range logRecords(t, &buf) {
+		if rec["msg"] == "budget exhausted" {
+			trips = append(trips, rec)
 		}
 	}
-	if !found {
-		t.Fatal("budget_exhausted event missing from flight recorder")
+	if len(trips) != 1 || trips[0]["level"] != "WARN" {
+		t.Fatalf("budget exhausted records %v, want one at WARN", trips)
 	}
 }
 
@@ -166,9 +195,6 @@ func TestTelemetrySimulatedRun(t *testing.T) {
 	if tot.Solves[telemetry.OutcomeOK] != 1 || tot.SchedTasks <= 0 {
 		t.Fatalf("registry totals: %+v", tot)
 	}
-	if err := tel.Flight().Dump().Validate(); err != nil {
-		t.Fatalf("flight dump: %v", err)
-	}
 }
 
 // TestTelemetryRepeatedRootsOneRun solves an input with three Yun
@@ -176,7 +202,8 @@ func TestTelemetrySimulatedRun(t *testing.T) {
 // sequence first stops on the repeated roots and each factor is then
 // solved on its own.
 func TestTelemetryRepeatedRootsOneRun(t *testing.T) {
-	tel := telemetry.New(telemetry.Config{})
+	var logBuf bytes.Buffer
+	tel := telemetry.New(telemetry.Config{Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
 	p := poly.FromRoots(mp.NewInt(1), mp.NewInt(-4), mp.NewInt(-4), mp.NewInt(9), mp.NewInt(9), mp.NewInt(9), mp.NewInt(6))
 	for _, workers := range []int{1, 2} {
 		rm, err := FindRootsWithMultiplicity(p, Options{Mu: 8, Workers: workers, Telemetry: tel})
@@ -205,13 +232,11 @@ func TestTelemetryRepeatedRootsOneRun(t *testing.T) {
 	if !strings.Contains(buf.String(), `realroots_solves_total{outcome="ok"} 2`) {
 		t.Fatalf("exposition:\n%s", buf.String())
 	}
-	events := map[string]int{}
-	for _, r := range tel.Flight().Dump().Records {
-		if r.Kind == telemetry.KindEvent {
-			events[r.Name]++
-		}
+	msgs := map[any]int{}
+	for _, rec := range logRecords(t, &logBuf) {
+		msgs[rec["msg"]]++
 	}
-	if events["start"] != 2 || events["finish"] != 2 {
-		t.Errorf("lifecycle events: %v, want one start and one finish per call", events)
+	if msgs["solve start"] != 2 || msgs["solve finish"] != 2 || len(msgs) != 2 {
+		t.Errorf("log records %v, want one solve start and one solve finish per call", msgs)
 	}
 }

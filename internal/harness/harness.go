@@ -69,7 +69,7 @@ type Config struct {
 	// cancellation path. cmd/rootbench wires SIGINT to this.
 	Ctx context.Context
 	// Telemetry, if non-nil, attaches every solve the experiments run to
-	// the hub (cmd/rootbench wires -telemetry/-slog/-flight-out here).
+	// the hub (cmd/rootbench wires -telemetry/-slog/-metrics-out here).
 	// The soak experiment creates a private hub when this is nil.
 	Telemetry *telemetry.Telemetry
 	// SoakSolves bounds the soak experiment by solve count; SoakDuration

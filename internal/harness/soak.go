@@ -17,8 +17,8 @@ const DefaultSoakSolves = 16
 // Soak is the long-running operational workload behind
 // `rootbench -exp soak`: it cycles through the configured grid cells
 // solving each with telemetry attached, exercising the structured solve
-// log, the metrics registry, and the flight recorder under sustained
-// load, then summarizes the hub's registry. It is the workload CI and
+// log and the metrics registry under sustained load, then summarizes
+// the hub's registry. It is the workload CI and
 // operators point the -telemetry debug server at.
 func Soak(w io.Writer, cfg Config) error {
 	tel := cfg.Telemetry
@@ -95,7 +95,5 @@ func Soak(w io.Writer, cfg Config) error {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "roots %d, bit ops %d, sched tasks %d, panics %d\n",
 		tot.Roots, tot.BitOps, tot.SchedTasks, tot.Panics)
-	fmt.Fprintf(w, "flight recorder: %d records published, capacity %d\n",
-		tel.Flight().Written(), tel.Flight().Capacity())
 	return nil
 }

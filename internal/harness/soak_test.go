@@ -63,7 +63,7 @@ func TestSoakDurationBound(t *testing.T) {
 	if time.Since(start) > 10*time.Second {
 		t.Fatal("duration-bounded soak ran far past its budget")
 	}
-	if !bytes.Contains(out.Bytes(), []byte("flight recorder:")) {
+	if !bytes.Contains(out.Bytes(), []byte(", panics ")) {
 		t.Fatalf("soak summary incomplete:\n%s", out.String())
 	}
 }

@@ -5,9 +5,10 @@
 //
 //   - strict request decoding with size limits (DecodeSolveRequest);
 //   - admission control from the §4 cost model — each request's
-//     bit-operation cost is estimated from degree×µ before anything
-//     runs, and requests that would oversubscribe the in-flight budget
-//     are rejected with 429 + Retry-After;
+//     bit-operation cost is estimated from its degree, coefficient size
+//     and µ before anything runs, and requests that would
+//     oversubscribe the in-flight budget are rejected with 429 +
+//     Retry-After;
 //   - per-tenant token-bucket rate limits and round-robin fair queuing
 //     onto the solve slots;
 //   - request deduplication and an LRU result cache keyed by a
@@ -17,8 +18,9 @@
 //   - graceful drain: Drain stops admission and lets in-flight solves
 //     finish under a deadline, canceling whatever remains;
 //   - the shared internal/telemetry hub serving /metrics (with
-//     rootd_* request families appended), /debug/flight, and the
-//     structured solve log.
+//     rootd_* request families appended), the /debug/requests,
+//     /debug/traces and /debug/tenants inspectors, and the structured
+//     solve log.
 //
 // cmd/rootd is the thin binary over this package; the harness loadtest
 // experiment drives it for latency/throughput goldens.
@@ -33,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"math/bits"
 	"strconv"
 
 	"realroots/internal/charpoly"
@@ -223,7 +224,7 @@ type SolveResponse struct {
 	// RequestID echoes the request's X-Request-Id (the header is set
 	// too). On cached/deduplicated responses this is the asking
 	// request's ID, not the ID of the request whose solve produced the
-	// result — solver-side telemetry (flight events, trace spans)
+	// result — solver-side telemetry (solve log, trace spans)
 	// carries the original leader's ID.
 	RequestID string `json:"requestId,omitempty"`
 	// Metrics is the solve's per-phase arithmetic report; loadtest
@@ -375,35 +376,20 @@ func (r *SolveRequest) degree() int {
 	return len(r.rows)
 }
 
-// coeffBits estimates the coefficient size in bits for the cost model:
-// the polynomial's actual maximum, or, for a matrix, the empirical
-// m(n) growth of charpoly coefficients (≈ n·(entry bits + log₂ n)/2,
-// clamped below by the entry size).
+// coeffBits is the coefficient size in bits for the cost model: the
+// polynomial's largest, or, for a matrix, the bound on its
+// characteristic polynomial's coefficients by which the charpoly
+// chooses its primes. It is at least 1.
 func (r *SolveRequest) coeffBits() int {
+	b := 0
 	if r.coeffs != nil {
-		m := 1
 		for _, c := range r.coeffs {
-			if b := c.BitLen(); b > m {
-				m = b
-			}
+			b = max(b, c.BitLen())
 		}
-		return m
+	} else if m, err := charpoly.FromRows(r.rows); err == nil { // validateMatrix admits only square, non-empty rows
+		b = charpoly.CoeffBits(m)
 	}
-	n := len(r.rows)
-	entry := 1
-	for _, row := range r.rows {
-		for _, v := range row {
-			mag := uint64(v)
-			if v < 0 {
-				mag = -mag // two's complement: MinInt64 becomes 2^63
-			}
-			if b := bits.Len64(mag); b > entry {
-				entry = b
-			}
-		}
-	}
-	logn := bits.Len(uint(n))
-	return max(entry, n*(entry+logn)/2)
+	return max(b, 1)
 }
 
 // solve runs the decoded request through the solver. A matrix goes to

@@ -11,9 +11,15 @@ import (
 
 // Post-solve observability: every flight-leader solve ends here, where
 // the recorded trace is condensed into the paper's quantities
-// (parallel efficiency, serial fraction, per-phase walls), fed to the
-// tail sampler for retention, charged to the tenant ledger, and folded
-// into the EWMAs the admission charge learns from.
+// (parallel efficiency, serial fraction, per-phase walls, the last
+// also on the leader's /debug/requests row), fed to the tail sampler
+// for retention, charged to the tenant ledger, and folded into the
+// EWMAs the admission charge learns from.
+
+// traceMaxSpans caps each lane of a solve's always-on tracer. The cap
+// bounds a request's trace memory whatever the solve's size; spans
+// beyond it are counted as dropped, not recorded.
+const traceMaxSpans = 4096
 
 // EWMA and clamp tuning for the learned admission corrections.
 const (
@@ -63,6 +69,7 @@ func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Ti
 	for _, ph := range sum.Phases {
 		s.phaseHist.With(ph.Name).Observe(ph.Wall.Seconds(), p.requestID)
 	}
+	p.tracker.SetPhaseSeconds(sum.Phases)
 
 	// Tail sampling: the sampler sees every solve (its rolling latency
 	// quantile needs the full population) and returns a retention

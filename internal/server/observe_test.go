@@ -2,22 +2,23 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"realroots/internal/telemetry"
 	"realroots/internal/trace"
 )
 
-// obsConfig builds a server config with a telemetry hub wired for
-// tail-sampled tracing (small store, defaults otherwise).
+// obsConfig builds a server config whose telemetry hub the test can
+// read.
 func obsConfig() Config {
-	return Config{
-		Telemetry: telemetry.New(telemetry.Config{TraceStoreCapacity: 16}),
-	}
+	return Config{Telemetry: telemetry.New(telemetry.Config{})}
 }
 
 const quadratic = `{"poly":{"coeffs":["-2","0","1"]},"precision":48}`
@@ -114,18 +115,21 @@ func TestTraceForcedByHeader(t *testing.T) {
 
 // TestMatrixSolveTracesCharPoly checks that a matrix request's
 // characteristic polynomial is a phase of its solve: a charpoly phase
-// span in the solve's trace and a phase="charpoly" series in
-// rootd_phase_seconds.
+// span in the solve's trace, a phase="charpoly" series in
+// rootd_phase_seconds, and the first of the phaseSeconds on the
+// leading request's /debug/requests row. A repeat of the request, a
+// cache hit, ran no solve and has no phaseSeconds.
 func TestMatrixSolveTracesCharPoly(t *testing.T) {
 	cfg := obsConfig()
 	_, hs := newTestServer(t, cfg)
-	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/solve",
-		strings.NewReader(`{"matrix":{"rows":[[2,1,0],[1,2,1],[0,1,2]]},"precision":32}`))
+	const matrix = `{"matrix":{"rows":[[2,1,0],[1,2,1],[0,1,2]]},"precision":32}`
+	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/solve", strings.NewReader(matrix))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Debug-Trace", "1")
+	req.Header.Set("X-Request-Id", "matrix-lead")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +171,98 @@ func TestMatrixSolveTracesCharPoly(t *testing.T) {
 	}
 	if want := `rootd_phase_seconds_count{phase="charpoly"} 1`; !strings.Contains(buf.String(), want) {
 		t.Errorf("/metrics lacks %s", want)
+	}
+
+	status, _, data := postSolveWithID(t, hs.URL, "matrix-hit", matrix)
+	if out := decodeOK(t, status, data); !out.Cached {
+		t.Fatal("repeated matrix request was not a cache hit")
+	}
+	rows := requestRows(t, hs.URL)
+	var got []string
+	for _, ph := range rows["matrix-lead"].PhaseSeconds {
+		got = append(got, ph.Name)
+		if ph.Seconds < 0 {
+			t.Errorf("phase %s took %v seconds", ph.Name, ph.Seconds)
+		}
+	}
+	if want := []string{"charpoly", "remainder", "solve"}; !slices.Equal(got, want) {
+		t.Errorf("leading request's phaseSeconds %q, want %q", got, want)
+	}
+	if ph := rows["matrix-hit"].PhaseSeconds; ph != nil {
+		t.Errorf("cache hit's row has phaseSeconds %+v", ph)
+	}
+}
+
+// requestRows reads /debug/requests?format=json, validates it, and
+// returns its completed rows by request ID.
+func requestRows(t *testing.T, url string) map[string]telemetry.RequestSnapshot {
+	t.Helper()
+	resp, err := http.Get(url + "/debug/requests?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	d, err := telemetry.ValidateRequestsJSON(body)
+	if err != nil {
+		t.Fatalf("/debug/requests invalid: %v\n%s", err, body)
+	}
+	rows := make(map[string]telemetry.RequestSnapshot)
+	for _, r := range d.Recent {
+		rows[r.ID] = r
+	}
+	return rows
+}
+
+// TestPhaseSecondsOnlyForTracedLeaders: a request that joined another
+// request's solve has no phaseSeconds on its /debug/requests row, and
+// with tracing disabled neither has the leader's.
+func TestPhaseSecondsOnlyForTracedLeaders(t *testing.T) {
+	for _, untraced := range []bool{false, true} {
+		gate := make(chan struct{})
+		s, hs := newTestServer(t, Config{
+			DisableTracing: untraced,
+			// The leader's tasks stall until the joiner has joined.
+			Faults: func(seq uint64, ctx context.Context, cancel context.CancelFunc) func(int64) {
+				return func(int64) {
+					select {
+					case <-gate:
+					case <-ctx.Done():
+					}
+				}
+			},
+		})
+		var wg sync.WaitGroup
+		post := func(id string) {
+			defer wg.Done()
+			req, err := DecodeSolveRequest([]byte(`{"poly":{"coeffs":["-2","0","1"]},"workers":2}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.RequestID = id
+			if _, err := s.Solve(context.Background(), req); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}
+		wg.Add(2)
+		go post("lead")
+		waitFor(t, func() bool { return s.active.Load() == 1 })
+		go post("join")
+		waitFor(t, func() bool { return s.cacheEvts.Value("join") == 1 })
+		close(gate)
+		wg.Wait()
+
+		rows := requestRows(t, hs.URL)
+		if rows["join"].CacheOutcome != "join" {
+			t.Fatalf("untraced=%v: second request's cache outcome %q, want join", untraced, rows["join"].CacheOutcome)
+		}
+		if got := len(rows["lead"].PhaseSeconds); (got == 0) != untraced {
+			t.Errorf("untraced=%v: leader's row has %d phases", untraced, got)
+		}
+		if ph := rows["join"].PhaseSeconds; ph != nil {
+			t.Errorf("untraced=%v: joiner's row has phaseSeconds %+v", untraced, ph)
+		}
 	}
 }
 

@@ -64,18 +64,13 @@ type Config struct {
 	// CacheEntries is the LRU result-cache capacity (default 256;
 	// negative disables caching).
 	CacheEntries int
-	// TraceMaxSpans caps the always-on per-solve tracer at this many
-	// spans per lane (default 4096). The cap bounds each request's
-	// trace memory regardless of solve size; spans beyond it are
-	// counted as dropped, not recorded.
-	TraceMaxSpans int
 	// DisableTracing turns off always-on per-solve tracing entirely:
 	// no spans are recorded, the tail sampler retains nothing, and the
 	// trace-derived gauges (parallel efficiency, serial fraction) stop
 	// updating. Admission still works from the static cost model.
 	DisableTracing bool
-	// Telemetry is the hub serving /metrics, /debug/flight, and the
-	// solve log; nil creates a logger-less hub.
+	// Telemetry is the hub serving /metrics, the /debug inspectors and
+	// the solve log; nil creates a logger-less hub.
 	Telemetry *telemetry.Telemetry
 	// Logger receives request-level logs; nil disables them.
 	Logger *slog.Logger
@@ -110,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
-	}
-	if c.TraceMaxSpans <= 0 {
-		c.TraceMaxSpans = 4096
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.New(telemetry.Config{})
@@ -291,7 +283,7 @@ func (s *Server) Telemetry() *telemetry.Telemetry { return s.cfg.Telemetry }
 //	POST /v1/solve   solve a polynomial or symmetric matrix
 //	GET  /healthz    liveness ("ok", or 503 while draining)
 //	GET  /metrics    Prometheus exposition (solver + rootd families)
-//	GET  /debug/...  flight recorder, request inspector, and pprof
+//	GET  /debug/...  request, trace and tenant inspectors, and pprof
 //
 // /metrics and /debug/* are served by the telemetry hub; the rootd_*
 // families appear there because New registers them on the hub's
@@ -556,7 +548,7 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	// tracer; observeSolve decides afterwards whether to keep them.
 	var tracer *trace.Tracer
 	if !s.cfg.DisableTracing {
-		tracer = trace.NewLimited(s.cfg.TraceMaxSpans)
+		tracer = trace.NewLimited(traceMaxSpans)
 	}
 
 	opts := core.Options{

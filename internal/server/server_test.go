@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"realroots/internal/charpoly"
 	"realroots/internal/mp"
 	"realroots/internal/poly"
 	"realroots/internal/telemetry"
@@ -458,27 +459,6 @@ func TestTenantLabelsMatchLedger(t *testing.T) {
 	}
 }
 
-// TestFlightEndpoint checks /debug/flight serves the recorder dump.
-func TestFlightEndpoint(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
-	status, _, data := postSolve(t, hs.URL, `{"poly":{"coeffs":["-2","0","1"]}}`)
-	decodeOK(t, status, data)
-	resp, err := http.Get(hs.URL + "/debug/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var dump struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		t.Fatalf("flight dump: %v", err)
-	}
-	if !strings.HasPrefix(dump.Schema, "realroots/flight/") {
-		t.Errorf("flight schema = %q", dump.Schema)
-	}
-}
-
 // TestSolveInProcess exercises the exported Solve path (the loadtest
 // client's in-process mode) without HTTP.
 func TestSolveInProcess(t *testing.T) {
@@ -593,23 +573,49 @@ func TestTimeoutBoundsWideMatrix(t *testing.T) {
 	}
 }
 
+// priceMatrix decodes a matrix request for rows and returns the
+// coefficient size, in bits, that admission prices it at.
+func priceMatrix(t *testing.T, rows [][]int64) int {
+	t.Helper()
+	body, err := json.Marshal(SolveRequest{Matrix: &MatrixInput{Rows: rows}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := DecodeSolveRequest(body)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return req.coeffBits()
+}
+
+// TestCoeffBitsCoversCharPoly: admission prices a matrix request at no
+// fewer coefficient bits than its characteristic polynomial has, for
+// full-width entries at the largest admissible dimension and for 0-1
+// entries.
+func TestCoeffBitsCoversCharPoly(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rows [][]int64
+	}{
+		{"wide n=64", workload.SymmetricRowsWide(67, MaxMatrixDim)},
+		{"0-1 n=24", workload.SymmetricRows01(5, 24)},
+	} {
+		m, err := charpoly.FromRows(c.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, need := priceMatrix(t, c.rows), charpoly.CharPoly(m).MaxCoeffBits(); got < need {
+			t.Errorf("%s: priced at %d bits, the charpoly has %d-bit coefficients", c.name, got, need)
+		}
+	}
+}
+
 // TestCoeffBitsMinInt64 pins admission pricing of matrices with
 // MinInt64 entries: |MinInt64| = 2^63 is one bit wider than MaxInt64,
 // so such a matrix must be priced at least as high as its MaxInt64
 // twin.
 func TestCoeffBitsMinInt64(t *testing.T) {
-	price := func(rows [][]int64) int {
-		t.Helper()
-		body, err := json.Marshal(SolveRequest{Matrix: &MatrixInput{Rows: rows}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, err := DecodeSolveRequest(body)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		return req.coeffBits()
-	}
+	price := func(rows [][]int64) int { return priceMatrix(t, rows) }
 	fill := func(n int, diagOnly bool, v int64) [][]int64 {
 		rows := make([][]int64, n)
 		for i := range rows {

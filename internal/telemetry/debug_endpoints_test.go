@@ -25,7 +25,7 @@ func getBody(t *testing.T, url string) (int, string) {
 }
 
 func TestDebugTracesAndTenantsEndpoints(t *testing.T) {
-	tel := New(Config{TraceStoreCapacity: 8})
+	tel := New(Config{})
 	if tel.Traces() == nil || tel.TailSampler() == nil || tel.Tenants() == nil {
 		t.Fatal("hub did not wire store/sampler/ledger")
 	}
@@ -95,24 +95,5 @@ func TestDebugTracesAndTenantsEndpoints(t *testing.T) {
 	code, body = getBody(t, base+"/debug/tenants")
 	if code != http.StatusOK || !strings.Contains(body, "acme") {
 		t.Fatalf("/debug/tenants html: status %d", code)
-	}
-}
-
-func TestDebugTracesDisabled(t *testing.T) {
-	tel := New(Config{TraceStoreCapacity: -1})
-	if tel.Traces() != nil || tel.TailSampler() != nil {
-		t.Fatal("negative capacity should disable the store and sampler")
-	}
-	// The ledger stays on regardless.
-	if tel.Tenants() == nil {
-		t.Fatal("ledger disabled")
-	}
-	srv, err := tel.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if code, _ := getBody(t, "http://"+srv.Addr()+"/debug/traces"); code != http.StatusNotFound {
-		t.Fatalf("/debug/traces with store disabled: status %d, want 404", code)
 	}
 }

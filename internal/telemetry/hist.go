@@ -48,7 +48,7 @@ var SecondsBuckets = []float64{
 // Exemplar pins one concrete observation to a histogram bucket: the
 // request ID that landed there and its exact value. The exposition
 // renders it OpenMetrics-style after the bucket sample, so a p99 bucket
-// can be traced back to a /debug/requests entry or a flight dump.
+// can be traced back to a /debug/requests entry or the solve log.
 type Exemplar struct {
 	RequestID string
 	Value     float64

@@ -18,8 +18,6 @@ import (
 // once per finished run (not per arithmetic operation), so the
 // registry adds no hot-path cost.
 type Registry struct {
-	flight *Flight
-
 	// families holds custom (non-realroots_) metric families registered
 	// by layered servers; see families.go.
 	families famState
@@ -35,8 +33,8 @@ type Registry struct {
 	pool         sched.PoolStats // counters summed; MaxQueueDepth is the max
 }
 
-func newRegistry(f *Flight) *Registry {
-	return &Registry{flight: f, solves: make(map[Outcome]int64)}
+func newRegistry() *Registry {
+	return &Registry{solves: make(map[Outcome]int64)}
 }
 
 func (g *Registry) runStarted() {
@@ -242,11 +240,6 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	e.sampleInt("realroots_sched_panics_total", g.pool.Panics)
 	e.family("realroots_sched_max_queue_depth", "Largest scheduler queue depth observed in any finished run.", "gauge")
 	e.sampleInt("realroots_sched_max_queue_depth", int64(g.pool.MaxQueueDepth))
-
-	e.family("realroots_flight_capacity", "Flight recorder ring capacity in records.", "gauge")
-	e.sampleInt("realroots_flight_capacity", int64(g.flight.Capacity()))
-	e.family("realroots_flight_records_total", "Records published to the flight recorder.", "counter")
-	e.sampleInt("realroots_flight_records_total", int64(g.flight.Written()))
 
 	g.families.writeAll(e)
 

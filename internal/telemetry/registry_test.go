@@ -59,16 +59,17 @@ func TestWritePrometheusValidates(t *testing.T) {
 		"realroots_sched_tasks_total 42",
 		"realroots_sched_panics_total 6",
 		"realroots_sched_max_queue_depth 8",
-		"realroots_flight_capacity 4096",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
 	// Each rootd trace is summarized once, into the rootd_* gauges; the
-	// registry keeps no trace summary of its own.
-	if strings.Contains(out, "realroots_trace") {
-		t.Error("exposition still carries realroots_trace* families")
+	// registry keeps no trace summary of its own, and no flight ring.
+	for _, gone := range []string{"realroots_trace", "realroots_flight"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries %s* families", gone)
+		}
 	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", out)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"realroots/internal/trace"
 )
 
 // RequestsSchema identifies the JSON shape of a /debug/requests dump.
@@ -47,8 +49,19 @@ type RequestSnapshot struct {
 	SolveSecs       float64 `json:"solveSeconds"`
 	TotalSecs       float64 `json:"totalSeconds"`
 	Phase           string  `json:"phase,omitempty"` // last pipeline phase seen
-	Outcome         string  `json:"outcome,omitempty"`
-	Active          bool    `json:"active"`
+	// PhaseSeconds is the wall time of each pipeline phase of the solve
+	// this request led, in pipeline order, from the solve's trace. It
+	// is absent when the request hit the cache, joined another
+	// request's solve, or was served untraced.
+	PhaseSeconds []PhaseTime `json:"phaseSeconds,omitempty"`
+	Outcome      string      `json:"outcome,omitempty"`
+	Active       bool        `json:"active"`
+}
+
+// PhaseTime is one pipeline phase's wall time in seconds.
+type PhaseTime struct {
+	Name    string  `json:"name"`
+	Seconds float64 `json:"seconds"`
 }
 
 // ActiveRequest is the tracker's handle for one in-flight request.
@@ -119,6 +132,21 @@ func (r *ActiveRequest) SetPhase(phase string) {
 	}
 	r.mu.Lock()
 	r.snap.Phase = phase
+	r.mu.Unlock()
+}
+
+// SetPhaseSeconds records the per-phase wall times of the solve the
+// request led (trace.Summary.Phases).
+func (r *ActiveRequest) SetPhaseSeconds(phases []trace.NamedTime) {
+	if r == nil {
+		return
+	}
+	pt := make([]PhaseTime, len(phases))
+	for i, ph := range phases {
+		pt[i] = PhaseTime{Name: ph.Name, Seconds: ph.Wall.Seconds()}
+	}
+	r.mu.Lock()
+	r.snap.PhaseSeconds = pt
 	r.mu.Unlock()
 }
 
@@ -246,6 +274,9 @@ func (d *RequestsDump) Validate() error {
 		if !r.Active {
 			return fmt.Errorf("requests: active[%d] (%s) not marked active", i, r.ID)
 		}
+		if err := validatePhases(r); err != nil {
+			return fmt.Errorf("requests: active[%d] %w", i, err)
+		}
 	}
 	for i, r := range d.Recent {
 		if r.Active {
@@ -256,6 +287,19 @@ func (d *RequestsDump) Validate() error {
 		}
 		if r.TotalSecs < 0 || r.QueueWaitSecs < 0 || r.SolveSecs < 0 {
 			return fmt.Errorf("requests: recent[%d] (%s) has negative timing", i, r.ID)
+		}
+		if err := validatePhases(r); err != nil {
+			return fmt.Errorf("requests: recent[%d] %w", i, err)
+		}
+	}
+	return nil
+}
+
+// validatePhases checks that every phase of a row is named and timed.
+func validatePhases(r RequestSnapshot) error {
+	for _, ph := range r.PhaseSeconds {
+		if ph.Name == "" || ph.Seconds < 0 {
+			return fmt.Errorf("(%s) has phase %q with %v seconds", r.ID, ph.Name, ph.Seconds)
 		}
 	}
 	return nil

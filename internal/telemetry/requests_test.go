@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"realroots/internal/trace"
 )
 
 func TestRequestTrackerLifecycle(t *testing.T) {
@@ -105,6 +108,7 @@ func TestValidateRequestsJSON(t *testing.T) {
 	tr.Start(RequestInfo{ID: "live", Tenant: "acme"})
 	done := tr.Start(RequestInfo{ID: "done", EstimatedBitOps: 10})
 	done.SetSolve(time.Millisecond, 20, 8)
+	done.SetPhaseSeconds([]trace.NamedTime{{Name: "remainder", Wall: 250 * time.Millisecond}, {Name: "solve", Wall: time.Second}})
 	done.Finish("ok")
 
 	data, err := json.Marshal(tr.Dump())
@@ -121,6 +125,12 @@ func TestValidateRequestsJSON(t *testing.T) {
 	if len(d.Recent) != 1 || d.Recent[0].CostRatio != 2 {
 		t.Fatalf("recent after round trip = %+v", d.Recent)
 	}
+	if want := []PhaseTime{{"remainder", 0.25}, {"solve", 1}}; !slices.Equal(d.Recent[0].PhaseSeconds, want) {
+		t.Fatalf("phaseSeconds after round trip = %+v, want %+v", d.Recent[0].PhaseSeconds, want)
+	}
+	if d.Active[0].PhaseSeconds != nil {
+		t.Fatalf("row without a traced solve has phaseSeconds %+v", d.Active[0].PhaseSeconds)
+	}
 
 	bad := map[string]string{
 		"wrong schema":    `{"schema":"bogus","capacity":4,"total":0}`,
@@ -132,6 +142,10 @@ func TestValidateRequestsJSON(t *testing.T) {
 			`{"id":"a","active":false,"outcome":"ok"},{"id":"b","active":false,"outcome":"ok"}]}`,
 		"negative timing": `{"schema":"realroots/requests/v1","capacity":4,"total":1,"recent":[` +
 			`{"id":"a","active":false,"outcome":"ok","totalSeconds":-1}]}`,
+		"unnamed phase": `{"schema":"realroots/requests/v1","capacity":4,"total":1,"recent":[` +
+			`{"id":"a","active":false,"outcome":"ok","phaseSeconds":[{"name":"","seconds":1}]}]}`,
+		"negative phase time": `{"schema":"realroots/requests/v1","capacity":4,"total":1,"active":[` +
+			`{"id":"a","active":true,"phaseSeconds":[{"name":"solve","seconds":-1}]}]}`,
 	}
 	for name, doc := range bad {
 		if _, err := ValidateRequestsJSON([]byte(doc)); err == nil {

@@ -14,14 +14,14 @@ import (
 // record, record everything cheaply and keep only the tail that an
 // operator would actually open.
 
-// Sampler tuning defaults.
+// Sampler tuning.
 const (
-	// DefaultTailQuantile marks a solve slow when its latency exceeds
-	// this rolling quantile of recent solve latencies.
-	DefaultTailQuantile = 0.95
-	// DefaultTailMinEfficiency marks a parallel solve interesting when
-	// its measured efficiency (speedup/workers) falls below this floor.
-	DefaultTailMinEfficiency = 0.25
+	// tailQuantile marks a solve slow when its latency exceeds this
+	// rolling quantile of recent solve latencies.
+	tailQuantile = 0.95
+	// tailMinEfficiency marks a parallel solve interesting when its
+	// measured efficiency (speedup/workers) falls below this floor.
+	tailMinEfficiency = 0.25
 	// tailWindow is how many observations each rolling-quantile window
 	// holds before rotating.
 	tailWindow = 512
@@ -32,18 +32,6 @@ const (
 	tailWarmup = 32
 )
 
-// TailConfig tunes a TailSampler. Zero values select the defaults.
-type TailConfig struct {
-	// Quantile is the rolling latency quantile above which a solve is
-	// retained as slow (0 = DefaultTailQuantile; set ≥ 1 to disable
-	// slow retention).
-	Quantile float64
-	// MinEfficiency is the parallel-efficiency floor below which a
-	// multi-worker solve is retained (0 = DefaultTailMinEfficiency;
-	// set < 0 to disable efficiency retention).
-	MinEfficiency float64
-}
-
 // TailSampler decides which completed traces to keep. It maintains a
 // rolling latency quantile over two rotating fixed-bucket windows:
 // observations land in the current window, and once it fills the
@@ -51,30 +39,15 @@ type TailConfig struct {
 // always reflects a full recent window, never a half-empty one. All
 // methods are safe for concurrent use; nil no-ops (keep nothing).
 type TailSampler struct {
-	quantile      float64
-	minEfficiency float64
-
 	mu   sync.Mutex
 	cur  *Histogram // filling
 	prev *Histogram // full, provides the threshold
 	curN int
 }
 
-// NewTailSampler creates a sampler with the given tuning.
-func NewTailSampler(cfg TailConfig) *TailSampler {
-	q := cfg.Quantile
-	if q == 0 {
-		q = DefaultTailQuantile
-	}
-	e := cfg.MinEfficiency
-	if e == 0 {
-		e = DefaultTailMinEfficiency
-	}
-	return &TailSampler{
-		quantile:      q,
-		minEfficiency: e,
-		cur:           NewHistogram(SecondsBuckets),
-	}
+// NewTailSampler creates a sampler.
+func NewTailSampler() *TailSampler {
+	return &TailSampler{cur: NewHistogram(SecondsBuckets)}
 }
 
 // TraceInfo is what the sampler knows about a completed solve.
@@ -110,7 +83,7 @@ func (s *TailSampler) Consider(info TraceInfo) (reason string) {
 		return trace.ReasonError
 	case slow:
 		return trace.ReasonSlow
-	case info.Workers > 1 && s.minEfficiency >= 0 && info.Efficiency < s.minEfficiency:
+	case info.Workers > 1 && info.Efficiency < tailMinEfficiency:
 		return trace.ReasonLowEfficiency
 	}
 	return ""
@@ -129,10 +102,10 @@ func (s *TailSampler) Threshold() (float64, bool) {
 
 func (s *TailSampler) thresholdLocked() (float64, bool) {
 	if s.prev != nil {
-		return s.prev.Quantile(s.quantile), true
+		return s.prev.Quantile(tailQuantile), true
 	}
 	if s.curN >= tailWarmup {
-		return s.cur.Quantile(s.quantile), true
+		return s.cur.Quantile(tailQuantile), true
 	}
 	return 0, false
 }
@@ -140,12 +113,6 @@ func (s *TailSampler) thresholdLocked() (float64, bool) {
 // observe folds one latency into the rolling window and reports
 // whether it exceeded the pre-observation threshold.
 func (s *TailSampler) observe(seconds float64) bool {
-	if s.quantile >= 1 {
-		s.mu.Lock()
-		s.rotateLocked(seconds)
-		s.mu.Unlock()
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	threshold, ok := s.thresholdLocked()

@@ -8,7 +8,7 @@ import (
 )
 
 func TestTailSamplerPriorities(t *testing.T) {
-	s := NewTailSampler(TailConfig{})
+	s := NewTailSampler()
 	cases := []struct {
 		name string
 		info TraceInfo
@@ -29,7 +29,7 @@ func TestTailSamplerPriorities(t *testing.T) {
 }
 
 func TestTailSamplerSlowAfterWarmup(t *testing.T) {
-	s := NewTailSampler(TailConfig{Quantile: 0.9})
+	s := NewTailSampler()
 
 	// During warmup nothing classifies slow, even outliers.
 	if got := s.Consider(TraceInfo{Outcome: OutcomeOK, Seconds: 100}); got != "" {
@@ -59,7 +59,7 @@ func TestTailSamplerSlowAfterWarmup(t *testing.T) {
 }
 
 func TestTailSamplerWindowRotation(t *testing.T) {
-	s := NewTailSampler(TailConfig{Quantile: 0.5})
+	s := NewTailSampler()
 	// Fill a full window of slow solves, then a regime change to fast
 	// ones: after the second rotation the threshold must reflect the
 	// fast window, not the stale slow one.
@@ -79,27 +79,6 @@ func TestTailSamplerWindowRotation(t *testing.T) {
 	}
 }
 
-func TestTailSamplerDisableKnobs(t *testing.T) {
-	// Quantile >= 1 disables slow retention entirely.
-	s := NewTailSampler(TailConfig{Quantile: 1})
-	for i := 0; i < tailWarmup*2; i++ {
-		s.Consider(TraceInfo{Outcome: OutcomeOK, Seconds: 0.001})
-	}
-	if got := s.Consider(TraceInfo{Outcome: OutcomeOK, Seconds: 100}); got != "" {
-		t.Errorf("quantile=1: outlier retained as %q", got)
-	}
-	// Negative MinEfficiency disables the efficiency floor.
-	s = NewTailSampler(TailConfig{MinEfficiency: -1})
-	if got := s.Consider(TraceInfo{Outcome: OutcomeOK, Workers: 8, Efficiency: 0.01}); got != "" {
-		t.Errorf("minEfficiency<0: inefficient solve retained as %q", got)
-	}
-	// Errors and forced traces are still retained with both knobs off.
-	s = NewTailSampler(TailConfig{Quantile: 1, MinEfficiency: -1})
-	if got := s.Consider(TraceInfo{Outcome: OutcomeError}); got != trace.ReasonError {
-		t.Errorf("knobs off: error classified %q", got)
-	}
-}
-
 func TestTailSamplerNilSafe(t *testing.T) {
 	var s *TailSampler
 	if got := s.Consider(TraceInfo{Forced: true}); got != "" {
@@ -114,7 +93,7 @@ func TestTailSamplerNilSafe(t *testing.T) {
 // windows under load) against Threshold reads and a trace.Store
 // admit/evict cycle — the full tail-sampling pipeline under -race.
 func TestTailSamplerConcurrent(t *testing.T) {
-	s := NewTailSampler(TailConfig{Quantile: 0.9})
+	s := NewTailSampler()
 	store := trace.NewStore(4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

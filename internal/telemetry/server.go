@@ -14,8 +14,9 @@ import (
 // Handler returns the debug mux serving the hub:
 //
 //	/metrics          Prometheus text exposition of the Registry
-//	/debug/flight     JSON dump of the flight recorder
 //	/debug/requests   live request inspector (HTML; ?format=json for the dump)
+//	/debug/traces     tail-sampled trace store (HTML; ?format=json; /<seq> for Chrome JSON)
+//	/debug/tenants    per-tenant usage ledger (HTML; ?format=json)
 //	/debug/pprof/*    the standard runtime profiles
 //	/                 a plain-text index
 func (t *Telemetry) Handler() http.Handler {
@@ -23,12 +24,6 @@ func (t *Telemetry) Handler() http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := t.Registry().WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := t.Flight().Dump().WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -47,12 +42,7 @@ func (t *Telemetry) Handler() http.Handler {
 		writeRequestsHTML(w, dump)
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		store := t.Traces()
-		if store == nil {
-			http.Error(w, "trace store disabled", http.StatusNotFound)
-			return
-		}
-		dump := store.Dump()
+		dump := t.Traces().Dump()
 		if r.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
@@ -66,17 +56,12 @@ func (t *Telemetry) Handler() http.Handler {
 		writeTracesHTML(w, dump)
 	})
 	mux.HandleFunc("/debug/traces/", func(w http.ResponseWriter, r *http.Request) {
-		store := t.Traces()
-		if store == nil {
-			http.Error(w, "trace store disabled", http.StatusNotFound)
-			return
-		}
 		seq, err := strconv.ParseUint(strings.TrimPrefix(r.URL.Path, "/debug/traces/"), 10, 64)
 		if err != nil {
 			http.Error(w, "bad trace sequence number", http.StatusBadRequest)
 			return
 		}
-		rt := store.Get(seq)
+		rt := t.Traces().Get(seq)
 		if rt == nil {
 			http.Error(w, "trace not retained (or evicted)", http.StatusNotFound)
 			return
@@ -115,7 +100,6 @@ func (t *Telemetry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "realroots telemetry")
 		fmt.Fprintln(w, "  /metrics          Prometheus exposition")
-		fmt.Fprintln(w, "  /debug/flight     flight recorder dump (JSON)")
 		fmt.Fprintln(w, "  /debug/requests   live request inspector (?format=json)")
 		fmt.Fprintln(w, "  /debug/traces     tail-sampled trace store (?format=json; /<seq> downloads Chrome JSON)")
 		fmt.Fprintln(w, "  /debug/tenants    per-tenant usage ledger (?format=json)")

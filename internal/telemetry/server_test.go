@@ -12,8 +12,6 @@ import (
 func TestServeEndpoints(t *testing.T) {
 	tel := New(Config{})
 	run := tel.Start(RunInfo{Kind: "core", Degree: 12, Mu: 16, Workers: 2})
-	run.PhaseBegin("remainder")
-	run.PhaseEnd("remainder")
 	run.Finish(OutcomeOK, nil, 3, 777, metrics.Report{})
 
 	srv, err := tel.Serve("127.0.0.1:0")
@@ -49,14 +47,6 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(body, `realroots_solves_total{outcome="ok"} 1`) {
 		t.Fatalf("/metrics missing solve count:\n%s", body)
-	}
-
-	code, body, _ = get("/debug/flight")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/flight status %d", code)
-	}
-	if err := ValidateDumpJSON([]byte(body)); err != nil {
-		t.Fatalf("/debug/flight dump invalid: %v", err)
 	}
 
 	if code, _, _ := get("/debug/pprof/"); code != http.StatusOK {

@@ -1,19 +1,19 @@
 // Package telemetry is the always-on operational counterpart to the
 // per-run tracing of internal/trace. Where a Tracer records every span
 // of one solve into unbounded lanes (for offline analysis of a single
-// run), telemetry is built to stay enabled in a long-running process:
+// run), telemetry is built to stay enabled in a long-running process.
+// It has two sinks:
 //
 //   - a structured event log on log/slog with per-solve lifecycle
 //     events (run ID, start, budget exhaustion, and a finish record
 //     that carries a failed run's error);
 //   - a metrics Registry accumulating per-run metrics.Counters
 //     snapshots and scheduler statistics, rendered in Prometheus text
-//     exposition format;
-//   - a Flight recorder: a fixed-size lock-free ring buffer of recent
-//     solve lifecycles (start, request binding, phase spans, budget
-//     trip, finish) that can be dumped on error, SIGQUIT, or request.
-//     Which worker ran which task is the tracer's record, not the
-//     flight recorder's.
+//     exposition format.
+//
+// A solve's phase spans and task timelines are the tracer's record.
+// The hub also holds rootd's bounded views: the /debug/requests
+// inspector, the tail-sampled trace store and the per-tenant ledger.
 //
 // Everything is nil-safe in the style of metrics.Counters and
 // trace.Tracer: a nil *Telemetry (and the nil *Run it hands out) makes
@@ -55,31 +55,18 @@ var Outcomes = []Outcome{
 	OutcomeOK, OutcomeCanceled, OutcomeDeadline, OutcomeBudget, OutcomePanic, OutcomeError,
 }
 
-// ControlLane is the flight-recorder lane for run-lifecycle and phase
-// records, matching trace.ControlLane. A solve writes no other lane.
-const ControlLane = trace.ControlLane
-
-// FlightCapacity is the hub's flight-recorder ring size in records.
-const FlightCapacity = 4096
-
 // Config configures a telemetry hub.
 type Config struct {
 	// Logger receives the structured solve log. nil disables logging;
-	// the registry and flight recorder still run.
+	// the registry still runs.
 	Logger *slog.Logger
-	// TraceStoreCapacity is the tail-sampled trace ring size
-	// (0 = trace.DefaultStoreCapacity; < 0 disables the store and
-	// sampler — Traces()/TailSampler() return nil).
-	TraceStoreCapacity int
-	// Tail tunes the tail sampler's retention policy.
-	Tail TailConfig
 }
 
-// Telemetry is the hub tying the three sinks together. One hub serves
-// a whole process: runs from concurrent solves interleave safely.
+// Telemetry is the hub tying the sinks and views together. One hub
+// serves a whole process: runs from concurrent solves interleave
+// safely.
 type Telemetry struct {
 	logger   *slog.Logger
-	flight   *Flight
 	reg      *Registry
 	requests *RequestTracker
 	traces   *trace.Store
@@ -90,18 +77,14 @@ type Telemetry struct {
 
 // New creates a telemetry hub.
 func New(cfg Config) *Telemetry {
-	t := &Telemetry{
+	return &Telemetry{
 		logger:   cfg.Logger,
-		flight:   NewFlight(FlightCapacity),
+		reg:      newRegistry(),
 		requests: NewRequestTracker(DefaultRequestRingCapacity),
+		traces:   trace.NewStore(trace.DefaultStoreCapacity),
+		tail:     NewTailSampler(),
 		tenants:  NewTenantLedger(MaxTenants),
 	}
-	if cfg.TraceStoreCapacity >= 0 {
-		t.traces = trace.NewStore(cfg.TraceStoreCapacity)
-		t.tail = NewTailSampler(cfg.Tail)
-	}
-	t.reg = newRegistry(t.flight)
-	return t
 }
 
 // Requests returns the hub's request tracker, backing the
@@ -114,8 +97,8 @@ func (t *Telemetry) Requests() *RequestTracker {
 }
 
 // Traces returns the hub's tail-sampled trace store, backing the
-// /debug/traces inspector (nil for a nil hub or a disabled store; a
-// nil *trace.Store no-ops everywhere).
+// /debug/traces inspector (nil for a nil hub; a nil *trace.Store
+// no-ops everywhere).
 func (t *Telemetry) Traces() *trace.Store {
 	if t == nil {
 		return nil
@@ -123,8 +106,8 @@ func (t *Telemetry) Traces() *trace.Store {
 	return t.traces
 }
 
-// TailSampler returns the hub's tail sampler (nil for a nil hub or a
-// disabled store; a nil sampler retains nothing).
+// TailSampler returns the hub's tail sampler (nil for a nil hub; a nil
+// sampler retains nothing).
 func (t *Telemetry) TailSampler() *TailSampler {
 	if t == nil {
 		return nil
@@ -139,14 +122,6 @@ func (t *Telemetry) Tenants() *TenantLedger {
 		return nil
 	}
 	return t.tenants
-}
-
-// Flight returns the hub's flight recorder (nil for a nil hub).
-func (t *Telemetry) Flight() *Flight {
-	if t == nil {
-		return nil
-	}
-	return t.flight
 }
 
 // Registry returns the hub's metrics registry (nil for a nil hub).
@@ -167,9 +142,8 @@ type RunInfo struct {
 	Mu      uint
 	Workers int
 	// RequestID, if non-empty, scopes the run to one external request:
-	// every slog record gains a requestId attribute and a
-	// "request_id:<id>" control-lane flight event binds the run number
-	// to the ID, so one grep over either sink reconstructs the request.
+	// every slog record gains a requestId attribute, so one grep over
+	// the log reconstructs the request.
 	RequestID string
 }
 
@@ -188,14 +162,6 @@ func (t *Telemetry) Start(info RunInfo) *Run {
 		start:     time.Now(),
 	}
 	t.reg.runStarted()
-	t.flight.Event(r.ID, ControlLane, "start", int64(info.Degree))
-	if r.requestID != "" {
-		// The flight Record has no string payload field, so the binding
-		// between run number and request ID is its own event whose name
-		// carries the ID; everything else on the run is found by run
-		// number.
-		t.flight.Event(r.ID, ControlLane, "request_id:"+r.requestID, 0)
-	}
 	if l := t.logger; l != nil {
 		attrs := []slog.Attr{
 			slog.Uint64("run", r.ID),
@@ -235,23 +201,6 @@ func (r *Run) appendRequestID(attrs []slog.Attr) []slog.Attr {
 	return append(attrs, slog.String("requestId", r.requestID))
 }
 
-// PhaseBegin opens a named pipeline phase: a flight-recorder span on
-// the control lane.
-func (r *Run) PhaseBegin(name string) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.Begin(r.ID, ControlLane, name, trace.CatPhase)
-}
-
-// PhaseEnd closes the innermost open phase opened with name.
-func (r *Run) PhaseEnd(name string) {
-	if r == nil {
-		return
-	}
-	r.tel.flight.End(r.ID, ControlLane, name)
-}
-
 // BudgetExhausted records the bit-operation budget tripping. It may be
 // called from any goroutine (the arithmetic operation that crosses the
 // limit fires it).
@@ -259,7 +208,6 @@ func (r *Run) BudgetExhausted(bitOps int64) {
 	if r == nil {
 		return
 	}
-	r.tel.flight.Event(r.ID, ControlLane, "budget_exhausted", bitOps)
 	if l := r.tel.logger; l != nil {
 		l.LogAttrs(context.Background(), slog.LevelWarn, "budget exhausted",
 			r.appendRequestID([]slog.Attr{slog.Uint64("run", r.ID), slog.Int64("bitOps", bitOps)})...)
@@ -275,8 +223,7 @@ func (r *Run) SchedStats(s sched.PoolStats) {
 	r.pool = s
 }
 
-// Finish closes the run: it emits the finish event and log record and
-// folds the run's totals (outcome, wall time, roots, bit-operation
+// Finish closes the run: it emits the finish log record and folds the run's totals (outcome, wall time, roots, bit-operation
 // metrics, scheduler stats) into the registry. err is the run's error,
 // nil on success; the log record of a failed run carries its text, so
 // a task panic's value reaches the log.
@@ -285,7 +232,6 @@ func (r *Run) Finish(o Outcome, err error, roots int, bitOps int64, rep metrics.
 		return
 	}
 	elapsed := time.Since(r.start)
-	r.tel.flight.Event(r.ID, ControlLane, "finish", int64(roots))
 	r.tel.reg.finishRun(o, elapsed, roots, bitOps, rep, r.pool)
 	if l := r.tel.logger; l != nil {
 		level := slog.LevelInfo

@@ -47,8 +47,6 @@ func TestRunLifecycleLog(t *testing.T) {
 	if run.ID != 1 {
 		t.Fatalf("first run ID = %d", run.ID)
 	}
-	run.PhaseBegin("remainder")
-	run.PhaseEnd("remainder")
 	run.BudgetExhausted(12345)
 	run.Finish(OutcomeOK, nil, 5, 999, metrics.Report{})
 
@@ -67,26 +65,11 @@ func TestRunLifecycleLog(t *testing.T) {
 	if _, ok := fin["error"]; ok {
 		t.Errorf("successful run logged an error: %v", fin)
 	}
-	// Phases are flight-recorder spans only, even at DEBUG.
 	if len(lines) != 3 {
 		t.Errorf("logged %d records, want start, budget exhausted and finish: %v", len(lines), lines)
 	}
 
-	// The same lifecycle also landed in the flight recorder…
-	d := tel.Flight().Dump()
-	if err := d.Validate(); err != nil {
-		t.Fatalf("flight dump: %v", err)
-	}
-	names := map[string]bool{}
-	for _, r := range d.Records {
-		names[r.Name] = true
-	}
-	for _, want := range []string{"start", "remainder", "budget_exhausted", "finish"} {
-		if !names[want] {
-			t.Errorf("flight recorder missing %q record (have %v)", want, names)
-		}
-	}
-	// …and in the registry.
+	// The run's totals landed in the registry.
 	if tot := tel.Registry().Totals(); tot.Solves[OutcomeOK] != 1 || tot.Roots != 5 {
 		t.Fatalf("registry totals: %+v", tot)
 	}
@@ -125,12 +108,7 @@ func TestFinishLogLevels(t *testing.T) {
 func TestNoLoggerStillRecords(t *testing.T) {
 	tel := New(Config{})
 	run := tel.Start(RunInfo{Kind: "sturm", Degree: 8, Mu: 4, Workers: 1})
-	run.PhaseBegin("sturm")
-	run.PhaseEnd("sturm")
 	run.Finish(OutcomeOK, nil, 2, 10, metrics.Report{})
-	if tel.Flight().Written() == 0 {
-		t.Fatal("flight recorder idle without a logger")
-	}
 	if tel.Registry().Totals().Solves[OutcomeOK] != 1 {
 		t.Fatal("registry idle without a logger")
 	}
@@ -138,7 +116,7 @@ func TestNoLoggerStillRecords(t *testing.T) {
 
 func TestNilHubAndRun(t *testing.T) {
 	var tel *Telemetry
-	if tel.Flight() != nil || tel.Registry() != nil {
+	if tel.Registry() != nil || tel.Requests() != nil || tel.Traces() != nil || tel.TailSampler() != nil || tel.Tenants() != nil {
 		t.Fatal("nil hub handed out non-nil sinks")
 	}
 	run := tel.Start(RunInfo{Kind: "core", Degree: 10, Mu: 16, Workers: 2})
@@ -146,8 +124,6 @@ func TestNilHubAndRun(t *testing.T) {
 		t.Fatal("nil hub returned a live run")
 	}
 	// Every method must be callable on the nil run.
-	run.PhaseBegin("a")
-	run.PhaseEnd("a")
 	run.BudgetExhausted(1)
 	run.SchedStats(sched.PoolStats{})
 	run.Finish(OutcomeOK, nil, 0, 0, metrics.Report{})

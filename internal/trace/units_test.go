@@ -8,16 +8,14 @@ import (
 )
 
 // TestUnitsContract pins the repo-wide timestamp/duration unit
-// contract across the observability sinks (audited for this PR):
+// contract across the observability sinks:
 //
 //   - in-memory spans and counters: time.Duration offsets from the
 //     tracer epoch (nanoseconds);
 //   - Chrome trace-event export: MICROSECOND floats in ts/dur/wait_us,
 //     as the Trace Event Format requires (ns ÷ nsPerMicro);
-//   - flight recorder: nanoseconds, named so (Record.AtNs, JSON
-//     "atNs") — pinned by telemetry's TestFlightUnitsContract;
 //   - /debug/requests and /debug/traces metadata: float seconds,
-//     named so (queueWaitSeconds, wallSeconds, …).
+//     named so (queueWaitSeconds, phaseSeconds, wallSeconds, …).
 //
 // Each sink uses a different unit, which is fine exactly because every
 // field name or format spec says which; this test fails if the Chrome

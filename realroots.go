@@ -182,20 +182,19 @@ type Options struct {
 	// allocations to the solver hot path.
 	Tracer *Tracer
 	// Telemetry, if non-nil, attaches the run to an always-on telemetry
-	// hub: a structured slog record per solve lifecycle event, the
-	// run's metrics folded into a Prometheus-scrapable registry, and
-	// its lifecycle and phase spans kept in a bounded flight recorder. Create one hub
-	// per process with NewTelemetry and share it across runs; serve its
-	// endpoints with Telemetry.Serve. Unlike Tracer, a hub is designed
-	// to stay attached in production: its memory is bounded and nil
-	// (the default) adds no allocations to the solver hot path.
+	// hub: a structured slog record per solve lifecycle event (start,
+	// budget trip, finish) and the run's metrics folded into a
+	// Prometheus-scrapable registry. Create one hub per process with
+	// NewTelemetry and share it across runs; serve its endpoints with
+	// Telemetry.Serve. Unlike Tracer, a hub is designed to stay
+	// attached in production: its memory is bounded and nil (the
+	// default) adds no allocations to the solver hot path.
 	Telemetry *Telemetry
 	// RequestID, if non-empty, names the external request this solve
 	// serves (rootd forwards the client's X-Request-Id here). The ID is
-	// stamped on every observability sink the run touches — structured
-	// logs (including the finish record that carries a task panic's
-	// value), the flight recorder's request_id event, and trace spans —
-	// so one ID recovers the run from any of them.
+	// stamped on the structured log records (including the finish
+	// record that carries a task panic's value) and on the trace's
+	// spans, so one ID recovers the run from either.
 	RequestID string
 }
 
@@ -207,14 +206,13 @@ type Tracer = trace.Tracer
 // the moment of the call.
 func NewTracer() *Tracer { return trace.New() }
 
-// Telemetry is an always-on observability hub: structured solve logs,
-// a Prometheus-exposition metrics registry, and a fixed-size flight
-// recorder of recent events; see Options.Telemetry. Methods on a nil
-// *Telemetry are allocation-free no-ops.
+// Telemetry is an always-on observability hub: structured solve logs
+// and a Prometheus-exposition metrics registry; see Options.Telemetry.
+// Methods on a nil *Telemetry are allocation-free no-ops.
 type Telemetry = telemetry.Telemetry
 
 // TelemetryConfig configures NewTelemetry: an optional slog logger for
-// the structured event log and the flight-recorder capacity.
+// the structured event log.
 type TelemetryConfig = telemetry.Config
 
 // NewTelemetry creates a telemetry hub. One hub serves a whole
@@ -516,9 +514,7 @@ func FindRealRootsContext(ctx context.Context, coeffs []*big.Int, opts *Options)
 	}
 	ctl := co.Tracer.Lane(trace.ControlLane, "control")
 	ctl.Begin("sturm", trace.CatTask)
-	run.PhaseBegin("sturm")
 	ds, err := sturm.FindRootsStop(p, co.Mu, metrics.Ctx{C: &counters, Profile: co.Profile}, stop)
-	run.PhaseEnd("sturm")
 	ctl.End()
 	if run != nil {
 		nroots := 0

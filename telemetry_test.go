@@ -48,16 +48,10 @@ func TestTelemetryPublicAPI(t *testing.T) {
 		t.Fatalf("exposition missing solve counts:\n%s", expo.String())
 	}
 
-	d := tel.Flight().Dump()
-	if err := d.Validate(); err != nil {
-		t.Fatalf("flight dump: %v", err)
-	}
-	runs := map[uint64]bool{}
-	for _, r := range d.Records {
-		runs[r.Run] = true
-	}
-	if len(runs) != 2 {
-		t.Fatalf("flight recorder saw %d runs, want 2", len(runs))
+	for _, msg := range []string{"solve start", "solve finish"} {
+		if n := strings.Count(logs, `"msg":"`+msg+`"`); n != 2 {
+			t.Errorf("structured log has %d %q records, want one per run", n, msg)
+		}
 	}
 }
 
@@ -87,15 +81,13 @@ func TestTelemetryConcurrentSolves(t *testing.T) {
 	if got := tel.Registry().Totals().Solves[telemetry.OutcomeOK]; got != solvers {
 		t.Fatalf("registry counted %d ok solves, want %d", got, solvers)
 	}
-	if err := tel.Flight().Dump().Validate(); err != nil {
-		t.Fatalf("flight dump after concurrent solves: %v", err)
-	}
 }
 
 // TestRequestIDThreeSinks stamps Options.RequestID on a solve and
-// recovers it from all three sinks — structured log, flight recorder,
-// and Chrome trace — for both the parallel pipeline and the Sturm
-// baseline.
+// recovers it from the library's sinks — structured log and Chrome
+// trace — for both the parallel pipeline and the Sturm baseline. The
+// third sink, rootd's /debug/requests row, is checked by the server's
+// TestRequestIDPropagation.
 func TestRequestIDThreeSinks(t *testing.T) {
 	for _, tc := range []struct {
 		kind   string
@@ -124,17 +116,6 @@ func TestRequestIDThreeSinks(t *testing.T) {
 
 			if !strings.Contains(logBuf.String(), `"requestId":"`+id+`"`) {
 				t.Errorf("structured log does not carry requestId %q:\n%s", id, logBuf.String())
-			}
-
-			found := false
-			for _, r := range tel.Flight().Dump().Records {
-				if r.Name == "request_id:"+id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("flight recorder has no request_id event for %q", id)
 			}
 
 			var chrome bytes.Buffer
