@@ -77,7 +77,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile (go tool pprof) to this file on exit")
 
-		telemetryAddr = fs.String("telemetry", "", "serve /metrics, the /debug inspectors and /debug/pprof on this address (e.g. :9090) for the duration of the run")
+		telemetryAddr = fs.String("telemetry", "", "serve /metrics and /debug/pprof on this address (e.g. :9090) for the duration of the run")
 		slogOut       = fs.String("slog", "", "write the structured solve log (JSON lines) to this file ('-' for stderr)")
 		metricsOut    = fs.String("metrics-out", "", "write the final Prometheus text exposition to this file on exit")
 		soakSolves    = fs.Int("soak-solves", 0, "soak experiment: stop after this many solves (default "+strconv.Itoa(harness.DefaultSoakSolves)+" when no -soak-seconds)")

@@ -4,8 +4,9 @@
 // exact rationals plus decimal renderings. Solves run on a shared pool
 // with bounded per-solve parallelism behind cost-model admission
 // control, per-tenant rate limits, fair queuing, and a deduplicating
-// LRU result cache; /metrics, /debug/requests, /debug/traces,
-// /debug/tenants, and /debug/pprof expose the telemetry hub.
+// LRU result cache; /debug/requests, /debug/traces and /debug/tenants
+// are the server's views of its requests, and /metrics and
+// /debug/pprof expose the telemetry hub.
 // SIGINT/SIGTERM drain gracefully: in-flight solves finish under
 // -drain-timeout, then the process exits.
 //
@@ -26,12 +27,13 @@
 //
 // Every request carries an end-to-end ID: the client's X-Request-Id
 // header (or a generated one), echoed in the response header and body
-// and stamped on every observability sink the solve touches — the
-// structured solve log (whose start, budget-trip and finish records
-// carry it, the finish record with a failed solve's error),
-// latency-histogram exemplars on /metrics, the /debug/requests
-// inspector, and trace spans. One ID recovers a request from any of
-// them.
+// and stamped on every observability sink the request touches — the
+// structured log (the request's own record, and the start,
+// budget-trip and finish records of a solve it led, the finish record
+// with a failed solve's error), latency-histogram exemplars on
+// /metrics, its /debug/requests row (every request has one, refused
+// ones included), and trace spans. One ID recovers a request from any
+// of them.
 //
 // Example:
 //
@@ -118,7 +120,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		CacheEntries:      *cacheSize,
 		DisableTracing:    *noTrace,
 		Telemetry:         telemetry.New(telemetry.Config{Logger: logger}),
-		Logger:            logger,
 	})
 	running, err := srv.ListenAndServe(*addr)
 	if err != nil {

@@ -4,7 +4,8 @@
 // Prometheus text expositions (rootbench -metrics-out or GET
 // /metrics), request-inspector dumps (GET /debug/requests?format=json),
 // tail-sampled trace stores (GET /debug/traces?format=json), per-tenant
-// usage ledgers (GET /debug/tenants?format=json), and bench-grid JSON
+// usage ledgers (GET /debug/tenants?format=json) — the three rootd
+// views, checked by internal/server's validators — and bench-grid JSON
 // (rootbench -json). The file kind is read from the content, so CI can
 // pass all of them in one call: an exposition starts with "# HELP";
 // any other file is JSON whose top-level "schema" names its kind, and
@@ -25,6 +26,7 @@ import (
 	"os"
 
 	"realroots/internal/harness"
+	"realroots/internal/server"
 	"realroots/internal/telemetry"
 	"realroots/internal/trace"
 )
@@ -63,13 +65,13 @@ func validateFile(path string) (kind string, err error) {
 		return "", fmt.Errorf("neither a Prometheus exposition nor a JSON object: %w", err)
 	}
 	switch {
-	case head.Schema == telemetry.RequestsSchema:
-		_, err := telemetry.ValidateRequestsJSON(data)
+	case head.Schema == server.RequestsSchema:
+		_, err := server.ValidateRequestsJSON(data)
 		return "requests-dump", err
-	case head.Schema == trace.StoreSchema:
-		return "trace-store", trace.ValidateStoreJSON(data)
-	case head.Schema == telemetry.TenantsSchema:
-		return "tenants-dump", telemetry.ValidateTenantsJSON(data)
+	case head.Schema == server.StoreSchema:
+		return "trace-store", server.ValidateStoreJSON(data)
+	case head.Schema == server.TenantsSchema:
+		return "tenants-dump", server.ValidateTenantsJSON(data)
 	case head.Schema == "" && head.TraceEvents != nil:
 		return "chrome-trace", trace.ValidateChrome(data)
 	default:

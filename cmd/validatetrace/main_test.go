@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"realroots/internal/harness"
+	"realroots/internal/server"
 	"realroots/internal/telemetry"
 	"realroots/internal/trace"
 )
@@ -48,32 +51,25 @@ func TestValidateFileSniffsKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Trace store (empty is valid) and tenant ledger dumps.
-	var storeDump bytes.Buffer
-	if err := json.NewEncoder(&storeDump).Encode(trace.NewStore(0).Dump()); err != nil {
+	// rootd's three views, from a server that answered one request
+	// whose ID and tenant are the Chrome trace's top-level key: a
+	// request ID or a tenant may be any [A-Za-z0-9._-] name, so the
+	// schema decides. Its healthy solve leaves the trace store empty,
+	// which is valid.
+	srv := server.New(server.Config{})
+	defer srv.Drain(context.Background())
+	req, err := server.DecodeSolveRequest([]byte(`{"tenant":"traceEvents","poly":{"coeffs":["-2","0","1"]}}`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	led := telemetry.NewTenantLedger(0)
-	led.AddRequest("acme")
-	led.AddSolve("acme", 0.25, 1000)
-	var tenantsDump bytes.Buffer
-	if err := json.NewEncoder(&tenantsDump).Encode(led.Dump()); err != nil {
+	req.RequestID = "traceEvents"
+	if _, err := srv.Solve(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-
-	// A request ID or a tenant may be any [A-Za-z0-9._-] name, the
-	// Chrome trace's top-level key included: the schema decides.
-	reqs := telemetry.NewRequestTracker(0)
-	reqs.Start(telemetry.RequestInfo{ID: "traceEvents", Tenant: "traceEvents"}).Finish("ok")
-	var requestsDump bytes.Buffer
-	if err := json.NewEncoder(&requestsDump).Encode(reqs.Dump()); err != nil {
-		t.Fatal(err)
-	}
-	led = telemetry.NewTenantLedger(0)
-	led.AddRequest("traceEvents")
-	var trickyTenants bytes.Buffer
-	if err := json.NewEncoder(&trickyTenants).Encode(led.Dump()); err != nil {
-		t.Fatal(err)
+	view := func(path string) []byte {
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path+"?format=json", nil))
+		return w.Body.Bytes()
 	}
 
 	cases := []struct {
@@ -84,10 +80,9 @@ func TestValidateFileSniffsKinds(t *testing.T) {
 		{"trace.json", chrome.Bytes(), "chrome-trace"},
 		{"metrics.prom", expo.Bytes(), "prometheus-exposition"},
 		{"grid.json", grid.Bytes(), "bench-grid"},
-		{"traces.json", storeDump.Bytes(), "trace-store"},
-		{"tenants.json", tenantsDump.Bytes(), "tenants-dump"},
-		{"requests-traceEvents.json", requestsDump.Bytes(), "requests-dump"},
-		{"tenants-traceEvents.json", trickyTenants.Bytes(), "tenants-dump"},
+		{"traces.json", view("/debug/traces"), "trace-store"},
+		{"requests-traceEvents.json", view("/debug/requests"), "requests-dump"},
+		{"tenants-traceEvents.json", view("/debug/tenants"), "tenants-dump"},
 	}
 	for _, tc := range cases {
 		kind, err := validateFile(writeTemp(t, tc.name, tc.data))

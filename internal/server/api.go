@@ -17,10 +17,13 @@
 //     bit-identical for any worker count);
 //   - graceful drain: Drain stops admission and lets in-flight solves
 //     finish under a deadline, canceling whatever remains;
-//   - the shared internal/telemetry hub serving /metrics (with
-//     rootd_* request families appended), the /debug/requests,
-//     /debug/traces and /debug/tenants inspectors, and the structured
-//     solve log.
+//   - one record per request, from arrival to finish, which one
+//     function folds into the server's views (/debug/requests, the
+//     tail-sampled /debug/traces, the /debug/tenants ledger), its
+//     request metrics and its log record;
+//   - the shared internal/telemetry hub, whose registry renders the
+//     rootd_* families with the solver's on /metrics and whose logger
+//     takes the solve log and the request log.
 //
 // cmd/rootd is the thin binary over this package; the harness loadtest
 // experiment drives it for latency/throughput goldens.
@@ -36,6 +39,7 @@ import (
 	"io"
 	"math/big"
 	"strconv"
+	"time"
 
 	"realroots/internal/charpoly"
 	"realroots/internal/core"
@@ -121,6 +125,10 @@ var errorCodes = []string{
 type RequestError struct {
 	Code string // one of the Code* constants
 	Msg  string
+
+	// retryAfter is the rate limiter's backoff; other retryable codes
+	// advertise the one-second floor.
+	retryAfter time.Duration
 }
 
 func (e *RequestError) Error() string { return "server: " + e.Code + ": " + e.Msg }

@@ -10,11 +10,12 @@ import (
 )
 
 // Post-solve observability: every flight-leader solve ends here, where
-// the recorded trace is condensed into the paper's quantities
-// (parallel efficiency, serial fraction, per-phase walls, the last
-// also on the leader's /debug/requests row), fed to the tail sampler
-// for retention, charged to the tenant ledger, and folded into the
-// EWMAs the admission charge learns from.
+// the leader's solve facts are written on its request record (finish
+// charges them to the tenant ledger), the recorded trace is condensed
+// into the paper's quantities (parallel efficiency, serial fraction,
+// per-phase walls, the last also on the leader's /debug/requests row)
+// and fed to the tail sampler for retention, and the EWMAs the
+// admission charge learns from are updated.
 
 // traceMaxSpans caps each lane of a solve's always-on tracer. The cap
 // bounds a request's trace memory whatever the solve's size; spans
@@ -36,12 +37,10 @@ const (
 // observeSolve digests one completed flight-leader solve. It runs on
 // both the success and error paths (error traces are exactly the ones
 // worth retaining), after the solver has fully stopped — the tracer is
-// quiescent and safe to read.
+// quiescent and safe to read — and on the leader's own goroutine, which
+// owns the record's solve facts.
 func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Time, elapsed time.Duration, bitOps int64, err error) {
-	// Ledger: the leader's solve is charged to its tenant even when it
-	// fails — the wall time and bit ops were spent either way.
-	led := s.cfg.Telemetry.Tenants()
-	led.AddSolve(p.tenant, elapsed.Seconds(), bitOps)
+	p.rec.solved, p.rec.solveSeconds, p.rec.bitOps = true, elapsed.Seconds(), bitOps
 
 	outcome := core.RunOutcome(err)
 	if err == nil && p.estimate > 0 && bitOps > 0 {
@@ -66,29 +65,30 @@ func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Ti
 			}
 		}
 	}
-	for _, ph := range sum.Phases {
-		s.phaseHist.With(ph.Name).Observe(ph.Wall.Seconds(), p.requestID)
+	phases := make([]PhaseTime, len(sum.Phases))
+	for i, ph := range sum.Phases {
+		s.phaseHist.With(ph.Name).Observe(ph.Wall.Seconds(), p.req.RequestID)
+		phases[i] = PhaseTime{Name: ph.Name, Seconds: ph.Wall.Seconds()}
 	}
-	p.tracker.SetPhaseSeconds(sum.Phases)
+	p.rec.update(func(row *RequestSnapshot) { row.PhaseSeconds = phases })
 
 	// Tail sampling: the sampler sees every solve (its rolling latency
 	// quantile needs the full population) and returns a retention
 	// reason only for the interesting tail.
-	store := s.cfg.Telemetry.Traces()
-	store.NoteSeen()
-	reason := s.cfg.Telemetry.TailSampler().Consider(telemetry.TraceInfo{
-		Forced:     p.forceTrace,
-		Outcome:    outcome,
-		Seconds:    elapsed.Seconds(),
-		Workers:    p.workers,
-		Efficiency: eff,
+	s.traces.noteSeen()
+	reason := s.tail.consider(traceInfo{
+		forced:     p.req.ForceTrace,
+		outcome:    outcome,
+		seconds:    elapsed.Seconds(),
+		workers:    p.workers,
+		efficiency: eff,
 	})
-	if reason == "" || store == nil {
+	if reason == "" {
 		return
 	}
-	store.Add(trace.RetainedTrace{
-		RequestID:      p.requestID,
-		Tenant:         p.tenant,
+	s.traces.add(RetainedTrace{
+		RequestID:      p.req.RequestID,
+		Tenant:         p.req.Tenant,
 		Outcome:        string(outcome),
 		Reason:         reason,
 		Start:          start,
@@ -100,7 +100,7 @@ func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Ti
 		DroppedSpans:   dropped,
 	}, tracer)
 	s.traceKept.Add(reason, 1)
-	led.AddRetainedTrace(p.tenant)
+	p.rec.retained = true
 }
 
 // updateEWMA folds one observation into a learned correction,

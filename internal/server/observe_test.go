@@ -39,12 +39,11 @@ func TestTraceRetainedOnError(t *testing.T) {
 		t.Fatalf("error code %q, want %q", code, CodeBudget)
 	}
 
-	store := cfg.Telemetry.Traces()
-	d := store.Dump()
+	d := s.traces.dump()
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Retained != 1 || d.ByReason[trace.ReasonError] != 1 {
+	if d.Retained != 1 || d.ByReason[ReasonError] != 1 {
 		t.Fatalf("store retained %d (byReason %v), want 1 error trace", d.Retained, d.ByReason)
 	}
 	rt := d.Traces[0]
@@ -57,7 +56,7 @@ func TestTraceRetainedOnError(t *testing.T) {
 
 	// The live entry (not the dump copy) still exports Chrome JSON.
 	var buf bytes.Buffer
-	if err := store.Get(rt.Seq).WriteChrome(&buf); err != nil {
+	if err := s.traces.get(rt.Seq).WriteChrome(&buf); err != nil {
 		t.Fatalf("chrome export: %v", err)
 	}
 	if err := trace.ValidateChrome(buf.Bytes()); err != nil {
@@ -65,7 +64,7 @@ func TestTraceRetainedOnError(t *testing.T) {
 	}
 
 	// Metrics side: the retention counter agrees with the store.
-	if got := s.traceKept.Value(trace.ReasonError); got != 1 {
+	if got := s.traceKept.Value(ReasonError); got != 1 {
 		t.Errorf("rootd_traces_retained_total{reason=error} = %v, want 1", got)
 	}
 }
@@ -74,8 +73,7 @@ func TestTraceRetainedOnError(t *testing.T) {
 // healthy fast solve that the sampler would drop is retained as
 // "forced" when the header is present.
 func TestTraceForcedByHeader(t *testing.T) {
-	cfg := obsConfig()
-	_, hs := newTestServer(t, cfg)
+	s, hs := newTestServer(t, obsConfig())
 
 	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/solve", strings.NewReader(quadratic))
 	if err != nil {
@@ -93,8 +91,8 @@ func TestTraceForcedByHeader(t *testing.T) {
 		t.Fatalf("forced solve status %d, body %s", resp.StatusCode, body)
 	}
 
-	d := cfg.Telemetry.Traces().Dump()
-	if d.ByReason[trace.ReasonForced] != 1 {
+	d := s.traces.dump()
+	if d.ByReason[ReasonForced] != 1 {
 		t.Fatalf("byReason %v, want one forced trace", d.ByReason)
 	}
 
@@ -104,7 +102,7 @@ func TestTraceForcedByHeader(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("plain solve status %d, body %s", status, data)
 	}
-	d = cfg.Telemetry.Traces().Dump()
+	d = s.traces.dump()
 	if d.Retained != 1 {
 		t.Errorf("retained %d traces, want still 1 (healthy solve dropped)", d.Retained)
 	}
@@ -121,7 +119,7 @@ func TestTraceForcedByHeader(t *testing.T) {
 // cache hit, ran no solve and has no phaseSeconds.
 func TestMatrixSolveTracesCharPoly(t *testing.T) {
 	cfg := obsConfig()
-	_, hs := newTestServer(t, cfg)
+	s, hs := newTestServer(t, cfg)
 	const matrix = `{"matrix":{"rows":[[2,1,0],[1,2,1],[0,1,2]]},"precision":32}`
 	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/solve", strings.NewReader(matrix))
 	if err != nil {
@@ -140,13 +138,12 @@ func TestMatrixSolveTracesCharPoly(t *testing.T) {
 		t.Fatalf("matrix solve status %d, body %s", resp.StatusCode, body)
 	}
 
-	store := cfg.Telemetry.Traces()
-	d := store.Dump()
+	d := s.traces.dump()
 	if d.Retained != 1 {
 		t.Fatalf("retained %d traces, want the forced one", d.Retained)
 	}
 	var buf bytes.Buffer
-	if err := store.Get(d.Traces[0].Seq).WriteChrome(&buf); err != nil {
+	if err := s.traces.get(d.Traces[0].Seq).WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var ct struct {
@@ -195,7 +192,7 @@ func TestMatrixSolveTracesCharPoly(t *testing.T) {
 
 // requestRows reads /debug/requests?format=json, validates it, and
 // returns its completed rows by request ID.
-func requestRows(t *testing.T, url string) map[string]telemetry.RequestSnapshot {
+func requestRows(t *testing.T, url string) map[string]RequestSnapshot {
 	t.Helper()
 	resp, err := http.Get(url + "/debug/requests?format=json")
 	if err != nil {
@@ -203,11 +200,11 @@ func requestRows(t *testing.T, url string) map[string]telemetry.RequestSnapshot 
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	d, err := telemetry.ValidateRequestsJSON(body)
+	d, err := ValidateRequestsJSON(body)
 	if err != nil {
 		t.Fatalf("/debug/requests invalid: %v\n%s", err, body)
 	}
-	rows := make(map[string]telemetry.RequestSnapshot)
+	rows := make(map[string]RequestSnapshot)
 	for _, r := range d.Recent {
 		rows[r.ID] = r
 	}
@@ -269,8 +266,7 @@ func TestPhaseSecondsOnlyForTracedLeaders(t *testing.T) {
 // TestTenantLedgerAccountingE2E drives requests for two tenants and
 // checks the ledger's request/solve/cache-hit split.
 func TestTenantLedgerAccountingE2E(t *testing.T) {
-	cfg := obsConfig()
-	_, hs := newTestServer(t, cfg)
+	s, hs := newTestServer(t, obsConfig())
 
 	solve := func(tenant string) {
 		t.Helper()
@@ -285,11 +281,11 @@ func TestTenantLedgerAccountingE2E(t *testing.T) {
 	solve("acme") // hit
 	solve("beta") // hit (tenant is not part of the cache key)
 
-	d := cfg.Telemetry.Tenants().Dump()
+	d := s.tenants.dump()
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rows := map[string]telemetry.TenantRow{}
+	rows := map[string]TenantRow{}
 	for _, r := range d.Tenants {
 		rows[r.Tenant] = r
 	}
@@ -345,7 +341,7 @@ func TestObservabilityMetricsExposed(t *testing.T) {
 func TestDisableTracing(t *testing.T) {
 	cfg := obsConfig()
 	cfg.DisableTracing = true
-	_, hs := newTestServer(t, cfg)
+	s, hs := newTestServer(t, cfg)
 
 	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/solve", strings.NewReader(quadratic))
 	if err != nil {
@@ -362,7 +358,7 @@ func TestDisableTracing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d", resp.StatusCode)
 	}
-	d := cfg.Telemetry.Traces().Dump()
+	d := s.traces.dump()
 	if d.Retained != 0 {
 		t.Errorf("tracing disabled but %d traces retained", d.Retained)
 	}

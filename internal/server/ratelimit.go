@@ -10,12 +10,19 @@ import (
 // tokens per second up to burst, and each request costs one token. The
 // clock is injectable so tests drive it deterministically. A nil
 // limiter allows everything.
+//
+// A bucket refilled to burst is identical to a new one, so the limiter
+// drops full buckets whenever a new tenant arrives and the map has
+// doubled since the last sweep: a client cycling tenant IDs cannot
+// grow it without bound, the sweep costs amortized O(1) per new
+// tenant, and no allow/deny decision changes.
 type rateLimiter struct {
 	mu      sync.Mutex
 	rate    float64 // tokens per second
 	burst   float64
 	now     func() time.Time
 	buckets map[string]*bucket
+	swept   int // len(buckets) after the last sweep
 }
 
 type bucket struct {
@@ -47,6 +54,14 @@ func (l *rateLimiter) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	t := l.now()
 	b := l.buckets[tenant]
 	if b == nil {
+		if len(l.buckets) >= 2*l.swept {
+			for k, old := range l.buckets {
+				if old.tokens+t.Sub(old.last).Seconds()*l.rate >= l.burst {
+					delete(l.buckets, k)
+				}
+			}
+			l.swept = len(l.buckets)
+		}
 		b = &bucket{tokens: l.burst, last: t}
 		l.buckets[tenant] = b
 	} else {

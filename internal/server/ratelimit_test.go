@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -65,5 +66,22 @@ func TestRateLimiterDisabled(t *testing.T) {
 		if ok, _ := l.Allow("t"); !ok {
 			t.Fatal("nil limiter denied a request")
 		}
+	}
+}
+
+// TestRateLimiterBoundedTenants cycles one-shot tenant IDs, the
+// cardinality attack the ledger's row cap exists to stop: every bucket
+// refills within 0.1 s, so the limiter must not keep one per tenant.
+func TestRateLimiterBoundedTenants(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(0, 0)}
+	l := newRateLimiter(10, 2, clock.now)
+	for i := 0; i < 100_000; i++ {
+		if ok, _ := l.Allow(fmt.Sprintf("t%d", i)); !ok {
+			t.Fatalf("first request of tenant %d denied", i)
+		}
+		clock.advance(time.Millisecond)
+	}
+	if n := len(l.buckets); n > 400 {
+		t.Errorf("%d buckets held after 100000 one-shot tenants, want at most 400", n)
 	}
 }

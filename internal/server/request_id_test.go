@@ -129,11 +129,11 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	dump, err := telemetry.ValidateRequestsJSON(body)
+	dump, err := ValidateRequestsJSON(body)
 	if err != nil {
 		t.Fatalf("/debug/requests invalid: %v\n%s", err, body)
 	}
-	tracked := make(map[string]telemetry.RequestSnapshot)
+	tracked := make(map[string]RequestSnapshot)
 	for _, r := range dump.Recent {
 		tracked[r.ID] = r
 	}

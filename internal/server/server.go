@@ -69,11 +69,11 @@ type Config struct {
 	// trace-derived gauges (parallel efficiency, serial fraction) stop
 	// updating. Admission still works from the static cost model.
 	DisableTracing bool
-	// Telemetry is the hub serving /metrics, the /debug inspectors and
-	// the solve log; nil creates a logger-less hub.
+	// Telemetry is the hub whose registry carries the rootd_* families
+	// next to the solver's, whose handler serves /metrics and pprof, and
+	// whose logger receives the solve log and the request log; nil
+	// creates a logger-less hub. The request views are the server's own.
 	Telemetry *telemetry.Telemetry
-	// Logger receives request-level logs; nil disables them.
-	Logger *slog.Logger
 	// Now is the rate limiter's clock (tests); nil means time.Now.
 	Now func() time.Time
 	// Faults, if non-nil, builds a per-solve scheduler task hook from
@@ -132,6 +132,13 @@ type Server struct {
 	active   atomic.Int64 // solves currently holding a slot
 	solveSeq atomic.Uint64
 
+	// The request views: /debug/requests, /debug/traces (kept by the
+	// tail sampler) and /debug/tenants.
+	requests *requestLog
+	traces   *traceStore
+	tail     *tailSampler
+	tenants  *tenantLedger
+
 	// rootd_* metric families, registered on the telemetry hub's
 	// registry so one /metrics endpoint renders solver and server
 	// families with shared HELP/TYPE dedup and validator coverage.
@@ -170,9 +177,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		queue:   newFairQueue(cfg.MaxConcurrent, cfg.MaxQueue),
-		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now),
+		cfg:      cfg,
+		queue:    newFairQueue(cfg.MaxConcurrent, cfg.MaxQueue),
+		limiter:  newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now),
+		requests: newRequestLog(),
+		traces:   newTraceStore(),
+		tail:     newTailSampler(),
+		tenants:  newTenantLedger(),
 	}
 	// The admission corrections start neutral (×1) and learn from
 	// completed solves; see observeSolve.
@@ -191,8 +202,8 @@ func New(cfg Config) *Server {
 
 // registerMetrics installs the rootd_* families on the hub's registry.
 // Counter and histogram registration is idempotent, so servers sharing
-// one hub accumulate into the same families; the state gauges rebind to
-// the latest server.
+// one hub accumulate into the same families; the state gauges and the
+// rootd_tenant_* families rebind to the latest server.
 func (s *Server) registerMetrics(reg *telemetry.Registry) {
 	s.reqCodes = reg.RegisterCounterVec("rootd_requests_total",
 		"Solve requests by outcome code.", "code",
@@ -215,7 +226,7 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 		telemetry.SecondsBuckets, "phase")
 	s.traceKept = reg.RegisterCounterVec("rootd_traces_retained_total",
 		"Solve traces kept by the tail sampler, by retention reason.", "reason",
-		[]string{trace.ReasonForced, trace.ReasonError, trace.ReasonSlow, trace.ReasonLowEfficiency})
+		[]string{ReasonForced, ReasonError, ReasonSlow, ReasonLowEfficiency})
 	s.spanOverhead = reg.RegisterFloatCounter("rootd_span_overhead_seconds",
 		"Estimated wall seconds spent recording trace spans (span count x calibrated per-span cost) — the always-on tracing tax.")
 	reg.RegisterGaugeFunc("rootd_solve_queue_depth",
@@ -253,14 +264,7 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 	reg.RegisterGaugeFunc("rootd_learned_efficiency",
 		"EWMA of measured parallel efficiency over completed parallel solves; the admission charge divides by it for parallel requests (clamped).",
 		s.learnedEff.Load)
-	reg.RegisterTenantFamilies(s.cfg.Telemetry.Tenants())
-}
-
-// tenantLabel is a tenant's label value on the per-tenant histograms:
-// the name of its ledger row, so the histogram series and the ledger
-// rows share one cap (telemetry.MaxTenants) and one overflow row.
-func (s *Server) tenantLabel(tenant string) string {
-	return s.cfg.Telemetry.Tenants().RowName(tenant)
+	s.tenants.registerFamilies(reg)
 }
 
 // newRequestID generates a server-side request ID for clients that did
@@ -275,24 +279,37 @@ func newRequestID() string {
 
 var cacheEventNames = []string{"hit", "join", "miss", "evict"}
 
-// Telemetry returns the server's telemetry hub.
-func (s *Server) Telemetry() *telemetry.Telemetry { return s.cfg.Telemetry }
-
 // Handler returns the server's HTTP handler:
 //
-//	POST /v1/solve   solve a polynomial or symmetric matrix
-//	GET  /healthz    liveness ("ok", or 503 while draining)
-//	GET  /metrics    Prometheus exposition (solver + rootd families)
-//	GET  /debug/...  request, trace and tenant inspectors, and pprof
+//	POST /v1/solve          solve a polynomial or symmetric matrix
+//	GET  /healthz           liveness ("ok", or 503 while draining)
+//	GET  /debug/requests    request inspector (HTML; ?format=json)
+//	GET  /debug/traces      tail-sampled traces (HTML; ?format=json; /<seq> for Chrome JSON)
+//	GET  /debug/tenants     per-tenant usage ledger (HTML; ?format=json)
+//	GET  /metrics           Prometheus exposition (solver + rootd families)
+//	GET  /debug/pprof/      runtime profiles
+//	GET  /                  a plain-text index
 //
-// /metrics and /debug/* are served by the telemetry hub; the rootd_*
-// families appear there because New registers them on the hub's
-// registry.
+// /metrics and /debug/pprof/ are the telemetry hub's; the rootd_*
+// families appear there because New registers them on its registry.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", s.handleSolve)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.Handle("/", s.cfg.Telemetry.Handler())
+	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
+		serveView(w, r, requestsTmpl, s.requests.dump())
+	})
+	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+		serveView(w, r, tracesTmpl, s.traces.dump())
+	})
+	mux.HandleFunc("/debug/traces/", s.handleTrace)
+	mux.HandleFunc("/debug/tenants", func(w http.ResponseWriter, r *http.Request) {
+		serveView(w, r, tenantsTmpl, s.tenants.dump())
+	})
+	hub := s.cfg.Telemetry.Handler()
+	mux.Handle("/metrics", hub)
+	mux.Handle("/debug/pprof/", hub)
+	mux.HandleFunc("/", handleIndex)
 	return mux
 }
 
@@ -322,182 +339,198 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
+// handleSolve serves POST /v1/solve. Every request is one record from
+// here to finish, whether it is refused or answered.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	reqID := r.Header.Get("X-Request-Id")
-	if err := ValidateRequestID(reqID); err != nil {
-		s.fail(w, start, "", newRequestID(), err)
+	// A request arriving while the server drains is refused below
+	// without queuing behind Drain's write lock.
+	if !s.draining.Load() {
+		s.inflight.RLock()
+		defer s.inflight.RUnlock()
+	}
+	id := r.Header.Get("X-Request-Id")
+	idErr := ValidateRequestID(id)
+	if idErr != nil || id == "" {
+		id = newRequestID()
+	}
+	rec := s.requests.begin(id)
+	var resp *SolveResponse
+	err := idErr
+	if err == nil {
+		w.Header().Set("X-Request-Id", id)
+		resp, err = s.decodeAndSolve(w, r, rec)
+	}
+	s.finish(rec, resp, err)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	if reqID == "" {
-		reqID = newRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodeAndSolve reads, decodes and rate-limits one HTTP request and
+// solves it.
+func (s *Server) decodeAndSolve(w http.ResponseWriter, r *http.Request, rec *request) (*SolveResponse, error) {
 	if r.Method != http.MethodPost {
-		s.fail(w, start, "", reqID, &RequestError{Code: CodeBadRequest, Msg: "use POST"})
-		return
+		return nil, badRequest("use POST")
 	}
 	if s.draining.Load() {
-		s.fail(w, start, "", reqID, &RequestError{Code: CodeDraining, Msg: "server is draining"})
-		return
+		return nil, errDraining
 	}
-	s.inflight.RLock()
-	defer s.inflight.RUnlock()
-	if s.draining.Load() { // re-check under the lock: Drain may have won the race
-		s.fail(w, start, "", reqID, &RequestError{Code: CodeDraining, Msg: "server is draining"})
-		return
-	}
-
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		s.fail(w, start, "", reqID, badRequest("reading body: %v", err))
-		return
+		return nil, badRequest("reading body: %v", err)
 	}
 	req, err := DecodeSolveRequest(body)
 	if err != nil {
-		s.fail(w, start, "", reqID, err)
-		return
+		return nil, err
 	}
-	req.RequestID = reqID
+	req.RequestID = rec.row.ID
 	// X-Debug-Trace (any non-empty value) forces the solve's trace into
 	// the retained ring regardless of outcome or latency; it only takes
 	// effect when this request leads the solve (cache hits re-serve the
 	// cached result without running, so there is nothing to trace).
 	req.ForceTrace = r.Header.Get("X-Debug-Trace") != ""
+	p := s.describe(rec, req)
 	if ok, retry := s.limiter.Allow(req.Tenant); !ok {
-		// Rate-limited requests never reach Solve, so their ledger
-		// accounting happens here.
-		led := s.cfg.Telemetry.Tenants()
-		led.AddRequest(req.Tenant)
-		led.AddRejection(req.Tenant)
-		s.failRetry(w, start, req.Tenant, reqID, &RequestError{
-			Code: CodeRateLimited,
-			Msg:  fmt.Sprintf("tenant %q is over its request rate", req.Tenant),
-		}, retry)
-		return
+		return nil, &RequestError{
+			Code:       CodeRateLimited,
+			Msg:        fmt.Sprintf("tenant %q is over its request rate", req.Tenant),
+			retryAfter: retry,
+		}
 	}
-
-	resp, err := s.Solve(r.Context(), req)
-	if err != nil {
-		s.fail(w, start, req.Tenant, reqID, err)
-		return
-	}
-	elapsed := time.Since(start)
-	s.reqCodes.Add("ok", 1)
-	s.reqSeconds.Add(elapsed.Seconds())
-	s.reqHist.With(s.tenantLabel(req.Tenant)).Observe(elapsed.Seconds(), reqID)
-	if l := s.cfg.Logger; l != nil {
-		l.LogAttrs(r.Context(), slog.LevelInfo, "request ok",
-			slog.String("requestId", reqID),
-			slog.String("tenant", req.Tenant),
-			slog.Int("degree", resp.Degree),
-			slog.Bool("cached", resp.Cached),
-			slog.Duration("elapsed", elapsed))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.solve(r.Context(), p)
 }
 
 // Solve runs one decoded request through admission, queuing, dedup,
 // and the solver, returning the response or a *RequestError. It is the
 // handler's core, exported for in-process clients (the harness
-// loadtest uses it when no network server is wanted).
+// loadtest uses it when no network server is wanted); its requests are
+// recorded in the views, the request metrics and the request log like
+// the handler's.
 func (s *Server) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
-	mu := req.Precision
-	if mu == 0 {
-		mu = s.cfg.DefaultPrecision
-	}
-	profile := s.cfg.DefaultProfile
-	if req.Profile != "" {
-		profile, _ = mp.ParseProfile(req.Profile) // validated at decode
-	}
-	method := parseMethod(req.Method)
-	workers := req.Workers
-	if workers == 0 || workers > s.cfg.WorkersPerSolve {
-		workers = s.cfg.WorkersPerSolve
-	}
-	timeout := s.cfg.SolveTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	maxBits := s.cfg.SolveMaxBitOps
-	if req.MaxBitOps > 0 && (maxBits == 0 || req.MaxBitOps < maxBits) {
-		maxBits = req.MaxBitOps
-	}
-	estimate := model.EstimateBitOps(req.degree(), req.coeffBits(), mu)
 	if req.RequestID == "" {
 		req.RequestID = newRequestID() // in-process callers may skip the handler
 	}
+	rec := s.requests.begin(req.RequestID)
+	resp, err := s.solve(ctx, s.describe(rec, req))
+	s.finish(rec, resp, err)
+	return resp, err
+}
 
-	tr := s.cfg.Telemetry.Requests().Start(telemetry.RequestInfo{
-		ID:              req.RequestID,
-		Tenant:          req.Tenant,
-		Kind:            "solve",
-		Method:          method.String(),
-		Profile:         profile.String(),
-		Degree:          req.degree(),
-		Mu:              mu,
-		EstimatedBitOps: estimate,
-	})
-
-	led := s.cfg.Telemetry.Tenants()
-	led.AddRequest(req.Tenant)
-
-	key := req.cacheKey(mu, profile, method.String())
-	resp, outcome, err := s.cache.Do(ctx, key, func() (*SolveResponse, error) {
-		return s.runSolve(ctx, req, solveParams{
-			mu: mu, profile: profile, method: method,
-			workers: workers, timeout: timeout, maxBits: maxBits,
-			estimate: estimate, tenant: req.Tenant,
-			requestID: req.RequestID, tracker: tr,
-			forceTrace: req.ForceTrace,
-		})
-	})
-	tr.SetCacheOutcome(outcome)
-	if err != nil {
-		code := AsRequestError(err).Code
-		switch code {
-		case CodeOverloaded, CodeQueueFull, CodeDraining:
-			led.AddRejection(req.Tenant)
-		default:
-			led.AddError(req.Tenant)
+// describe resolves a decoded request's solve parameters against the
+// server's defaults and caps, and writes them on its record's row.
+func (s *Server) describe(rec *request, req *SolveRequest) solveParams {
+	p := solveParams{
+		req:     req,
+		rec:     rec,
+		mu:      req.Precision,
+		profile: s.cfg.DefaultProfile,
+		method:  parseMethod(req.Method),
+		workers: req.Workers,
+		timeout: s.cfg.SolveTimeout,
+		maxBits: s.cfg.SolveMaxBitOps,
+	}
+	if p.mu == 0 {
+		p.mu = s.cfg.DefaultPrecision
+	}
+	if req.Profile != "" {
+		p.profile, _ = mp.ParseProfile(req.Profile) // validated at decode
+	}
+	if p.workers == 0 || p.workers > s.cfg.WorkersPerSolve {
+		p.workers = s.cfg.WorkersPerSolve
+	}
+	if req.TimeoutMS > 0 {
+		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < p.timeout {
+			p.timeout = d
 		}
-		tr.Finish(code)
+	}
+	if req.MaxBitOps > 0 && (p.maxBits == 0 || req.MaxBitOps < p.maxBits) {
+		p.maxBits = req.MaxBitOps
+	}
+	p.estimate = model.EstimateBitOps(req.degree(), req.coeffBits(), p.mu)
+	rec.update(func(row *RequestSnapshot) {
+		row.Tenant = req.Tenant
+		row.Method = p.method.String()
+		row.Profile = p.profile.String()
+		row.Degree = req.degree()
+		row.Mu = p.mu
+		row.EstimatedBitOps = p.estimate
+	})
+	return p
+}
+
+// solve answers a described request from the cache, from an identical
+// in-flight solve, or by leading the solve itself.
+func (s *Server) solve(ctx context.Context, p solveParams) (*SolveResponse, error) {
+	key := p.req.cacheKey(p.mu, p.profile, p.method.String())
+	resp, outcome, err := s.cache.Do(ctx, key, func() (*SolveResponse, error) {
+		return s.runSolve(ctx, p)
+	})
+	p.rec.update(func(row *RequestSnapshot) { row.CacheOutcome = outcome })
+	if err != nil {
 		return nil, err
 	}
-	if outcome != "miss" {
-		led.AddCacheHit(req.Tenant)
-	}
-	if resp.Metrics != nil {
-		// For cache hits and joins these are the original solve's
-		// numbers — the cost-model verdict belongs to the result, not
-		// to the request that happened to ask first.
-		tr.SetSolve(time.Duration(resp.ElapsedSeconds*float64(time.Second)),
-			resp.BitOps, resp.Metrics.PeakBits())
-	}
-	tr.Finish("ok")
 	// Always shallow-copy before answering: the response object is (or
 	// may become) the shared read-only cache entry, and RequestID is
 	// per-requester — a joiner must see its own ID, not the leader's.
 	c := *resp
 	c.Cached = outcome != "miss"
-	c.RequestID = req.RequestID
+	c.RequestID = p.req.RequestID
 	return &c, nil
 }
 
+// finish closes a request's record. It is the one writer of the
+// request's /debug/requests row, its tenant ledger fold, the request
+// metrics (rootd_requests_total, rootd_request_seconds,
+// rootd_request_seconds_total, rootd_queue_wait_seconds) and the
+// request log record.
+func (s *Server) finish(rec *request, resp *SolveResponse, err error) {
+	elapsed := time.Since(rec.start)
+	re := &RequestError{Code: "ok"}
+	if err != nil {
+		re = AsRequestError(err)
+	}
+	row := s.requests.finish(rec, re.Code, elapsed, resp)
+	tenant := s.tenants.fold(rec, row)
+	s.reqCodes.Add(re.Code, 1)
+	s.reqSeconds.Add(elapsed.Seconds())
+	s.reqHist.With(tenant).Observe(elapsed.Seconds(), row.ID)
+	if rec.solved {
+		s.queueHist.With(tenant).Observe(row.QueueWaitSecs, row.ID)
+	}
+	l := s.cfg.Telemetry.Logger()
+	if l == nil {
+		return
+	}
+	if err != nil {
+		l.LogAttrs(context.Background(), slog.LevelWarn, "request failed",
+			slog.String("requestId", row.ID),
+			slog.String("tenant", row.Tenant),
+			slog.String("code", re.Code),
+			slog.String("error", re.Msg))
+		return
+	}
+	l.LogAttrs(context.Background(), slog.LevelInfo, "request ok",
+		slog.String("requestId", row.ID),
+		slog.String("tenant", row.Tenant),
+		slog.Int("degree", resp.Degree),
+		slog.Bool("cached", resp.Cached),
+		slog.Duration("elapsed", elapsed))
+}
+
+// solveParams is a decoded request, its record, and the solve
+// parameters resolved against the server's defaults and caps.
 type solveParams struct {
-	mu         uint
-	profile    mp.Profile
-	method     methodT
-	workers    int
-	timeout    time.Duration
-	maxBits    int64
-	estimate   int64
-	tenant     string
-	requestID  string
-	tracker    *telemetry.ActiveRequest
-	forceTrace bool
+	req      *SolveRequest
+	rec      *request
+	mu       uint
+	profile  mp.Profile
+	method   methodT
+	workers  int
+	timeout  time.Duration
+	maxBits  int64
+	estimate int64
 }
 
 // runSolve is the flight leader's path: reserve the admission budget,
@@ -505,7 +538,7 @@ type solveParams struct {
 // base context, not the originating request's — once admitted a solve
 // runs to completion (the result is cached, so the work is kept even
 // if the first requester is gone), except under drain cancellation.
-func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solveParams) (*SolveResponse, error) {
+func (s *Server) runSolve(reqCtx context.Context, p solveParams) (*SolveResponse, error) {
 	// The charge is the model estimate corrected by what the server has
 	// measured on past solves (learned cost ratio and, for parallel
 	// requests, learned efficiency) — admission learns from observed
@@ -528,15 +561,14 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	stopWait := context.AfterFunc(s.baseCtx, waitCancel)
 	defer stopWait()
 	waitStart := time.Now()
-	if err := s.queue.Acquire(waitCtx, p.tenant); err != nil {
+	if err := s.queue.Acquire(waitCtx, p.req.Tenant); err != nil {
 		if s.baseCtx.Err() != nil {
-			return nil, &RequestError{Code: CodeDraining, Msg: "server is draining"}
+			return nil, errDraining
 		}
 		return nil, err
 	}
-	wait := time.Since(waitStart)
-	p.tracker.SetQueueWait(wait)
-	s.queueHist.With(s.tenantLabel(p.tenant)).Observe(wait.Seconds(), p.requestID)
+	wait := time.Since(waitStart).Seconds()
+	p.rec.update(func(row *RequestSnapshot) { row.QueueWaitSecs = wait })
 	defer s.queue.Release()
 	s.active.Add(1)
 	defer s.active.Add(-1)
@@ -559,8 +591,8 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 		Ctx:       solveCtx,
 		MaxBitOps: p.maxBits,
 		Telemetry: s.cfg.Telemetry,
-		RequestID: p.requestID,
-		OnPhase:   p.tracker.SetPhase,
+		RequestID: p.req.RequestID,
+		OnPhase:   p.rec.setPhase,
 		Tracer:    tracer,
 	}
 	var counters metrics.Counters
@@ -570,9 +602,9 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	}
 
 	start := time.Now()
-	res, err := req.solve(opts)
+	res, err := p.req.solve(opts)
 	elapsed := time.Since(start)
-	s.solveHist.With(p.method.String()).Observe(elapsed.Seconds(), p.requestID)
+	s.solveHist.With(p.method.String()).Observe(elapsed.Seconds(), p.req.RequestID)
 	s.observeSolve(tracer, p, start, elapsed, counters.BitOps(), err)
 	if err != nil {
 		return nil, mapSolveError(err)
@@ -594,7 +626,7 @@ func (s *Server) runSolve(reqCtx context.Context, req *SolveRequest, p solvePara
 	s.peakBits.Store(float64(rep.PeakBits()))
 	return &SolveResponse{
 		Roots:           out,
-		Degree:          req.degree(),
+		Degree:          p.req.degree(),
 		Distinct:        len(out),
 		Precision:       p.mu,
 		Profile:         p.profile.String(),
@@ -667,27 +699,12 @@ func statusFor(code string) int {
 	}
 }
 
-func (s *Server) fail(w http.ResponseWriter, start time.Time, tenant, reqID string, err error) {
-	re := AsRequestError(err)
-	retry := time.Duration(0)
-	if code := statusFor(re.Code); code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		retry = time.Second
-	}
-	s.failRetry(w, start, tenant, reqID, re, retry)
-}
+// errDraining refuses a request while the server drains.
+var errDraining = &RequestError{Code: CodeDraining, Msg: "server is draining"}
 
-func (s *Server) failRetry(w http.ResponseWriter, start time.Time, tenant, reqID string, re *RequestError, retry time.Duration) {
-	elapsed := time.Since(start)
-	s.reqCodes.Add(re.Code, 1)
-	s.reqSeconds.Add(elapsed.Seconds())
-	s.reqHist.With(s.tenantLabel(tenant)).Observe(elapsed.Seconds(), reqID)
-	if l := s.cfg.Logger; l != nil {
-		l.LogAttrs(context.Background(), slog.LevelWarn, "request failed",
-			slog.String("requestId", reqID),
-			slog.String("tenant", tenant),
-			slog.String("code", re.Code),
-			slog.String("error", re.Msg))
-	}
+// writeError writes err as a typed JSON error with its HTTP status.
+func writeError(w http.ResponseWriter, err error) {
+	re := AsRequestError(err)
 	status := statusFor(re.Code)
 	var retrySec int64
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
@@ -696,13 +713,7 @@ func (s *Server) failRetry(w http.ResponseWriter, start time.Time, tenant, reqID
 		// nearly accrued, and a "Retry-After: 0" (or an absent header
 		// with retryAfterSeconds 0 in the body) turns a well-behaved
 		// client's honor-the-header loop into a busy retry storm.
-		retrySec = int64(math.Ceil(retry.Seconds()))
-		if retrySec < 1 {
-			retrySec = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(retrySec, 10))
-	} else if retry > 0 {
-		retrySec = int64(math.Ceil(retry.Seconds()))
+		retrySec = max(1, int64(math.Ceil(re.retryAfter.Seconds())))
 		w.Header().Set("Retry-After", strconv.FormatInt(retrySec, 10))
 	}
 	writeJSON(w, status, ErrorResponse{Error: ErrorBody{

@@ -406,7 +406,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestTenantLabelsMatchLedger: 70 tenants overflow the ledger's cap of
-// telemetry.MaxTenants, and the per-tenant histograms are labelled with
+// MaxTenants, and the per-tenant histograms are labelled with
 // the ledger's row names, so /metrics and /debug/tenants name the same
 // tenants and fold the same ones into "other".
 func TestTenantLabelsMatchLedger(t *testing.T) {
@@ -432,7 +432,7 @@ func TestTenantLabelsMatchLedger(t *testing.T) {
 		}
 		return body
 	}
-	var dump telemetry.TenantsDump
+	var dump TenantsDump
 	if err := json.Unmarshal(get("/debug/tenants?format=json"), &dump); err != nil {
 		t.Fatal(err)
 	}
@@ -440,8 +440,8 @@ func TestTenantLabelsMatchLedger(t *testing.T) {
 	for _, r := range dump.Tenants {
 		rows = append(rows, r.Tenant)
 	}
-	if len(rows) != telemetry.MaxTenants+1 || !slices.Contains(rows, telemetry.OverflowTenant) {
-		t.Fatalf("ledger rows %v, want %d tenants and %q", rows, telemetry.MaxTenants, telemetry.OverflowTenant)
+	if len(rows) != MaxTenants+1 || !slices.Contains(rows, OverflowTenant) {
+		t.Fatalf("ledger rows %v, want %d tenants and %q", rows, MaxTenants, OverflowTenant)
 	}
 	metrics := string(get("/metrics"))
 	for _, family := range []string{"rootd_request_seconds", "rootd_queue_wait_seconds"} {
@@ -480,14 +480,13 @@ func TestSolveInProcess(t *testing.T) {
 // TestRetryAfterClamp is the regression pin for the Retry-After bug: a
 // retryable failure whose computed backoff rounds below one second —
 // including the zero duration a nearly-replenished token bucket can
-// hand failRetry — must still advertise Retry-After: 1 in both the
-// header and the body, never 0 or a missing header (clients honoring a
-// zero would retry in a busy loop).
+// hand back — must still advertise Retry-After: 1 in both the header
+// and the body, never 0 or a missing header (clients honoring a zero
+// would retry in a busy loop).
 func TestRetryAfterClamp(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
 	for _, retry := range []time.Duration{0, time.Microsecond, 300 * time.Millisecond} {
 		w := httptest.NewRecorder()
-		s.failRetry(w, time.Now(), "alice", "req-clamp", &RequestError{Code: CodeRateLimited, Msg: "slow down"}, retry)
+		writeError(w, &RequestError{Code: CodeRateLimited, Msg: "slow down", retryAfter: retry})
 		if w.Code != http.StatusTooManyRequests {
 			t.Fatalf("retry=%v: status = %d, want 429", retry, w.Code)
 		}
@@ -500,13 +499,13 @@ func TestRetryAfterClamp(t *testing.T) {
 	}
 	// Backoffs of a second or more pass through, rounded up.
 	w := httptest.NewRecorder()
-	s.failRetry(w, time.Now(), "alice", "req-long", &RequestError{Code: CodeRateLimited, Msg: "slow down"}, 2500*time.Millisecond)
+	writeError(w, &RequestError{Code: CodeRateLimited, Msg: "slow down", retryAfter: 2500 * time.Millisecond})
 	if hdr := w.Result().Header.Get("Retry-After"); hdr != "3" {
 		t.Errorf("Retry-After header = %q, want \"3\"", hdr)
 	}
 	// Non-retryable statuses advertise nothing.
 	w = httptest.NewRecorder()
-	s.failRetry(w, time.Now(), "", "req-400", &RequestError{Code: CodeBadRequest, Msg: "no"}, 0)
+	writeError(w, &RequestError{Code: CodeBadRequest, Msg: "no"})
 	if hdr := w.Result().Header.Get("Retry-After"); hdr != "" {
 		t.Errorf("400 carries Retry-After %q", hdr)
 	}

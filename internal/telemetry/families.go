@@ -21,8 +21,9 @@ import (
 // Registration is idempotent by family name: registering an existing
 // name returns the existing collector (counters and histograms keep
 // accumulating across re-registrations, which keeps shared hubs safe),
-// except RegisterGaugeFunc, which rebinds the callback — a gauge
-// describes current state, so the latest registrant wins.
+// except the scrape-time families (RegisterGaugeFunc,
+// RegisterCounterFunc), which rebind their callback — they describe
+// current state, so the latest registrant wins.
 
 // family is one registered exposition family.
 type family struct {
@@ -33,7 +34,7 @@ type family struct {
 // collector ties a family to its typed handle for idempotent lookup.
 type collector struct {
 	fam *family
-	val any // *CounterVec, *Float64, *HistogramVec, or *gaugeFunc
+	val any // *CounterVec, *Float64, *HistogramVec, or *binding
 }
 
 // famState is the registry's custom-family store, separate from the
@@ -132,36 +133,59 @@ func (g *Registry) RegisterFloatCounter(name, help string) *Float64 {
 	return got.(*Float64)
 }
 
-// gaugeFunc wraps a rebindable gauge callback.
-type gaugeFunc struct {
+// binding holds a scrape-time family's callback. Re-registering the
+// family rebinds it: such a family describes current state, so the
+// latest registrant owns it.
+type binding[F any] struct {
 	mu sync.Mutex
-	fn func() float64
+	fn F
 }
 
-func (gf *gaugeFunc) read() float64 {
-	gf.mu.Lock()
-	fn := gf.fn
-	gf.mu.Unlock()
-	if fn == nil {
-		return 0
+func (b *binding[F]) get() F {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.fn
+}
+
+// registerBinding registers a family whose samples write renders from
+// fn at scrape time, or rebinds an existing family of that name to fn.
+func registerBinding[F any](g *Registry, name, help, typ string, fn F, write func(e *expoWriter, fn F)) {
+	b := &binding[F]{fn: fn}
+	got, fresh := g.families.register(name, help, typ, b, func(e *expoWriter) {
+		write(e, b.get())
+	})
+	if !fresh {
+		old := got.(*binding[F])
+		old.mu.Lock()
+		old.fn = fn
+		old.mu.Unlock()
 	}
-	return fn()
 }
 
 // RegisterGaugeFunc registers a gauge whose value is read from fn at
 // scrape time. Re-registering an existing name rebinds the callback to
 // fn — the latest registrant owns the gauge.
 func (g *Registry) RegisterGaugeFunc(name, help string, fn func() float64) {
-	gf := &gaugeFunc{fn: fn}
-	got, fresh := g.families.register(name, help, "gauge", gf, func(e *expoWriter) {
-		e.sampleFloat(name, gf.read())
+	registerBinding(g, name, help, "gauge", fn, func(e *expoWriter, fn func() float64) {
+		e.sampleFloat(name, fn())
 	})
-	if !fresh {
-		old := got.(*gaugeFunc)
-		old.mu.Lock()
-		old.fn = fn
-		old.mu.Unlock()
-	}
+}
+
+// RegisterCounterFunc registers a counter family over one label whose
+// series read reports at scrape time, each through emit, in the order
+// it reports them. Like RegisterGaugeFunc, re-registering an existing
+// name rebinds read to the latest registrant.
+func RegisterCounterFunc[V int64 | float64](g *Registry, name, help, label string, read func(emit func(value string, v V))) {
+	registerBinding(g, name, help, "counter", read, func(e *expoWriter, read func(func(string, V))) {
+		read(func(value string, v V) {
+			switch v := any(v).(type) {
+			case int64:
+				e.sampleInt(name, v, label, value)
+			case float64:
+				e.sampleFloat(name, v, label, value)
+			}
+		})
+	})
 }
 
 // HistogramVec is a histogram family over a fixed list of label names

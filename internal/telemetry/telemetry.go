@@ -2,27 +2,28 @@
 // per-run tracing of internal/trace. Where a Tracer records every span
 // of one solve into unbounded lanes (for offline analysis of a single
 // run), telemetry is built to stay enabled in a long-running process.
-// It has two sinks:
+// The hub is two sinks:
 //
 //   - a structured event log on log/slog with per-solve lifecycle
 //     events (run ID, start, budget exhaustion, and a finish record
 //     that carries a failed run's error);
 //   - a metrics Registry accumulating per-run metrics.Counters
 //     snapshots and scheduler statistics, rendered in Prometheus text
-//     exposition format.
+//     exposition format, on which servers layered over the solver
+//     (rootd) register their own families.
 //
-// A solve's phase spans and task timelines are the tracer's record.
-// The hub also holds rootd's bounded views: the /debug/requests
-// inspector, the tail-sampled trace store and the per-tenant ledger.
+// A solve's phase spans and task timelines are the tracer's record;
+// rootd's per-request views (/debug/requests, /debug/traces,
+// /debug/tenants) belong to internal/server.
 //
 // Everything is nil-safe in the style of metrics.Counters and
 // trace.Tracer: a nil *Telemetry (and the nil *Run it hands out) makes
 // every call a zero-allocation no-op, so the solver can be plumbed
 // unconditionally and pay nothing when telemetry is disabled.
 //
-// The package depends only on internal/metrics, internal/sched (for
-// its PoolStats) and internal/trace, none of which import it, so core
-// feeds it without an import cycle.
+// The package depends only on internal/metrics and internal/sched (for
+// its PoolStats), neither of which imports it, so core feeds it
+// without an import cycle.
 package telemetry
 
 import (
@@ -33,7 +34,6 @@ import (
 
 	"realroots/internal/metrics"
 	"realroots/internal/sched"
-	"realroots/internal/trace"
 )
 
 // Outcome classifies how a solve run ended. The values are the label
@@ -57,71 +57,32 @@ var Outcomes = []Outcome{
 
 // Config configures a telemetry hub.
 type Config struct {
-	// Logger receives the structured solve log. nil disables logging;
-	// the registry still runs.
+	// Logger receives the structured solve log, and rootd's request
+	// log when the hub serves a server. nil disables logging; the
+	// registry still runs.
 	Logger *slog.Logger
 }
 
-// Telemetry is the hub tying the sinks and views together. One hub
-// serves a whole process: runs from concurrent solves interleave
-// safely.
+// Telemetry is the hub tying the sinks together. One hub serves a
+// whole process: runs from concurrent solves interleave safely.
 type Telemetry struct {
-	logger   *slog.Logger
-	reg      *Registry
-	requests *RequestTracker
-	traces   *trace.Store
-	tail     *TailSampler
-	tenants  *TenantLedger
-	runSeq   atomic.Uint64
+	logger *slog.Logger
+	reg    *Registry
+	runSeq atomic.Uint64
 }
 
 // New creates a telemetry hub.
 func New(cfg Config) *Telemetry {
-	return &Telemetry{
-		logger:   cfg.Logger,
-		reg:      newRegistry(),
-		requests: NewRequestTracker(DefaultRequestRingCapacity),
-		traces:   trace.NewStore(trace.DefaultStoreCapacity),
-		tail:     NewTailSampler(),
-		tenants:  NewTenantLedger(MaxTenants),
-	}
+	return &Telemetry{logger: cfg.Logger, reg: newRegistry()}
 }
 
-// Requests returns the hub's request tracker, backing the
-// /debug/requests inspector (nil for a nil hub).
-func (t *Telemetry) Requests() *RequestTracker {
+// Logger returns the hub's structured logger (nil for a nil hub or a
+// hub without one).
+func (t *Telemetry) Logger() *slog.Logger {
 	if t == nil {
 		return nil
 	}
-	return t.requests
-}
-
-// Traces returns the hub's tail-sampled trace store, backing the
-// /debug/traces inspector (nil for a nil hub; a nil *trace.Store
-// no-ops everywhere).
-func (t *Telemetry) Traces() *trace.Store {
-	if t == nil {
-		return nil
-	}
-	return t.traces
-}
-
-// TailSampler returns the hub's tail sampler (nil for a nil hub; a nil
-// sampler retains nothing).
-func (t *Telemetry) TailSampler() *TailSampler {
-	if t == nil {
-		return nil
-	}
-	return t.tail
-}
-
-// Tenants returns the hub's per-tenant usage ledger, backing the
-// /debug/tenants inspector (nil for a nil hub; a nil ledger no-ops).
-func (t *Telemetry) Tenants() *TenantLedger {
-	if t == nil {
-		return nil
-	}
-	return t.tenants
+	return t.logger
 }
 
 // Registry returns the hub's metrics registry (nil for a nil hub).

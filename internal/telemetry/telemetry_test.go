@@ -116,7 +116,7 @@ func TestNoLoggerStillRecords(t *testing.T) {
 
 func TestNilHubAndRun(t *testing.T) {
 	var tel *Telemetry
-	if tel.Registry() != nil || tel.Requests() != nil || tel.Traces() != nil || tel.TailSampler() != nil || tel.Tenants() != nil {
+	if tel.Registry() != nil || tel.Logger() != nil {
 		t.Fatal("nil hub handed out non-nil sinks")
 	}
 	run := tel.Start(RunInfo{Kind: "core", Degree: 10, Mu: 16, Workers: 2})

@@ -21,6 +21,9 @@
 // Summarize, Spans) is only valid after the traced run has completed,
 // i.e. after every lane owner has synchronized with the reader (the
 // scheduler's Wait/Close provides this for worker lanes).
+//
+// A Tracer records one run. Keeping traces across runs is the job of
+// whoever serves them: rootd's tail-sampled store is in internal/server.
 package trace
 
 import (
