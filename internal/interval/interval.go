@@ -63,6 +63,8 @@ type Solver struct {
 	Method Method
 
 	ctx    metrics.Ctx
+	pf     poly.Floats     // P's and P′'s coefficients for the sign screen,
+	dpf    poly.Floats     // converted once and read by every task
 	ys     []dyadic.Dyadic // d+1 points: -B, ỹ_1…ỹ_{d-1}, +B, all on the 2^-µ grid
 	signs  []int           // sgnRight of P at each point, filled by EvalPoint
 	negInf int             // sign of P at -∞
@@ -92,9 +94,11 @@ func NewSolver(p *poly.Poly, interleaving []dyadic.Dyadic, bound *mp.Int, mu uin
 		ys[i+1] = y
 	}
 	ys[d] = dyadic.FromInt(bound)
+	dp := p.Derivative()
 	return &Solver{
-		P: p, dP: p.Derivative(), Mu: mu, Method: method,
-		ctx: ctx, ys: ys, signs: make([]int, d+1), negInf: p.SignAtNegInf(),
+		P: p, dP: dp, Mu: mu, Method: method,
+		ctx: ctx, pf: p.Floats(), dpf: dp.Floats(),
+		ys: ys, signs: make([]int, d+1), negInf: p.SignAtNegInf(),
 	}
 }
 
@@ -112,9 +116,9 @@ func (s *Solver) NumPoints() int { return len(s.ys) }
 func (s *Solver) EvalPoint(i int) {
 	var ev poly.Evaluator
 	ctx, t := s.ctx.In(metrics.PhasePreInterval), s.ys[i]
-	sg := ev.SignAt(ctx, s.P, t.Num(), t.Scale())
+	sg := ev.SignAt(ctx, s.P, s.pf, t.Num(), t.Scale())
 	if sg == 0 {
-		sg = ev.SignAt(ctx, s.dP, t.Num(), t.Scale())
+		sg = ev.SignAt(ctx, s.dP, s.dpf, t.Num(), t.Scale())
 	}
 	if sg == 0 {
 		panic("interval: P and P' vanish together (input not squarefree)")
@@ -124,11 +128,13 @@ func (s *Solver) EvalPoint(i int) {
 
 // A task is one SolveInterval call: the solver plus the evaluator that
 // every sign evaluation of the call reuses, so the bracket refinement
-// evaluates in one accumulator. Tasks for distinct intervals share
-// nothing mutable and may run concurrently.
+// evaluates in one accumulator, and the integer widthLE measures
+// brackets in. Tasks for distinct intervals share nothing mutable and
+// may run concurrently.
 type task struct {
 	*Solver
-	ev poly.Evaluator
+	ev    poly.Evaluator
+	width mp.Int
 }
 
 // expectSign returns the sign of P just right of a point below which m
@@ -207,7 +213,7 @@ func (s *Solver) SolveAll() []dyadic.Dyadic {
 
 // signAt evaluates sign(P) at a dyadic point under the given phase.
 func (s *task) signAt(phase metrics.Phase, t dyadic.Dyadic) int {
-	return s.ev.SignAt(s.ctx.In(phase), s.P, t.Num(), t.Scale())
+	return s.ev.SignAt(s.ctx.In(phase), s.P, s.pf, t.Num(), t.Scale())
 }
 
 // finish makes the exact grid decision once the bracket (lo, hi) around
@@ -232,20 +238,23 @@ func (s *task) finish(phase metrics.Phase, lo, hi dyadic.Dyadic, sl int) dyadic.
 	return g.Add(step) // root ∈ (g, hi), hi ≤ lo + 2^-µ < g + 2^-µ
 }
 
-// widthLE reports whether hi-lo ≤ 2^-µ, reading the difference n/2^w
-// directly. A canonical n with w > 0 is odd, so for w > µ the bound
-// n ≤ 2^(w-µ) is strict: n has at most w-µ bits. For w ≤ µ a positive
-// difference is at least 2^-w, within the bound only as 1/2^µ.
-func (s *Solver) widthLE(lo, hi dyadic.Dyadic) bool {
-	d := hi.Sub(lo)
-	n, w := d.Num(), d.Scale()
+// one is the integer 1, never modified.
+var one = mp.NewInt(1)
+
+// widthLE reports whether hi-lo ≤ 2^-µ. With both endpoints at the
+// common scale w, the difference n/2^w is built in the task's width
+// integer, whose storage the bracket's later widths reuse, and n is
+// compared with 2^(w-µ); no Dyadic is built.
+func (s *task) widthLE(lo, hi dyadic.Dyadic) bool {
+	w := max(lo.Scale(), hi.Scale())
+	n := s.width.SubLsh(hi.Num(), w-hi.Scale(), lo.Num(), w-lo.Scale())
 	switch {
 	case n.Sign() <= 0:
 		return true
-	case w <= s.Mu:
-		return w == s.Mu && n.IsOne()
+	case w < s.Mu:
+		return false
 	}
-	return uint(n.BitLen()) <= w-s.Mu
+	return mp.CmpLsh(n, 0, one, w-s.Mu) <= 0
 }
 
 // refine computes x̃ for the unique root of P in the open interval

@@ -84,8 +84,13 @@ type Tally struct {
 // Mul tallies one multiplication of xbits-by-ybits operands under c's
 // profile and parallel hook (see attributeMul).
 func (t *Tally) Mul(c Ctx, xbits, ybits int) {
-	r := c.attributeMul(xbits, ybits)
 	t.muls++
+	t.record(c.attributeMul(xbits, ybits))
+}
+
+// record adds one multiplication's costs, bucket, tier and parallel
+// path, as attributeMul describes them, without counting it.
+func (t *Tally) record(r mulRecord) {
 	t.mulBits += r.bits
 	t.mulBitsActual += r.actual
 	t.hist[r.bucket]++
@@ -97,8 +102,35 @@ func (t *Tally) Mul(c Ctx, xbits, ybits int) {
 	}
 }
 
-// Add tallies one addition or subtraction.
-func (t *Tally) Add() { t.adds++ }
+// Horner tallies steps of a scaled Horner evaluation: step k
+// multiplies an accumulator of lens[k] bits by an abits-bit point and
+// adds one coefficient. It records exactly what recording each step's
+// multiplication (Mul) and addition on its own records, in one pass
+// over the lengths. When every product with the
+// point runs on the row loop (mp.Profile.RowLoop), as every product
+// under Schoolbook does, a product's actual cost is its model cost and
+// its tier is known, so only the histogram bucket is computed per step;
+// otherwise each product is attributed on its own.
+func (t *Tally) Horner(c Ctx, lens []int, abits int) {
+	t.muls += int64(len(lens))
+	t.adds += int64(len(lens))
+	if !c.Profile.RowLoop(abits) {
+		for _, n := range lens {
+			t.record(c.attributeMul(n, abits))
+		}
+		return
+	}
+	var sum int64
+	for _, n := range lens {
+		sum += int64(n)
+		t.hist[bitLenBucket(max(n, abits))]++
+	}
+	t.mulBits += sum * int64(abits)
+	t.mulBitsActual += sum * int64(abits)
+	if c.Profile == mp.Fast {
+		t.tiers[mp.TierSchoolbook] += int64(len(lens))
+	}
+}
 
 // FlushEval records one complete evaluation in c's phase together with
 // the operations tallied in t. The budget is checked once, after the
@@ -106,6 +138,16 @@ func (t *Tally) Add() { t.adds++ }
 // evaluation.
 func (c Ctx) FlushEval(t *Tally) {
 	if c.C != nil {
+		c.C.addEval(c.Phase, t)
+	}
+}
+
+// FlushSign is FlushEval for a sign evaluation that kernel k decided.
+// What it records does not depend on k, except the count of sign
+// evaluations by kernel (Report.Signs).
+func (c Ctx) FlushSign(t *Tally, k Kernel) {
+	if c.C != nil {
+		c.C.signs[c.Phase][k].Add(1)
 		c.C.addEval(c.Phase, t)
 	}
 }
@@ -149,11 +191,11 @@ func (c Ctx) Mul(x, y *mp.Int) *mp.Int { return c.DotDiv(nil, 0, mp.Term{X: x, Y
 // Sqr returns a new Int holding x², recording it as a multiplication.
 func (c Ctx) Sqr(x *mp.Int) *mp.Int { return c.Mul(x, x) }
 
-// QuoRem sets z = x quo y and r = x rem y (truncated division),
-// recording the division, and returns (z, r).
+// QuoRem sets z = x quo y and r = x rem y (truncated division) in a
+// workspace from c.Scratch, recording the division, and returns (z, r).
 func (c Ctx) QuoRem(z, x, y, r *mp.Int) (*mp.Int, *mp.Int) {
 	c.recordDiv(x.BitLen(), y.BitLen())
-	return z.QuoRemProfile(c.Profile, x, y, r)
+	return mp.QuoRem(c.Profile, c.Scratch, z, x, y, r)
 }
 
 // DivExact returns a new Int holding x/y (exact), recording the division.

@@ -93,6 +93,29 @@ func BucketRange(b int) (lo, hi int) {
 	}
 }
 
+// A Kernel names what decided a sign evaluation: the certified float64
+// screen, or the exact scaled Horner recurrence it falls back to
+// (DESIGN.md §8). Both record the same operations, the ones the exact
+// recurrence performs, so the kernel shows only in Report.Signs.
+type Kernel int
+
+const (
+	KernelScreen Kernel = iota
+	KernelExact
+	NumKernels
+)
+
+// String returns the kernel name.
+func (k Kernel) String() string {
+	switch k {
+	case KernelScreen:
+		return "screen"
+	case KernelExact:
+		return "exact"
+	}
+	return fmt.Sprintf("kernel(%d)", int(k))
+}
+
 // Counters accumulates arithmetic operation counts per phase. The zero
 // value is ready to use. A nil *Counters is valid everywhere and records
 // nothing, so instrumentation can be disabled without branching at call
@@ -125,6 +148,11 @@ type Counters struct {
 	// to pre-tier snapshots.
 	tiers   [NumPhases][mp.NumTiers]atomic.Int64
 	parMuls [NumPhases]atomic.Int64
+
+	// signs counts sign evaluations by the kernel that decided them
+	// (see Kernel). They describe the implementation, not the
+	// algorithm, so they stay out of PhaseReport and bitOps.
+	signs [NumPhases][NumKernels]atomic.Int64
 
 	// Budget enforcement (see SetBudget): bitOps aggregates
 	// mulBits+divBits across all phases so the limit check is one
@@ -331,6 +359,9 @@ func (c *Counters) Reset() {
 			c.tiers[p][t].Store(0)
 		}
 		c.parMuls[p].Store(0)
+		for k := range c.signs[p] {
+			c.signs[p][k].Store(0)
+		}
 	}
 	c.bitOps.Store(0)
 	c.tripped.Store(false)
@@ -370,6 +401,11 @@ func (p PhaseReport) Ops() int64 { return p.Muls + p.Divs }
 // Report is a snapshot of all phases.
 type Report struct {
 	Phases [NumPhases]PhaseReport
+	// Signs counts each phase's sign evaluations by the kernel that
+	// decided them (Signs[p][k]). It is kept apart from Phases, and out
+	// of the JSON form, because it describes the kernel that ran rather
+	// than the algorithm's arithmetic.
+	Signs [NumPhases][NumKernels]int64
 }
 
 // Snapshot captures the current counter values.
@@ -397,6 +433,9 @@ func (c *Counters) Snapshot() Report {
 		}
 		pr.ParMuls = c.parMuls[p].Load()
 		r.Phases[p] = pr
+		for k := range r.Signs[p] {
+			r.Signs[p][k] = c.signs[p][k].Load()
+		}
 	}
 	return r
 }
@@ -463,6 +502,9 @@ func (r Report) Add(o Report) Report {
 	sum := r
 	for p := Phase(0); p < NumPhases; p++ {
 		sum.Phases[p].accum(o.Phases[p])
+		for k := range sum.Signs[p] {
+			sum.Signs[p][k] += o.Signs[p][k]
+		}
 	}
 	return sum
 }
@@ -490,6 +532,9 @@ func (r Report) Sub(old Report) Report {
 		}
 		pr.ParMuls = a.ParMuls - b.ParMuls
 		d.Phases[p] = pr
+		for k := range d.Signs[p] {
+			d.Signs[p][k] = r.Signs[p][k] - old.Signs[p][k]
+		}
 	}
 	return d
 }

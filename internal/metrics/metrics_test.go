@@ -370,42 +370,89 @@ type inlinePar struct{}
 func (inlinePar) Submit(task func()) { task() }
 
 // TestFlushEvalMatchesPerOpRecording pins that one evaluation's tally,
-// flushed once, records exactly what recording each multiplication and
-// addition through the Ctx does: counts, model and actual bits,
-// histogram buckets, tiers and parallel products. The budget trips at
-// the flush that crosses it, once.
+// built by Tally.Horner a block of step lengths at a time and flushed
+// once, records exactly what recording each multiplication and addition
+// through the Counters does: counts, model and actual bits, histogram
+// buckets, tiers and parallel products, under both profiles, at points
+// on both sides of mp.Profile.RowLoop and lengths on both sides of the
+// point's width. The budget trips at the flush that crosses it, once.
 func TestFlushEvalMatchesPerOpRecording(t *testing.T) {
-	shapes := [][2]int{{0, 30}, {17, 30}, {300, 70}, {3000, 200}, {40000, 90}, {120000, 110000}}
+	lens := []int{0, 1, 17, 30, 31, 250, 3000, 40000, 120000}
 	for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
-		var perOp, tallied Counters
-		ctxOp := Ctx{C: &perOp, Phase: PhaseNewton, Profile: pr, Par: inlinePar{}}
-		ctxT := Ctx{C: &tallied, Phase: PhaseNewton, Profile: pr, Par: inlinePar{}}
-		var fired int
-		tallied.SetBudget(1, func() { fired++ })
-		ctxOp.C.AddEval(ctxOp.Phase)
-		var tl Tally
-		for _, sh := range shapes {
-			ctxOp.C.addMul(ctxOp.Phase, ctxOp.attributeMul(sh[0], sh[1]))
-			ctxOp.C.AddAdd(ctxOp.Phase)
-			tl.Mul(ctxT, sh[0], sh[1])
-			tl.Add()
-		}
-		if tallied.BudgetExceeded() {
-			t.Fatalf("%v: budget tripped before the flush", pr)
-		}
-		ctxT.FlushEval(&tl)
-		if got, want := tallied.Snapshot(), perOp.Snapshot(); got != want {
-			t.Errorf("%v: flushed tally %+v, per-operation recording %+v", pr, got.Phases[PhaseNewton], want.Phases[PhaseNewton])
-		}
-		if !tallied.BudgetExceeded() || fired != 1 {
-			t.Errorf("%v: budget exceeded %v, fired %d times; want true, once", pr, tallied.BudgetExceeded(), fired)
-		}
-		if pr == mp.Fast && tallied.Snapshot().Phases[PhaseNewton].ParMuls == 0 {
-			t.Errorf("fast: the largest shape should take the parallel path")
+		for _, abits := range []int{0, 24, 70, 224, 225, 5000, 110000} {
+			var perOp, tallied Counters
+			ctxOp := Ctx{C: &perOp, Phase: PhaseNewton, Profile: pr, Par: inlinePar{}}
+			ctxT := Ctx{C: &tallied, Phase: PhaseNewton, Profile: pr, Par: inlinePar{}}
+			var fired int
+			tallied.SetBudget(1, func() { fired++ })
+			ctxOp.C.AddEval(ctxOp.Phase)
+			for _, n := range lens {
+				ctxOp.C.addMul(ctxOp.Phase, ctxOp.attributeMul(n, abits))
+				ctxOp.C.AddAdd(ctxOp.Phase)
+			}
+			var tl Tally
+			tl.Horner(ctxT, lens[:4], abits)
+			tl.Horner(ctxT, lens[4:], abits)
+			if tallied.BudgetExceeded() {
+				t.Fatalf("%v: budget tripped before the flush", pr)
+			}
+			ctxT.FlushEval(&tl)
+			if got, want := tallied.Snapshot(), perOp.Snapshot(); got != want {
+				t.Errorf("%v abits=%d: flushed tally %+v, per-operation recording %+v", pr, abits, got.Phases[PhaseNewton], want.Phases[PhaseNewton])
+			}
+			if abits > 0 && (!tallied.BudgetExceeded() || fired != 1) {
+				t.Errorf("%v: budget exceeded %v, fired %d times; want true, once", pr, tallied.BudgetExceeded(), fired)
+			}
+			if pr == mp.Fast && abits == 110000 && tallied.Snapshot().Phases[PhaseNewton].ParMuls == 0 {
+				t.Errorf("fast: the largest shape should take the parallel path")
+			}
 		}
 	}
 	// A nil sink records nothing and does not panic.
 	var tl Tally
-	tl.Mul(Ctx{}, 10, 10)
+	tl.Horner(Ctx{}, []int{10}, 10)
 	Ctx{}.FlushEval(&tl)
+}
+
+// TestSignKernelCounts pins the sign evaluations' kernel split: FlushSign
+// records the evaluation as FlushEval does and counts it under its
+// kernel, apart from the phase reports, the bit operations and the JSON
+// form; snapshots add, subtract and reset it.
+func TestSignKernelCounts(t *testing.T) {
+	var c, plain Counters
+	var tl Tally
+	tl.Horner(Ctx{}, []int{40, 60}, 20)
+	ctx := Ctx{C: &c, Phase: PhaseBisection}
+	ctx.FlushSign(&tl, KernelScreen)
+	ctx.FlushSign(&tl, KernelScreen)
+	ctx.In(PhaseNewton).FlushSign(&tl, KernelExact)
+	pctx := Ctx{C: &plain, Phase: PhaseBisection}
+	pctx.FlushEval(&tl)
+	pctx.FlushEval(&tl)
+	pctx.In(PhaseNewton).FlushEval(&tl)
+
+	r := c.Snapshot()
+	if r.Signs[PhaseBisection] != [NumKernels]int64{2, 0} || r.Signs[PhaseNewton] != [NumKernels]int64{0, 1} {
+		t.Fatalf("signs %v", r.Signs)
+	}
+	if p := plain.Snapshot(); r.Phases != p.Phases || c.BitOps() != plain.BitOps() {
+		t.Errorf("FlushSign recorded %+v, FlushEval %+v", r.Phases[PhaseBisection], p.Phases[PhaseBisection])
+	}
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pj, _ := json.Marshal(plain.Snapshot()); string(data) != string(pj) {
+		t.Errorf("JSON carries the kernel split:\n%s\n%s", data, pj)
+	}
+	if sum := r.Add(r); sum.Signs[PhaseBisection][KernelScreen] != 4 || sum.Sub(r).Signs != r.Signs {
+		t.Errorf("Add/Sub: %v", sum.Signs)
+	}
+	if KernelScreen.String() != "screen" || KernelExact.String() != "exact" {
+		t.Errorf("kernel names %s, %s", KernelScreen, KernelExact)
+	}
+	c.Reset()
+	if c.Snapshot().Signs != ([NumPhases][NumKernels]int64{}) {
+		t.Errorf("Reset kept %v", c.Snapshot().Signs)
+	}
 }

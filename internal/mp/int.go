@@ -3,6 +3,7 @@ package mp
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // An Int is an arbitrary-precision signed integer. The zero value is a
@@ -175,7 +176,13 @@ func (z *Int) QuoRemProfile(pr Profile, x, y *Int, r *Int) (*Int, *Int) {
 		panic("mp: QuoRem requires distinct quotient and remainder")
 	}
 	q, rem := pr.div(x.abs, y.abs)
-	xneg, yneg := x.neg, y.neg
+	return setQuoRem(z, r, x.neg, y.neg, q, rem)
+}
+
+// setQuoRem stores the quotient q and the remainder rem of a division
+// of an xneg-signed dividend by a yneg-signed divisor in z and r, with
+// truncated signs, and returns (z, r).
+func setQuoRem(z, r *Int, xneg, yneg bool, q, rem nat) (*Int, *Int) {
 	z.abs = q
 	z.neg = len(q) > 0 && xneg != yneg
 	r.abs = rem
@@ -214,13 +221,14 @@ func (z *Int) DivExactProfile(pr Profile, x, y *Int) *Int {
 }
 
 // AddLsh sets z to x·2^xs + y·2^ys and returns z. Neither shifted
-// operand is built: the only allocation is z's new storage.
+// operand is built, and z's storage is reused when it can hold the
+// sum, so the only allocation is z's new storage when it cannot.
 func (z *Int) AddLsh(x *Int, xs uint, y *Int, ys uint) *Int {
 	return z.addLsh(x, xs, y, ys, y.neg)
 }
 
-// SubLsh sets z to x·2^xs − y·2^ys and returns z, allocating only z's
-// new storage.
+// SubLsh sets z to x·2^xs − y·2^ys and returns z, allocating only
+// when z's storage cannot hold the difference.
 func (z *Int) SubLsh(x *Int, xs uint, y *Int, ys uint) *Int {
 	return z.addLsh(x, xs, y, ys, !y.neg)
 }
@@ -229,7 +237,14 @@ func (z *Int) SubLsh(x *Int, xs uint, y *Int, ys uint) *Int {
 // given by yneg.
 func (z *Int) addLsh(x *Int, xs uint, y *Int, ys uint, yneg bool) *Int {
 	w := max(len(x.abs)+int(xs/limbBits), len(y.abs)+int(ys/limbBits)) + 2
-	abs := natShlTo(make(nat, 0, w), x.abs, xs)
+	var buf nat
+	if z != x && z != y { // the shifted x is written before x and y are read
+		buf = z.abs[:0]
+	}
+	if cap(buf) < w {
+		buf = make(nat, 0, w)
+	}
+	abs := natShlTo(buf, x.abs, xs)
 	z.neg, z.abs = accShifted(x.neg, abs, yneg, y.abs, ys)
 	return z
 }
@@ -324,6 +339,34 @@ func (z *Int) GCDProfile(pr Profile, x, y *Int) *Int {
 	z.abs = unpack(gcd64(pack(nil, x.abs), pack(nil, y.abs)))
 	z.neg = false
 	return z
+}
+
+// Float returns m and e with m·2^e ≈ z, reading at most z's top three
+// limbs: m is 0 for z = 0, and otherwise has z's sign and 1 ≤ |m| ≤ 2.
+// The top 64 bits of |z|, truncated, are rounded to the nearest
+// float64, so |m·2^e − z| ≤ (2^-53 + 2^-63)·|z|: less than two
+// roundings of unit 2^-53 (DESIGN.md §8). The exponent is an int, so
+// no Int overflows it.
+func (z *Int) Float() (m float64, e int) {
+	n := len(z.abs)
+	if n == 0 {
+		return 0, 0
+	}
+	top := uint64(z.abs[n-1]) << limbBits
+	if n > 1 {
+		top |= uint64(z.abs[n-2])
+	}
+	if lz := uint(bits.LeadingZeros64(top)); lz > 0 {
+		top <<= lz
+		if n > 2 {
+			top |= uint64(z.abs[n-3]) >> (limbBits - lz)
+		}
+	}
+	m = float64(top) * 0x1p-63
+	if z.neg {
+		m = -m
+	}
+	return m, natBitLen(z.abs) - 1
 }
 
 // Int64 returns the int64 value of z; it panics if z does not fit.

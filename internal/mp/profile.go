@@ -136,6 +136,16 @@ func (p Profile) MulTier(xbits, ybits int) Tier {
 	return TierKaratsuba
 }
 
+// RowLoop reports whether every product with a ybits-bit operand, its
+// other operand of any width, runs under the profile on the 32-bit
+// schoolbook row loop: in TierSchoolbook, at exactly its model cost and
+// never on the parallel path. Under Fast that holds for operands
+// shorter than fastPackThreshold limbs, since the shorter operand
+// decides the tier and Karatsuba's threshold is higher still.
+func (p Profile) RowLoop(ybits int) bool {
+	return p != Fast || (ybits+limbBits-1)/limbBits < fastPackThreshold
+}
+
 // mul returns x*y under the profile.
 func (p Profile) mul(x, y nat) nat {
 	if p == Fast {

@@ -411,3 +411,29 @@ func BenchmarkMulParallel(b *testing.B) {
 		}
 	}
 }
+
+// TestRowLoopMatchesDispatch pins RowLoop to the dispatch it summarizes:
+// wherever it reports the row loop for a ybits-bit operand, every
+// product with it, whatever the other operand's width, is in
+// TierSchoolbook at its model cost and serial; and the first width past
+// it is not, under Fast.
+func TestRowLoopMatchesDispatch(t *testing.T) {
+	xs := []int{0, 1, 31, 32, 33, 224, 225, 1280, 4096, 200000, 10000000}
+	for _, pr := range []Profile{Schoolbook, Fast} {
+		last := 0
+		for y := 0; y <= 2000; y++ {
+			if !pr.RowLoop(y) {
+				continue
+			}
+			last = y
+			for _, x := range xs {
+				if pr.MulTier(x, y) != TierSchoolbook || pr.MulCost(x, y) != int64(x)*int64(y) || pr.MulParallelEngages(x, y) {
+					t.Fatalf("%v: RowLoop(%d) but a %d-bit product is %v at cost %d", pr, y, x, pr.MulTier(x, y), pr.MulCost(x, y))
+				}
+			}
+		}
+		if pr == Fast && (last != 224 || Fast.MulTier(225, 225) == TierSchoolbook) {
+			t.Errorf("fast: row loop up to %d bits; the packed tier starts at 225", last)
+		}
+	}
+}

@@ -96,6 +96,28 @@ func DotDiv(pr Profile, par Parallel, s *Scratch, d *Int, terms ...Term) (*Int, 
 	return w.dotDiv32(d, terms)
 }
 
+// QuoRem sets z to x quo y and r to x rem y (truncated, as Int.QuoRem)
+// and returns (z, r). The division runs under pr in a workspace taken
+// from s, so the quotient and the remainder, copied into r's storage
+// when it has the capacity, are its only allocations.
+func QuoRem(pr Profile, s *Scratch, z, x, y, r *Int) (*Int, *Int) {
+	if z == r {
+		panic("mp: QuoRem requires distinct quotient and remainder")
+	}
+	w := s.get()
+	defer s.put(w)
+	var q, rem nat
+	if pr == Fast {
+		w.acc = pack(w.acc, x.abs)
+		q, rem = w.divFast(w.acc, y.abs)
+	} else {
+		q, rem = w.quoRem32(x.abs, y.abs)
+	}
+	// rem lies in the workspace or is x's own limbs, so copying it into
+	// r's storage is safe even when r is x.
+	return setQuoRem(z, r, x.neg, y.neg, q, append(r.abs[:0], rem...))
+}
+
 // dotDiv32 is DotDiv under Schoolbook: the 32-bit row loop and
 // Algorithm D of nat.go.
 func (w *workspace) dotDiv32(d *Int, terms []Term) (*Int, int) {

@@ -179,3 +179,42 @@ func TestScratchConcurrent(t *testing.T) {
 		<-done
 	}
 }
+
+// TestQuoRemScratch pins mp.QuoRem to Int.QuoRemProfile under both
+// profiles, on shapes from one limb to past the Burnikel–Ziegler
+// threshold, with signs, with the remainder written over the dividend,
+// and with a warmed workspace list: then the quotient's limbs are the
+// only allocation once the remainder's storage has grown.
+func TestQuoRemScratch(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	rnd := func(bits int) *Int {
+		z := &Int{abs: randNatBits(r, bits)}
+		z.neg = len(z.abs) > 0 && r.Intn(2) == 0
+		return z
+	}
+	shapes := [][2]int{{10, 5}, {64, 64}, {100, 300}, {2000, 700}, {20000, 9000}, {40000, 16400}}
+	for _, pr := range []Profile{Schoolbook, Fast} {
+		var s Scratch
+		for _, sh := range shapes {
+			x, y := rnd(sh[0]), rnd(sh[1])
+			if y.IsZero() {
+				y.SetInt64(3)
+			}
+			wq, wr := new(Int).QuoRemProfile(pr, x, y, new(Int))
+			q, rem := QuoRem(pr, &s, new(Int), x, y, new(Int))
+			if q.Cmp(wq) != 0 || rem.Cmp(wr) != 0 {
+				t.Fatalf("%v %v: QuoRem = %v, %v; want %v, %v", pr, sh, q, rem, wq, wr)
+			}
+			xr := new(Int).Set(x)
+			if q, rem := QuoRem(pr, &s, new(Int), xr, y, xr); q.Cmp(wq) != 0 || rem.Cmp(wr) != 0 {
+				t.Fatalf("%v %v: QuoRem into the dividend = %v, %v; want %v, %v", pr, sh, q, rem, wq, wr)
+			}
+		}
+		x, y := rnd(3000), rnd(1000)
+		var q, rem Int
+		QuoRem(pr, &s, &q, x, y, &rem)
+		if n := testing.AllocsPerRun(20, func() { QuoRem(pr, &s, &q, x, y, &rem) }); n != 1 {
+			t.Errorf("%v: %.1f allocations per warmed QuoRem, want 1 (the quotient)", pr, n)
+		}
+	}
+}

@@ -31,7 +31,10 @@ func (p *Poly) EvalScaledCtx(ctx metrics.Ctx, a *mp.Int, s uint) *mp.Int {
 		return new(mp.Int)
 	}
 	var e Evaluator
-	e.horner(ctx, p, a, s)
+	e.exact(ctx, p, a, s)
+	if ctx.C != nil {
+		e.steps.flushValue()
+	}
 	return e.acc.View(new(mp.Int))
 }
 
@@ -40,64 +43,128 @@ func (p *Poly) SignAt(a *mp.Int, s uint) int {
 	return p.SignAtCtx(metrics.Ctx{}, a, s)
 }
 
-// SignAtCtx is SignAt with instrumentation.
+// SignAtCtx is SignAt with instrumentation. It converts each
+// coefficient for the sign screen as the screen reads it, so a sign the
+// screen decides allocates nothing.
 func (p *Poly) SignAtCtx(ctx metrics.Ctx, a *mp.Int, s uint) int {
 	var e Evaluator
-	return e.SignAt(ctx, p, a, s)
+	return e.SignAt(ctx, p, nil, a, s)
 }
 
 // An Evaluator evaluates polynomials at dyadic points in one reusable
 // Horner accumulator (mp.Horner). Every evaluation sizes the
 // accumulator for its final width before the first step, so once an
-// Evaluator has served its widest evaluation, a sign evaluation
-// allocates nothing. An Evaluator is not safe for concurrent use; the
-// zero value is ready to use.
+// Evaluator has served its widest evaluation, an exact evaluation
+// allocates nothing, and a screened sign evaluation never touches the
+// accumulator. An Evaluator is not safe for concurrent use; the zero
+// value is ready to use.
 type Evaluator struct {
-	acc mp.Horner
+	acc   mp.Horner
+	steps stepTally
 }
 
 // SignAt returns the sign of p(a/2^s), recording the evaluation in ctx.
-func (e *Evaluator) SignAt(ctx metrics.Ctx, p *Poly, a *mp.Int, s uint) int {
+// f is p.Floats(), or nil to convert p's coefficients on the fly. The
+// certified float64 screen decides the sign when its error bound
+// allows, and the exact scaled Horner recurrence otherwise (DESIGN.md
+// §8). Either way ctx records the operations of the exact recurrence,
+// and counts the evaluation under the kernel that decided it.
+func (e *Evaluator) SignAt(ctx metrics.Ctx, p *Poly, f Floats, a *mp.Int, s uint) int {
 	if p.IsZero() {
 		return 0
 	}
-	e.horner(ctx, p, a, s)
-	return e.acc.Sign()
+	count := ctx.C != nil
+	if count {
+		e.steps.reset(ctx, a.BitLen())
+	}
+	sign, ok := e.screen(p, f, a, s, count)
+	kernel := metrics.KernelScreen
+	if !ok {
+		e.exact(ctx, p, a, s)
+		sign, kernel = e.acc.Sign(), metrics.KernelExact
+	}
+	if count {
+		e.steps.flushSign(kernel)
+	}
+	return sign
 }
 
 // EvalScaled returns 2^(d·s)·p(a/2^s) (see Poly.EvalScaled) as a new
-// Int, recording the evaluation in ctx.
+// Int, computed exactly and recorded in ctx.
 func (e *Evaluator) EvalScaled(ctx metrics.Ctx, p *Poly, a *mp.Int, s uint) *mp.Int {
 	if p.IsZero() {
 		return new(mp.Int)
 	}
-	e.horner(ctx, p, a, s)
+	e.exact(ctx, p, a, s)
+	if ctx.C != nil {
+		e.steps.flushValue()
+	}
 	var v mp.Int
 	return new(mp.Int).Set(e.acc.View(&v))
 }
 
-// horner leaves E_d of the scaled Horner recurrence for a non-zero p in
-// the accumulator. |E_d| ≤ (d+1)·2^m·2^(d·max(bitlen a, s)) for m-bit
-// coefficients, and every E_k and product before it is narrower, so one
-// Reserve covers the whole evaluation. Every step runs on the
-// accumulator's 32-bit row loop, under either profile. The d
-// multiplications and d additions are tallied locally, by operand shape
-// as ctx's profile would dispatch them, and reach ctx's counters in one
-// flush.
-func (e *Evaluator) horner(ctx metrics.Ctx, p *Poly, a *mp.Int, s uint) {
+// exact leaves E_d of the scaled Horner recurrence for a non-zero p in
+// the accumulator and, when ctx counts, the lengths of its d steps in
+// e's step tally, restarted here. |E_d| ≤ (d+1)·2^m·2^(d·max(bitlen a,
+// s)) for m-bit coefficients, and every E_k and product before it is
+// narrower, so one Reserve covers the whole evaluation. Every step runs
+// on the accumulator's 32-bit row loop, under either profile; step k
+// multiplies E_{k−1} by a, and the tally records it by E_{k−1}'s
+// length.
+func (e *Evaluator) exact(ctx metrics.Ctx, p *Poly, a *mp.Int, s uint) {
 	d, abits := p.Degree(), a.BitLen()
+	count := ctx.C != nil
+	if count {
+		e.steps.reset(ctx, abits)
+	}
 	e.acc.Reserve(p.MaxCoeffBits() + bits.Len(uint(d)) + d*max(abits, int(s)))
 	e.acc.Set(p.c[d])
-	count := ctx.C != nil
-	var t metrics.Tally
 	for k := 1; k <= d; k++ {
 		if count {
-			t.Mul(ctx, e.acc.BitLen(), abits)
-			t.Add()
+			e.steps.add(e.acc.BitLen())
 		}
 		e.acc.Step(a, p.c[d-k], uint(k)*s)
 	}
-	ctx.FlushEval(&t)
+}
+
+// A stepTally collects the bit lengths of E_0, …, E_{d−1}, the
+// accumulators an evaluation's d multiplications read, and hands them
+// to a metrics.Tally a block at a time: one pass over the lengths, and
+// no buffer sized by the degree. Both kernels fill it, so a sign
+// records the same operations whichever kernel decided it.
+type stepTally struct {
+	ctx   metrics.Ctx
+	abits int
+	n     int
+	lens  [32]int
+	t     metrics.Tally
+}
+
+// reset starts a tally of an evaluation at an abits-bit point.
+func (l *stepTally) reset(ctx metrics.Ctx, abits int) {
+	l.ctx, l.abits, l.n, l.t = ctx, abits, 0, metrics.Tally{}
+}
+
+// add records the length of the accumulator the next step reads.
+func (l *stepTally) add(bits int) {
+	if l.n == len(l.lens) {
+		l.t.Horner(l.ctx, l.lens[:], l.abits)
+		l.n = 0
+	}
+	l.lens[l.n] = bits
+	l.n++
+}
+
+// flushValue records a value evaluation in the tally's ctx.
+func (l *stepTally) flushValue() {
+	l.t.Horner(l.ctx, l.lens[:l.n], l.abits)
+	l.ctx.FlushEval(&l.t)
+}
+
+// flushSign records a sign evaluation that kernel k decided.
+func (l *stepTally) flushSign(k metrics.Kernel) {
+	l.t.Horner(l.ctx, l.lens[:l.n], l.abits)
+	l.ctx.FlushSign(&l.t, k)
 }
 
 // SignAtNegInf returns the sign of p(x) as x → -∞: sign(lc)·(-1)^deg.

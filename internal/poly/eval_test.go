@@ -119,7 +119,7 @@ func FuzzScaledHornerVsBig(f *testing.F) {
 		if got := ev.EvalScaled(ctx, p, ma, s).ToBig(); got.Cmp(want[d]) != 0 {
 			t.Fatalf("%v Evaluator.EvalScaled = %v, want %v", pr, got, want[d])
 		}
-		if got := ev.SignAt(ctx, p, ma, s); got != want[d].Sign() {
+		if got := ev.SignAt(ctx, p, nil, ma, s); got != want[d].Sign() {
 			t.Fatalf("%v Evaluator.SignAt = %d, want %d", pr, got, want[d].Sign())
 		}
 		if got := p.EvalScaledCtx(ctx, ma, s).ToBig(); got.Cmp(want[d]) != 0 {
@@ -131,17 +131,24 @@ func FuzzScaledHornerVsBig(f *testing.F) {
 	})
 }
 
-// An evalShape is one scaled evaluation: p at a/2^s.
+// An evalShape is one scaled evaluation: p at a/2^s, with p's
+// coefficients converted once for the sign screen.
 type evalShape struct {
 	name string
 	p    *poly.Poly
+	f    poly.Floats
 	a    *mp.Int
 	s    uint
+}
+
+func newShape(name string, p *poly.Poly, a *mp.Int, s uint) evalShape {
+	return evalShape{name, p, p.Floats(), a, s}
 }
 
 // zeroAllocShapes are the evaluations the zero-allocation guard and
 // BenchmarkEvalScaled pin: a §5 characteristic polynomial at a
 // rootd-sized point, and a degree-16 polynomial at a multi-limb point.
+// The sign screen decides both.
 func zeroAllocShapes() []evalShape {
 	r := rand.New(rand.NewSource(5))
 	c := make([]*mp.Int, 17)
@@ -152,27 +159,57 @@ func zeroAllocShapes() []evalShape {
 	a70 := new(mp.Int).Lsh(mp.NewInt(1), 69)
 	a70.Add(a70, mp.RandInt(r, 60))
 	return []evalShape{
-		{"charpoly01-40/abits=24/s=16", workload.CharPoly01(1, 40), mp.NewInt(-0xb5e3a1), 16},
-		{"deg=16/abits=70/s=64", poly.New(c...), a70, 64},
+		newShape("charpoly01-40/abits=24/s=16", workload.CharPoly01(1, 40), mp.NewInt(-0xb5e3a1), 16),
+		newShape("deg=16/abits=70/s=64", poly.New(c...), a70, 64),
 	}
 }
 
-// TestEvaluatorSignZeroAlloc pins that a warmed Evaluator's sign
-// evaluation allocates nothing, with and without counters, under both
-// profiles.
+// fallbackShape is an evaluation the screen must leave to the exact
+// kernel: a degree-12 polynomial at its root 3/8.
+func fallbackShape() evalShape {
+	p := poly.FromInt64s(-3, 8) // 8x − 3
+	for i := 1; i <= 11; i++ {
+		p = p.Mul(poly.FromInt64s(int64(i*i), int64(-i), 1))
+	}
+	return newShape("root/deg=12", p, mp.NewInt(3), 3)
+}
+
+// TestEvaluatorSignZeroAlloc pins that sign evaluations allocate
+// nothing, with and without counters, under both profiles: through a
+// warmed Evaluator, whichever kernel decides the sign, and through a
+// one-shot Poly.SignAtCtx that the screen decides.
 func TestEvaluatorSignZeroAlloc(t *testing.T) {
+	type check struct {
+		sh      evalShape
+		oneShot bool
+		kernel  metrics.Kernel
+	}
+	var checks []check
 	for _, sh := range zeroAllocShapes() {
+		checks = append(checks, check{sh, false, metrics.KernelScreen}, check{sh, true, metrics.KernelScreen})
+	}
+	checks = append(checks, check{fallbackShape(), false, metrics.KernelExact})
+	for _, ck := range checks {
+		sh := ck.sh
 		for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
 			var c metrics.Counters
 			for _, ctx := range []metrics.Ctx{{Profile: pr}, {C: &c, Phase: metrics.PhaseBisection, Profile: pr}} {
 				var ev poly.Evaluator
+				sign := func() int { return ev.SignAt(ctx, sh.p, sh.f, sh.a, sh.s) }
+				if ck.oneShot {
+					sign = func() int { return sh.p.SignAtCtx(ctx, sh.a, sh.s) }
+				}
 				want := sh.p.EvalScaled(sh.a, sh.s).Sign()
-				if got := ev.SignAt(ctx, sh.p, sh.a, sh.s); got != want {
+				if got := sign(); got != want {
 					t.Fatalf("%s: sign %d, want %d", sh.name, got, want)
 				}
-				if n := testing.AllocsPerRun(100, func() { ev.SignAt(ctx, sh.p, sh.a, sh.s) }); n != 0 {
-					t.Errorf("%s %v counted=%v: %.1f allocs per warmed sign evaluation, want 0", sh.name, pr, ctx.C != nil, n)
+				if n := testing.AllocsPerRun(100, func() { sign() }); n != 0 {
+					t.Errorf("%s %v counted=%v one-shot=%v: %.1f allocs per sign evaluation, want 0", sh.name, pr, ctx.C != nil, ck.oneShot, n)
 				}
+			}
+			signs := c.Snapshot().Signs[metrics.PhaseBisection]
+			if signs[ck.kernel] != 102 || signs[1-ck.kernel] != 0 {
+				t.Errorf("%s %v: kernels decided %v, want all 102 by %v", sh.name, pr, signs, ck.kernel)
 			}
 		}
 	}
@@ -200,7 +237,7 @@ func BenchmarkEvalScaled(b *testing.B) {
 				c[deg] = mp.NewInt(1)
 			}
 			pt := mp.RandInt(rand.New(rand.NewSource(4)), x)
-			shapes = append(shapes, evalShape{fmt.Sprintf("deg=%d/xbits=%d", deg, x), poly.New(c...), pt, uint(x)})
+			shapes = append(shapes, newShape(fmt.Sprintf("deg=%d/xbits=%d", deg, x), poly.New(c...), pt, uint(x)))
 		}
 	}
 	for _, sh := range append(shapes, zeroAllocShapes()...) {
@@ -221,11 +258,11 @@ func BenchmarkEvalScaled(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				var ev poly.Evaluator
-				ev.SignAt(ctx, sh.p, sh.a, sh.s)
+				ev.SignAt(ctx, sh.p, sh.f, sh.a, sh.s)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					signSink = ev.SignAt(ctx, sh.p, sh.a, sh.s)
+					signSink = ev.SignAt(ctx, sh.p, sh.f, sh.a, sh.s)
 				}
 			})
 		}

@@ -35,6 +35,12 @@ func New(coeffs ...*mp.Int) *Poly {
 	return (&Poly{c: c}).norm()
 }
 
+// Adopt builds a polynomial from coefficients in ascending-degree order
+// without copying them: the polynomial takes over c and the Ints in it,
+// which the caller must not modify afterwards. Trailing zero
+// coefficients are trimmed.
+func Adopt(c []*mp.Int) *Poly { return (&Poly{c: c}).norm() }
+
 // FromInt64s builds a polynomial from int64 coefficients in
 // ascending-degree order.
 func FromInt64s(coeffs ...int64) *Poly {

@@ -142,7 +142,8 @@ func badRequest(format string, args ...any) *RequestError {
 // round-trip arbitrary-precision integers exactly.
 type SolveRequest struct {
 	// Tenant identifies the caller for rate limiting and fair queuing;
-	// empty means "anonymous".
+	// empty means "anonymous". The names of the ledger's synthetic rows,
+	// "anonymous" and "other", are reserved and refused.
 	Tenant string `json:"tenant,omitempty"`
 	// Poly asks for the real roots of a polynomial (ascending-degree
 	// decimal coefficient strings; the input must have all roots real).
@@ -289,6 +290,9 @@ func (r *SolveRequest) validate() error {
 		default:
 			return badRequest("tenant contains %q (want [A-Za-z0-9._-])", c)
 		}
+	}
+	if r.Tenant == AnonymousTenant || r.Tenant == OverflowTenant {
+		return badRequest("tenant %q is reserved for the ledger's synthetic rows", r.Tenant)
 	}
 	if (r.Poly == nil) == (r.Matrix == nil) {
 		return badRequest("exactly one of poly and matrix must be set")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -179,6 +180,32 @@ func TestSolveErrorTable(t *testing.T) {
 				t.Errorf("code = %q, want %q (message %q)", e.Code, tc.code, e.Message)
 			}
 		})
+	}
+}
+
+// TestReservedTenantNames pins that a client cannot send the names of
+// the ledger's synthetic rows: "anonymous" and "other" are refused with
+// 400 bad_request before anything is solved or accounted to them,
+// while names that only contain them pass.
+func TestReservedTenantNames(t *testing.T) {
+	for _, tenant := range []string{AnonymousTenant, OverflowTenant} {
+		body := fmt.Sprintf(`{"tenant":%q,"poly":{"coeffs":["-2","0","1"]}}`, tenant)
+		_, err := DecodeSolveRequest([]byte(body))
+		var re *RequestError
+		if !errors.As(err, &re) || re.Code != CodeBadRequest {
+			t.Errorf("tenant %q: decode error %v, want %s", tenant, err, CodeBadRequest)
+		}
+	}
+	_, hs := newTestServer(t, Config{})
+	status, _, data := postSolve(t, hs.URL, `{"tenant":"other","poly":{"coeffs":["-2","0","1"]}}`)
+	if status != 400 || decodeErr(t, data).Code != CodeBadRequest {
+		t.Errorf("tenant other over HTTP: status %d, body %s; want 400 %s", status, data, CodeBadRequest)
+	}
+	for _, tenant := range []string{"Other", "anonymous2", "others"} {
+		body := fmt.Sprintf(`{"tenant":%q,"poly":{"coeffs":["-2","0","1"]}}`, tenant)
+		if _, err := DecodeSolveRequest([]byte(body)); err != nil {
+			t.Errorf("tenant %q refused: %v", tenant, err)
+		}
 	}
 }
 

@@ -234,6 +234,15 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
+	e.family("realroots_sign_evals_total", "Sign evaluations by phase and the kernel that decided them (screen = certified float64 screen, exact = exact scaled Horner); both record the exact recurrence's operations.", "counter")
+	for p := metrics.Phase(0); p < metrics.NumPhases; p++ {
+		for k := metrics.Kernel(0); k < metrics.NumKernels; k++ {
+			if n := g.agg.Signs[p][k]; n != 0 {
+				e.sampleInt("realroots_sign_evals_total", n, "phase", p.String(), "kernel", k.String())
+			}
+		}
+	}
+
 	e.family("realroots_sched_tasks_total", "Scheduler tasks executed.", "counter")
 	e.sampleInt("realroots_sched_tasks_total", g.pool.Executed)
 	e.family("realroots_sched_panics_total", "Task panics isolated by the scheduler.", "counter")

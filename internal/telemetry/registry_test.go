@@ -18,6 +18,11 @@ func sampleReport() metrics.Report {
 	c.AddDivCost(metrics.PhaseTree, 300, 100, 12345)
 	c.AddAdd(metrics.PhaseSort)
 	c.AddEval(metrics.PhaseBisection)
+	var none metrics.Tally
+	sieve := metrics.Ctx{C: &c, Phase: metrics.PhaseSieve}
+	sieve.FlushSign(&none, metrics.KernelScreen)
+	sieve.FlushSign(&none, metrics.KernelScreen)
+	sieve.In(metrics.PhaseNewton).FlushSign(&none, metrics.KernelExact)
 	return c.Snapshot()
 }
 
@@ -56,6 +61,8 @@ func TestWritePrometheusValidates(t *testing.T) {
 		`realroots_phase_bits_total{phase="tree",op="div",cost="model"} `,
 		`realroots_phase_bits_total{phase="tree",op="div",cost="actual"} `,
 		`realroots_operand_bits_ops_total{phase="remainder",bits="[4096,8192)"} `,
+		`realroots_sign_evals_total{phase="sieve",kernel="screen"} 14`,
+		`realroots_sign_evals_total{phase="newton",kernel="exact"} 7`,
 		"realroots_sched_tasks_total 42",
 		"realroots_sched_panics_total 6",
 		"realroots_sched_max_queue_depth 8",
