@@ -63,8 +63,6 @@ type Solver struct {
 	Method Method
 
 	ctx    metrics.Ctx
-	pf     poly.Floats     // P's and P′'s coefficients for the sign screen,
-	dpf    poly.Floats     // converted once and read by every task
 	ys     []dyadic.Dyadic // d+1 points: -B, ỹ_1…ỹ_{d-1}, +B, all on the 2^-µ grid
 	signs  []int           // sgnRight of P at each point, filled by EvalPoint
 	negInf int             // sign of P at -∞
@@ -94,11 +92,9 @@ func NewSolver(p *poly.Poly, interleaving []dyadic.Dyadic, bound *mp.Int, mu uin
 		ys[i+1] = y
 	}
 	ys[d] = dyadic.FromInt(bound)
-	dp := p.Derivative()
 	return &Solver{
-		P: p, dP: dp, Mu: mu, Method: method,
-		ctx: ctx, pf: p.Floats(), dpf: dp.Floats(),
-		ys: ys, signs: make([]int, d+1), negInf: p.SignAtNegInf(),
+		P: p, dP: p.Derivative(), Mu: mu, Method: method,
+		ctx: ctx, ys: ys, signs: make([]int, d+1), negInf: p.SignAtNegInf(),
 	}
 }
 
@@ -116,9 +112,9 @@ func (s *Solver) NumPoints() int { return len(s.ys) }
 func (s *Solver) EvalPoint(i int) {
 	var ev poly.Evaluator
 	ctx, t := s.ctx.In(metrics.PhasePreInterval), s.ys[i]
-	sg := ev.SignAt(ctx, s.P, s.pf, t.Num(), t.Scale())
+	sg := ev.SignAt(ctx, s.P, t.Num(), t.Scale())
 	if sg == 0 {
-		sg = ev.SignAt(ctx, s.dP, s.dpf, t.Num(), t.Scale())
+		sg = ev.SignAt(ctx, s.dP, t.Num(), t.Scale())
 	}
 	if sg == 0 {
 		panic("interval: P and P' vanish together (input not squarefree)")
@@ -213,7 +209,7 @@ func (s *Solver) SolveAll() []dyadic.Dyadic {
 
 // signAt evaluates sign(P) at a dyadic point under the given phase.
 func (s *task) signAt(phase metrics.Phase, t dyadic.Dyadic) int {
-	return s.ev.SignAt(s.ctx.In(phase), s.P, s.pf, t.Num(), t.Scale())
+	return s.ev.SignAt(s.ctx.In(phase), s.P, t.Num(), t.Scale())
 }
 
 // finish makes the exact grid decision once the bracket (lo, hi) around

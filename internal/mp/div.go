@@ -27,15 +27,6 @@ import "math/bits"
 // lose (65 vs 55 µs).
 const fastDivThreshold = 256
 
-// natDivFast returns the quotient and remainder of u / v (v != 0) as
-// new nats, in a transient workspace.
-func natDivFast(u, v nat) (q, r nat) {
-	var w workspace
-	w.acc = pack(w.acc, u)
-	q, r = w.divFast(w.acc, v)
-	return q, append(nat(nil), r...)
-}
-
 // divFast divides the canonical packed u by v (v != 0): Knuth's
 // Algorithm D in the workspace while the divisor or the quotient is
 // short of fastDivThreshold limbs — on 32-bit limbs when either operand

@@ -43,7 +43,7 @@ func BenchmarkDivShapes(b *testing.B) {
 			{"knuth", func() { w.quoRem32(u, v) }},
 			{"knuth64", func() { w.knuth64(u, v) }},
 			{"bz", func() { w.burnikelZiegler(u, v) }},
-			{"fast", func() { natDivFast(u, v) }},
+			{"fast", func() { QuoRem(Fast, nil, new(Int), &Int{abs: u}, &Int{abs: v}, new(Int)) }},
 		}
 		for _, k := range kernels {
 			if k.name == "knuth" && sh[1] > 16000 {

@@ -170,24 +170,10 @@ func (z *Int) QuoRem(x, y *Int, r *Int) (*Int, *Int) {
 	return z.QuoRemProfile(Schoolbook, x, y, r)
 }
 
-// QuoRemProfile is QuoRem with the division algorithm selected by pr.
+// QuoRemProfile is QuoRem with the division algorithm selected by pr,
+// run in a transient workspace (see mp.QuoRem).
 func (z *Int) QuoRemProfile(pr Profile, x, y *Int, r *Int) (*Int, *Int) {
-	if z == r {
-		panic("mp: QuoRem requires distinct quotient and remainder")
-	}
-	q, rem := pr.div(x.abs, y.abs)
-	return setQuoRem(z, r, x.neg, y.neg, q, rem)
-}
-
-// setQuoRem stores the quotient q and the remainder rem of a division
-// of an xneg-signed dividend by a yneg-signed divisor in z and r, with
-// truncated signs, and returns (z, r).
-func setQuoRem(z, r *Int, xneg, yneg bool, q, rem nat) (*Int, *Int) {
-	z.abs = q
-	z.neg = len(q) > 0 && xneg != yneg
-	r.abs = rem
-	r.neg = len(rem) > 0 && xneg
-	return z, r
+	return QuoRem(pr, nil, z, x, y, r)
 }
 
 // Quo sets z to x/y (truncated) and returns z.
@@ -356,17 +342,18 @@ func (z *Int) Float() (m float64, e int) {
 	if n > 1 {
 		top |= uint64(z.abs[n-2])
 	}
-	if lz := uint(bits.LeadingZeros64(top)); lz > 0 {
-		top <<= lz
-		if n > 2 {
-			top |= uint64(z.abs[n-3]) >> (limbBits - lz)
-		}
+	// The top limb is non-zero, so lz < limbBits, and z has
+	// n·limbBits − lz bits.
+	lz := uint(bits.LeadingZeros64(top))
+	top <<= lz
+	if n > 2 {
+		top |= uint64(z.abs[n-3]) >> (limbBits - lz)
 	}
 	m = float64(top) * 0x1p-63
 	if z.neg {
 		m = -m
 	}
-	return m, natBitLen(z.abs) - 1
+	return m, n*limbBits - int(lz) - 1
 }
 
 // Int64 returns the int64 value of z; it panics if z does not fit.

@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -435,21 +436,22 @@ func TestFastDivMatchesKnuth(t *testing.T) {
 		if v.IsZero() {
 			continue
 		}
-		q1, r1 := natDiv(u.abs, v.abs)
-		q2, r2 := natDivFast(u.abs, v.abs)
-		if natCmp(q1, q2) != 0 || natCmp(r1, r2) != 0 {
+		q1, r1 := new(Int).QuoRemProfile(Schoolbook, u, v, new(Int))
+		q2, r2 := new(Int).QuoRemProfile(Fast, u, v, new(Int))
+		if q1.Cmp(q2) != 0 || r1.Cmp(r2) != 0 {
 			t.Fatalf("div mismatch at %d / %d bits", s[0], s[1])
 		}
 		// Exact division: u2 = q1*v must divide with zero remainder.
-		u2 := natMulFast(q1, v.abs)
-		q3, r3 := natDivFast(u2, v.abs)
-		if natCmp(q3, q1) != 0 || len(r3) != 0 {
+		u2 := new(Int).MulProfile(Fast, q1, v)
+		q3, r3 := new(Int).QuoRemProfile(Fast, u2, v, new(Int))
+		if q3.Cmp(q1) != 0 || !r3.IsZero() {
 			t.Fatalf("exact div mismatch at %d / %d bits", s[0], s[1])
 		}
 		// Remainder one below the divisor: u3 = q1*v + (v-1).
-		u3 := natAdd(u2, natSub(v.abs, nat{1}))
-		q4, r4 := natDivFast(u3, v.abs)
-		if natCmp(q4, q1) != 0 || natCmp(r4, natSub(v.abs, nat{1})) != 0 {
+		vm1 := new(Int).Sub(v, NewInt(1))
+		u3 := new(Int).Add(u2, vm1)
+		q4, r4 := new(Int).QuoRemProfile(Fast, u3, v, new(Int))
+		if q4.Cmp(q1) != 0 || r4.Cmp(vm1) != 0 {
 			t.Fatalf("max-remainder div mismatch at %d / %d bits", s[0], s[1])
 		}
 	}
@@ -581,6 +583,40 @@ func TestShiftedOpsMatchBig(t *testing.T) {
 		z.Set(x)
 		if got, want := z.Rsh(z, xs).ToBig(), new(big.Int).Rsh(x.ToBig(), xs); got.Cmp(want) != 0 {
 			t.Fatalf("in-place Rsh(%s, %d) = %s, want %s", x, xs, got, want)
+		}
+	}
+}
+
+// TestFloat checks Int.Float's contract against math/big: m·2^e has
+// z's sign, 1 ≤ |m| ≤ 2, and lies within (2^-53 + 2^-63)·|z| of z, for
+// one-, two- and many-limb values, powers of two and all-ones values
+// whose rounding carries into the next binade.
+func TestFloat(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	var xs []*Int
+	for bits := 1; bits <= 200; bits++ {
+		ones := new(Int).Sub(new(Int).Lsh(NewInt(1), uint(bits)), NewInt(1))
+		xs = append(xs, RandNonNeg(r, bits), new(Int).Lsh(NewInt(1), uint(bits-1)), ones, new(Int).Neg(ones))
+	}
+	if m, e := new(Int).Float(); m != 0 || e != 0 {
+		t.Errorf("Float(0) = %v, %d; want 0, 0", m, e)
+	}
+	tol := new(big.Float).SetMantExp(big.NewFloat(1+0x1p-10), -53) // 2^-53 + 2^-63
+	for _, x := range xs {
+		if x.IsZero() {
+			continue
+		}
+		m, e := x.Float()
+		if am := math.Abs(m); am < 1 || am > 2 || (m < 0) != (x.Sign() < 0) {
+			t.Fatalf("Float(%v) = %v·2^%d: mantissa out of range or sign wrong", x, m, e)
+		}
+		// 1024 bits hold every value here exactly.
+		exact := new(big.Float).SetPrec(1024).SetInt(x.ToBig())
+		got := new(big.Float).SetPrec(1024).SetMantExp(big.NewFloat(m), e)
+		diff := new(big.Float).SetPrec(1024).Sub(got, exact)
+		bound := new(big.Float).SetPrec(1024).Mul(tol, new(big.Float).Abs(exact))
+		if diff.Abs(diff).Cmp(bound) > 0 {
+			t.Fatalf("Float(%v) = %v·2^%d, off by %v > %v", x, m, e, diff, bound)
 		}
 	}
 }

@@ -224,14 +224,6 @@ func natDivSmall(u nat, d uint32) (q nat, r uint32) {
 	return q.norm(), uint32(rem)
 }
 
-// natDiv returns the quotient and remainder of u / v (v != 0) as new
-// nats, by Algorithm D in a transient workspace (see quoRem32).
-func natDiv(u, v nat) (q, r nat) {
-	var w workspace
-	q, r = w.quoRem32(u, v)
-	return q, append(nat(nil), r...)
-}
-
 // quoRem32 divides u by v (v != 0) using Knuth's Algorithm D (TAOCP
 // vol. 2, §4.3.1), quadratic in the operand sizes, matching the "mp"
 // package the paper's implementation used. The quotient is a new nat;

@@ -154,14 +154,6 @@ func (p Profile) mul(x, y nat) nat {
 	return natMulBasic(x, y)
 }
 
-// div returns the quotient and remainder of u/v under the profile.
-func (p Profile) div(u, v nat) (q, r nat) {
-	if p == Fast {
-		return natDivFast(u, v)
-	}
-	return natDiv(u, v)
-}
-
 // MulCost estimates the cost of multiplying xbits-by-ybits operands
 // under the profile, in the paper's bit-operation unit (schoolbook cost
 // = xbits·ybits). For Fast it mirrors mul64t's dispatch — block

@@ -99,13 +99,24 @@ func DotDiv(pr Profile, par Parallel, s *Scratch, d *Int, terms ...Term) (*Int, 
 // QuoRem sets z to x quo y and r to x rem y (truncated, as Int.QuoRem)
 // and returns (z, r). The division runs under pr in a workspace taken
 // from s, so the quotient and the remainder, copied into r's storage
-// when it has the capacity, are its only allocations.
+// when it has the capacity, are its only allocations. A nil s gives it
+// a transient workspace on the stack, whose buffers are allocated
+// afresh.
 func QuoRem(pr Profile, s *Scratch, z, x, y, r *Int) (*Int, *Int) {
 	if z == r {
 		panic("mp: QuoRem requires distinct quotient and remainder")
 	}
+	if s == nil {
+		var w workspace
+		return w.quoRem(pr, z, x, y, r)
+	}
 	w := s.get()
 	defer s.put(w)
+	return w.quoRem(pr, z, x, y, r)
+}
+
+// quoRem is QuoRem in the workspace w.
+func (w *workspace) quoRem(pr Profile, z, x, y, r *Int) (*Int, *Int) {
 	var q, rem nat
 	if pr == Fast {
 		w.acc = pack(w.acc, x.abs)
@@ -115,7 +126,11 @@ func QuoRem(pr Profile, s *Scratch, z, x, y, r *Int) (*Int, *Int) {
 	}
 	// rem lies in the workspace or is x's own limbs, so copying it into
 	// r's storage is safe even when r is x.
-	return setQuoRem(z, r, x.neg, y.neg, q, append(r.abs[:0], rem...))
+	xneg, yneg := x.neg, y.neg
+	z.abs, z.neg = q, len(q) > 0 && xneg != yneg
+	r.abs = append(r.abs[:0], rem...)
+	r.neg = len(r.abs) > 0 && xneg
+	return z, r
 }
 
 // dotDiv32 is DotDiv under Schoolbook: the 32-bit row loop and

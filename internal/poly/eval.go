@@ -43,12 +43,11 @@ func (p *Poly) SignAt(a *mp.Int, s uint) int {
 	return p.SignAtCtx(metrics.Ctx{}, a, s)
 }
 
-// SignAtCtx is SignAt with instrumentation. It converts each
-// coefficient for the sign screen as the screen reads it, so a sign the
-// screen decides allocates nothing.
+// SignAtCtx is SignAt with instrumentation. A sign the screen decides
+// allocates nothing.
 func (p *Poly) SignAtCtx(ctx metrics.Ctx, a *mp.Int, s uint) int {
 	var e Evaluator
-	return e.SignAt(ctx, p, nil, a, s)
+	return e.SignAt(ctx, p, a, s)
 }
 
 // An Evaluator evaluates polynomials at dyadic points in one reusable
@@ -64,12 +63,11 @@ type Evaluator struct {
 }
 
 // SignAt returns the sign of p(a/2^s), recording the evaluation in ctx.
-// f is p.Floats(), or nil to convert p's coefficients on the fly. The
-// certified float64 screen decides the sign when its error bound
+// The certified float64 screen decides the sign when its error bound
 // allows, and the exact scaled Horner recurrence otherwise (DESIGN.md
 // §8). Either way ctx records the operations of the exact recurrence,
 // and counts the evaluation under the kernel that decided it.
-func (e *Evaluator) SignAt(ctx metrics.Ctx, p *Poly, f Floats, a *mp.Int, s uint) int {
+func (e *Evaluator) SignAt(ctx metrics.Ctx, p *Poly, a *mp.Int, s uint) int {
 	if p.IsZero() {
 		return 0
 	}
@@ -77,7 +75,7 @@ func (e *Evaluator) SignAt(ctx metrics.Ctx, p *Poly, f Floats, a *mp.Int, s uint
 	if count {
 		e.steps.reset(ctx, a.BitLen())
 	}
-	sign, ok := e.screen(p, f, a, s, count)
+	sign, ok := e.screen(p, a, s, count)
 	kernel := metrics.KernelScreen
 	if !ok {
 		e.exact(ctx, p, a, s)

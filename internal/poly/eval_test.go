@@ -119,7 +119,7 @@ func FuzzScaledHornerVsBig(f *testing.F) {
 		if got := ev.EvalScaled(ctx, p, ma, s).ToBig(); got.Cmp(want[d]) != 0 {
 			t.Fatalf("%v Evaluator.EvalScaled = %v, want %v", pr, got, want[d])
 		}
-		if got := ev.SignAt(ctx, p, nil, ma, s); got != want[d].Sign() {
+		if got := ev.SignAt(ctx, p, ma, s); got != want[d].Sign() {
 			t.Fatalf("%v Evaluator.SignAt = %d, want %d", pr, got, want[d].Sign())
 		}
 		if got := p.EvalScaledCtx(ctx, ma, s).ToBig(); got.Cmp(want[d]) != 0 {
@@ -131,18 +131,12 @@ func FuzzScaledHornerVsBig(f *testing.F) {
 	})
 }
 
-// An evalShape is one scaled evaluation: p at a/2^s, with p's
-// coefficients converted once for the sign screen.
+// An evalShape is one scaled evaluation: p at a/2^s.
 type evalShape struct {
 	name string
 	p    *poly.Poly
-	f    poly.Floats
 	a    *mp.Int
 	s    uint
-}
-
-func newShape(name string, p *poly.Poly, a *mp.Int, s uint) evalShape {
-	return evalShape{name, p, p.Floats(), a, s}
 }
 
 // zeroAllocShapes are the evaluations the zero-allocation guard and
@@ -159,8 +153,8 @@ func zeroAllocShapes() []evalShape {
 	a70 := new(mp.Int).Lsh(mp.NewInt(1), 69)
 	a70.Add(a70, mp.RandInt(r, 60))
 	return []evalShape{
-		newShape("charpoly01-40/abits=24/s=16", workload.CharPoly01(1, 40), mp.NewInt(-0xb5e3a1), 16),
-		newShape("deg=16/abits=70/s=64", poly.New(c...), a70, 64),
+		{"charpoly01-40/abits=24/s=16", workload.CharPoly01(1, 40), mp.NewInt(-0xb5e3a1), 16},
+		{"deg=16/abits=70/s=64", poly.New(c...), a70, 64},
 	}
 }
 
@@ -171,7 +165,42 @@ func fallbackShape() evalShape {
 	for i := 1; i <= 11; i++ {
 		p = p.Mul(poly.FromInt64s(int64(i*i), int64(-i), 1))
 	}
-	return newShape("root/deg=12", p, mp.NewInt(3), 3)
+	return evalShape{"root/deg=12", p, mp.NewInt(3), 3}
+}
+
+// highPrecisionShapes are sign evaluations at µ = 256 on the §5
+// characteristic polynomial of degree 40, beside a root r: at r's
+// 2^-256 approximation, where the value lies inside the screen's error
+// bound and the exact kernel decides, and 2^-16 below it, where the
+// screen decides. The approximation comes from bisecting with exact
+// signs, from the first halving of the root bound below which P
+// changes sign.
+func highPrecisionShapes() []evalShape {
+	const s = 256
+	p := workload.CharPoly01(1, 40)
+	hi := p.RootBound()
+	lo := new(mp.Int).Rsh(hi, 1)
+	for p.SignAt(lo, 0) == p.SignAt(hi, 0) {
+		hi.Set(lo)
+		lo.Rsh(lo, 1)
+	}
+	sl := p.SignAt(lo, 0)
+	lo.Lsh(lo, s)
+	hi.Lsh(hi, s)
+	width, mid := new(mp.Int), new(mp.Int)
+	for width.Sub(hi, lo).Cmp(mp.NewInt(1)) > 0 {
+		mid.Add(lo, hi).Rsh(mid, 1)
+		if p.SignAt(mid, s) == sl {
+			lo.Set(mid)
+		} else {
+			hi.Set(mid)
+		}
+	}
+	below := new(mp.Int).Sub(lo, new(mp.Int).Lsh(mp.NewInt(1), s-16))
+	return []evalShape{
+		{"charpoly01-40/root/s=256", p, lo, s},
+		{"charpoly01-40/root-2^-16/s=256", p, below, s},
+	}
 }
 
 // TestEvaluatorSignZeroAlloc pins that sign evaluations allocate
@@ -195,7 +224,7 @@ func TestEvaluatorSignZeroAlloc(t *testing.T) {
 			var c metrics.Counters
 			for _, ctx := range []metrics.Ctx{{Profile: pr}, {C: &c, Phase: metrics.PhaseBisection, Profile: pr}} {
 				var ev poly.Evaluator
-				sign := func() int { return ev.SignAt(ctx, sh.p, sh.f, sh.a, sh.s) }
+				sign := func() int { return ev.SignAt(ctx, sh.p, sh.a, sh.s) }
 				if ck.oneShot {
 					sign = func() int { return sh.p.SignAtCtx(ctx, sh.a, sh.s) }
 				}
@@ -223,7 +252,10 @@ var (
 
 // BenchmarkEvalScaled times one scaled evaluation: the value through
 // EvalScaled, and the sign through a warmed Evaluator with and without
-// counters, and under the Fast profile.
+// counters, and under the Fast profile. The screen decides the signs of
+// the random and zero-allocation shapes and of the µ = 256 point off
+// the root; the exact kernel decides, after the screen declines, the
+// fallback shape and the µ = 256 point at the root.
 func BenchmarkEvalScaled(b *testing.B) {
 	var shapes []evalShape
 	for _, deg := range []int{16, 64} {
@@ -237,10 +269,12 @@ func BenchmarkEvalScaled(b *testing.B) {
 				c[deg] = mp.NewInt(1)
 			}
 			pt := mp.RandInt(rand.New(rand.NewSource(4)), x)
-			shapes = append(shapes, newShape(fmt.Sprintf("deg=%d/xbits=%d", deg, x), poly.New(c...), pt, uint(x)))
+			shapes = append(shapes, evalShape{fmt.Sprintf("deg=%d/xbits=%d", deg, x), poly.New(c...), pt, uint(x)})
 		}
 	}
-	for _, sh := range append(shapes, zeroAllocShapes()...) {
+	shapes = append(shapes, zeroAllocShapes()...)
+	shapes = append(shapes, fallbackShape())
+	for _, sh := range append(shapes, highPrecisionShapes()...) {
 		b.Run(sh.name+"/value", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -258,11 +292,11 @@ func BenchmarkEvalScaled(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				var ev poly.Evaluator
-				ev.SignAt(ctx, sh.p, sh.f, sh.a, sh.s)
+				ev.SignAt(ctx, sh.p, sh.a, sh.s)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					signSink = ev.SignAt(ctx, sh.p, sh.f, sh.a, sh.s)
+					signSink = ev.SignAt(ctx, sh.p, sh.a, sh.s)
 				}
 			})
 		}

@@ -8,7 +8,7 @@ import (
 
 // The sign screen (DESIGN.md §8). A sign evaluation needs sign(E_d)
 // and, for the paper's cost accounting, the bit length of every E_k
-// that a multiplication reads (see Evaluator.horner). Since
+// that a multiplication reads (see Evaluator.exact). Since
 // E_k = 2^(k·s)·v_k, where v_k = v_{k−1}·x + c_{d−k} is Horner's rule
 // for p at x = a/2^s, both follow from v_k whenever its value is known
 // to within a bound that excludes 0 and a power of two. The screen runs
@@ -18,29 +18,6 @@ import (
 // on Ŝ_k rather than on the value, which may cancel, keeps Ŝ_k ≥ 1 in
 // the running units, so that underflow costs only absolute errors far
 // below the bound.
-
-// Floats is a polynomial's coefficients in the form the sign screen
-// reads: each c_i as m·2^e with 1 ≤ |m| ≤ 2, or m = 0 (mp.Int.Float).
-// A caller that evaluates one polynomial many times converts it once,
-// with Poly.Floats, and may share the result read-only between
-// goroutines; a nil Floats makes the screen convert each coefficient as
-// it reads it.
-type Floats []dfloat
-
-// A dfloat is m·2^e (see Floats).
-type dfloat struct {
-	m float64
-	e int
-}
-
-// Floats returns p's coefficients in the sign screen's form.
-func (p *Poly) Floats() Floats {
-	f := make(Floats, len(p.c))
-	for i, c := range p.c {
-		f[i].m, f[i].e = c.Float()
-	}
-	return f
-}
 
 const (
 	// screenMaxDegree bounds the degrees the screen serves; DESIGN.md
@@ -59,13 +36,13 @@ func pow2(e int) float64 { return math.Float64frombits(uint64(e+1023) << 52) }
 func exponent(x float64) int { return int(math.Float64bits(x)>>52) - 1023 }
 
 // screen decides sign(p(a/2^s)) for a non-zero p in float64 (see the
-// comment at the top of the file), reading p's coefficients from f, or
-// converting them when f is nil. With count, it also certifies the bit
+// comment at the top of the file), converting each coefficient with
+// mp.Int.Float as it reads it. With count, it also certifies the bit
 // length of each E_k, k < d, and passes it to e's step tally. ok is
 // false when the error bound leaves the sign, or with count a length,
 // uncertain; the caller then discards the tally and runs the exact
 // kernel. a = 0 is decided exactly: E_k = c_{d−k}·2^(k·s).
-func (e *Evaluator) screen(p *Poly, f Floats, a *mp.Int, s uint, count bool) (sign int, ok bool) {
+func (e *Evaluator) screen(p *Poly, a *mp.Int, s uint, count bool) (sign int, ok bool) {
 	d := p.Degree()
 	if d > screenMaxDegree {
 		return 0, false
@@ -87,26 +64,13 @@ func (e *Evaluator) screen(p *Poly, f Floats, a *mp.Int, s uint, count bool) (si
 	xe -= int(s)
 	ax := math.Abs(xm)
 	// The value is h·2^E and the sum of magnitudes sum·2^E, sum ≥ 1.
-	var h float64
-	var E int
-	if f != nil {
-		h, E = f[d].m, f[d].e
-	} else {
-		h, E = p.c[d].Float()
-	}
+	h, E := p.c[d].Float()
 	sum := math.Abs(h)
 	for k := 1; k <= d; k++ {
 		h *= xm
 		sum *= ax
 		E += xe
-		var cm float64
-		var ce int
-		if f != nil {
-			cm, ce = f[d-k].m, f[d-k].e
-		} else {
-			cm, ce = p.c[d-k].Float()
-		}
-		if cm != 0 {
+		if cm, ce := p.c[d-k].Float(); cm != 0 {
 			sh := ce - E
 			if sh > screenRenorm {
 				// The coefficient outweighs everything so far: take its

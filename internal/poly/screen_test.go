@@ -139,23 +139,18 @@ func screenAgrees(t *testing.T, p *Poly, a *mp.Int, s uint) bool {
 	}
 	want := h.Sign()
 
-	f := p.Floats()
 	var c metrics.Counters
 	ctx := metrics.Ctx{C: &c, Phase: metrics.PhaseSieve}
 	var e Evaluator
 	e.steps.reset(ctx, a.BitLen())
-	sign, ok := e.screen(p, f, a, s, true)
+	sign, ok := e.screen(p, a, s, true)
 	if ok && sign != want {
 		t.Fatalf("screen certified sign %d, exact %d: p = %v at %v/2^%d", sign, want, p, a, s)
 	}
 	// Without lengths to certify the screen may decide more, never
-	// differently, and converting on the fly changes nothing.
-	if sg, ok2 := e.screen(p, f, a, s, false); ok2 && sg != want || ok && !ok2 {
+	// differently.
+	if sg, ok2 := e.screen(p, a, s, false); ok2 && sg != want || ok && !ok2 {
 		t.Fatalf("uncounted screen: sign %d ok %v, counted ok %v, exact %d", sg, ok2, ok, want)
-	}
-	e.steps.reset(ctx, a.BitLen())
-	if sg, ok3 := e.screen(p, nil, a, s, true); sg != sign || ok3 != ok {
-		t.Fatalf("screen without Floats: sign %d ok %v, with Floats sign %d ok %v", sg, ok3, sign, ok)
 	}
 	if !ok {
 		return false
@@ -166,7 +161,7 @@ func screenAgrees(t *testing.T, p *Poly, a *mp.Int, s uint) bool {
 	for k := 1; k < d; k++ {
 		top := &Poly{c: p.c[d-k-1:]}
 		e.steps.reset(ctx, a.BitLen())
-		e.screen(top, f[d-k-1:], a, s, true)
+		e.screen(top, a, s, true)
 		if got := e.steps.lens[e.steps.n-1]; got != lens[k] {
 			t.Fatalf("screen certified bitlen(E_%d) = %d, exact %d: p = %v at %v/2^%d", k, got, lens[k], p, a, s)
 		}
@@ -174,7 +169,7 @@ func screenAgrees(t *testing.T, p *Poly, a *mp.Int, s uint) bool {
 	// The tally of a screened sign equals the exact recurrence's.
 	for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
 		var cs, cx metrics.Counters
-		if e.SignAt(metrics.Ctx{C: &cs, Profile: pr}, p, f, a, s) != want {
+		if e.SignAt(metrics.Ctx{C: &cs, Profile: pr}, p, a, s) != want {
 			t.Fatalf("SignAt disagrees with the exact sign")
 		}
 		p.EvalScaledCtx(metrics.Ctx{C: &cx, Profile: pr}, a, s)

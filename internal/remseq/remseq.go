@@ -63,8 +63,7 @@ type Sequence struct {
 	N   int          // degree of F_0
 	F   []*poly.Poly // F[0..N]; deg F[i] = N-i; F[N] is a non-zero constant
 	Q   []*poly.Poly // Q[1..N-1] linear; Q[0] is nil
-	C   []*mp.Int    // C[i] = lc(F[i]); the actual leading coefficients, not to be modified
-	csq []*mp.Int    // csq[i] = c_i², except csq[0] = 1 (Appendix A's c_0 = ±1 convention)
+	csq []*mp.Int    // csq[i] = c_i², c_i = lc(F[i]), except csq[0] = 1 (Appendix A's c_0 = ±1 convention)
 }
 
 // Options configures Compute.
@@ -102,15 +101,13 @@ func Compute(p *poly.Poly, opts Options) (*Sequence, error) {
 
 	s := &Sequence{N: n, Q: q}
 	s.F = make([]*poly.Poly, n+1)
-	s.C = make([]*mp.Int, n+1)
 	s.csq = make([]*mp.Int, n+1)
 	for i := 0; i <= n; i++ {
 		s.F[i] = poly.Adopt(f[i]) // the rows are the recurrence's own
-		s.C[i] = s.F[i].Lead()
 		if i == 0 {
 			s.csq[0] = mp.NewInt(1)
 		} else {
-			s.csq[i] = new(mp.Int).Sqr(s.C[i])
+			s.csq[i] = new(mp.Int).Sqr(s.F[i].Lead())
 		}
 	}
 	return s, nil

@@ -73,7 +73,7 @@ func TestRecurrenceIdentity(t *testing.T) {
 		p := poly.FromRoots(distinctIntRoots(r, n)...)
 		s := mustCompute(t, p)
 		for i := 1; i < n; i++ {
-			rhs := s.Q[i].Mul(s.F[i]).Sub(s.F[i-1].ScaleInt(new(mp.Int).Sqr(s.C[i])))
+			rhs := s.Q[i].Mul(s.F[i]).Sub(s.F[i-1].ScaleInt(new(mp.Int).Sqr(s.F[i].Lead())))
 			lhs := s.F[i+1].ScaleInt(s.Csq(i - 1))
 			if !lhs.Equal(rhs) {
 				t.Fatalf("recurrence fails at i=%d for %s", i, p)
@@ -106,7 +106,7 @@ func TestCsqConvention(t *testing.T) {
 	if !s.Csq(0).IsOne() {
 		t.Errorf("Csq(0) = %s, want 1 (Appendix A convention)", s.Csq(0))
 	}
-	want := new(mp.Int).Sqr(s.C[1])
+	want := new(mp.Int).Sqr(s.F[1].Lead())
 	if s.Csq(1).Cmp(want) != 0 {
 		t.Errorf("Csq(1) = %s, want %s", s.Csq(1), want)
 	}

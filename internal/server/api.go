@@ -279,11 +279,14 @@ func DecodeSolveRequest(data []byte) (*SolveRequest, error) {
 	return &req, nil
 }
 
-func (r *SolveRequest) validate() error {
-	if len(r.Tenant) > MaxTenantLen {
-		return badRequest("tenant is %d bytes (limit %d)", len(r.Tenant), MaxTenantLen)
+// checkTenant refuses a tenant ID that is too long, has a character
+// outside [A-Za-z0-9._-], or names one of the ledger's synthetic rows.
+// Both entries to a solve, the decoder and Server.Solve, apply it.
+func checkTenant(tenant string) error {
+	if len(tenant) > MaxTenantLen {
+		return badRequest("tenant is %d bytes (limit %d)", len(tenant), MaxTenantLen)
 	}
-	for _, c := range r.Tenant {
+	for _, c := range tenant {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
 			c == '-', c == '_', c == '.':
@@ -291,8 +294,15 @@ func (r *SolveRequest) validate() error {
 			return badRequest("tenant contains %q (want [A-Za-z0-9._-])", c)
 		}
 	}
-	if r.Tenant == AnonymousTenant || r.Tenant == OverflowTenant {
-		return badRequest("tenant %q is reserved for the ledger's synthetic rows", r.Tenant)
+	if tenant == AnonymousTenant || tenant == OverflowTenant {
+		return badRequest("tenant %q is reserved for the ledger's synthetic rows", tenant)
+	}
+	return nil
+}
+
+func (r *SolveRequest) validate() error {
+	if err := checkTenant(r.Tenant); err != nil {
+		return err
 	}
 	if (r.Poly == nil) == (r.Matrix == nil) {
 		return badRequest("exactly one of poly and matrix must be set")

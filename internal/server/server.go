@@ -407,13 +407,19 @@ func (s *Server) decodeAndSolve(w http.ResponseWriter, r *http.Request, rec *req
 // handler's core, exported for in-process clients (the harness
 // loadtest uses it when no network server is wanted); its requests are
 // recorded in the views, the request metrics and the request log like
-// the handler's.
+// the handler's. It refuses a tenant ID the decoder would refuse, such
+// as the name of a synthetic ledger row, with a *RequestError of code
+// bad_request, recorded like a body the handler could not decode.
 func (s *Server) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
 	if req.RequestID == "" {
 		req.RequestID = newRequestID() // in-process callers may skip the handler
 	}
 	rec := s.requests.begin(req.RequestID)
-	resp, err := s.solve(ctx, s.describe(rec, req))
+	var resp *SolveResponse
+	err := checkTenant(req.Tenant)
+	if err == nil {
+		resp, err = s.solve(ctx, s.describe(rec, req))
+	}
 	s.finish(rec, resp, err)
 	return resp, err
 }

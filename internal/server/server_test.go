@@ -185,26 +185,51 @@ func TestSolveErrorTable(t *testing.T) {
 
 // TestReservedTenantNames pins that a client cannot send the names of
 // the ledger's synthetic rows: "anonymous" and "other" are refused with
-// 400 bad_request before anything is solved or accounted to them,
-// while names that only contain them pass.
+// 400 bad_request by the decoder, over HTTP and by the in-process
+// Server.Solve, before anything is solved or accounted to them, while
+// names that only contain them pass.
 func TestReservedTenantNames(t *testing.T) {
+	isBadRequest := func(err error) bool {
+		var re *RequestError
+		return errors.As(err, &re) && re.Code == CodeBadRequest
+	}
 	for _, tenant := range []string{AnonymousTenant, OverflowTenant} {
 		body := fmt.Sprintf(`{"tenant":%q,"poly":{"coeffs":["-2","0","1"]}}`, tenant)
-		_, err := DecodeSolveRequest([]byte(body))
-		var re *RequestError
-		if !errors.As(err, &re) || re.Code != CodeBadRequest {
+		if _, err := DecodeSolveRequest([]byte(body)); !isBadRequest(err) {
 			t.Errorf("tenant %q: decode error %v, want %s", tenant, err, CodeBadRequest)
 		}
 	}
-	_, hs := newTestServer(t, Config{})
+	s, hs := newTestServer(t, Config{})
 	status, _, data := postSolve(t, hs.URL, `{"tenant":"other","poly":{"coeffs":["-2","0","1"]}}`)
 	if status != 400 || decodeErr(t, data).Code != CodeBadRequest {
 		t.Errorf("tenant other over HTTP: status %d, body %s; want 400 %s", status, data, CodeBadRequest)
 	}
+	for _, tenant := range []string{AnonymousTenant, OverflowTenant} {
+		req, err := DecodeSolveRequest([]byte(`{"tenant":"a","poly":{"coeffs":["-3","0","1"]}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Tenant = tenant // in-process callers may set the tenant after decoding
+		if _, err := s.Solve(context.Background(), req); !isBadRequest(err) {
+			t.Errorf("tenant %q in process: error %v, want %s", tenant, err, CodeBadRequest)
+		}
+	}
+	// The three refusals are accounted like undecodable bodies: to the
+	// anonymous row, as errors, with nothing solved.
+	for _, r := range s.tenants.dump().Tenants {
+		if r.Tenant == OverflowTenant || r.Tenant == AnonymousTenant && (r.Requests != 3 || r.Errors != 3 || r.Solves != 0) {
+			t.Errorf("ledger row %+v after three refused requests", r)
+		}
+	}
 	for _, tenant := range []string{"Other", "anonymous2", "others"} {
 		body := fmt.Sprintf(`{"tenant":%q,"poly":{"coeffs":["-2","0","1"]}}`, tenant)
-		if _, err := DecodeSolveRequest([]byte(body)); err != nil {
+		req, err := DecodeSolveRequest([]byte(body))
+		if err != nil {
 			t.Errorf("tenant %q refused: %v", tenant, err)
+			continue
+		}
+		if _, err := s.Solve(context.Background(), req); err != nil {
+			t.Errorf("tenant %q refused in process: %v", tenant, err)
 		}
 	}
 }
