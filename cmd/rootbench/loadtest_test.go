@@ -10,8 +10,9 @@ import (
 )
 
 // TestLoadtestCLI runs the loadtest experiment end to end through the
-// CLI: summary on stdout, a valid bench-grid report in -load-out, and
-// that report accepted by the -compare gate against itself.
+// CLI: request counts on stdout, a valid bench-grid report in
+// -load-out, and that report accepted by the -compare gate against
+// itself.
 func TestLoadtestCLI(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "load.json")
@@ -33,7 +34,7 @@ func TestLoadtestCLI(t *testing.T) {
 		t.Fatalf("-load-out report invalid: %v\n%s", err, data)
 	}
 
-	// The latency report must flow through the regression gate unchanged.
+	// The loadtest report must flow through the bit-op gate.
 	code, cmpOut, cmpErr := runBench(t, "-compare", out, out)
 	if code != 0 {
 		t.Fatalf("-compare rejected the loadtest report: exit %d\nstdout:\n%s\nstderr:\n%s", code, cmpOut, cmpErr)

@@ -8,8 +8,8 @@
 //	rootbench -exp speedups -degrees 35,50,70 -procs 1,2,4,8,16 -mus 4,32
 //	rootbench -exp conformance            # differential-oracle sweep (≥200 cases)
 //	rootbench -exp soak -telemetry :9090  # sustained workload with live /metrics
-//	rootbench -exp loadtest -load-out load.json   # drive rootd (in-process or -server URL), report p50/p99/throughput
-//	rootbench -compare old.json new.json  # bench regression gate over two grid snapshots
+//	rootbench -exp loadtest -load-out load.json   # drive rootd (in-process or -server URL), count requests and bit ops
+//	rootbench -compare old.json new.json  # bit-op regression gate over two grid snapshots
 //
 // The full grid (degrees up to 70, all µ, all worker counts, 3 seeds)
 // takes a while — the paper's own Table 2 runs alone are hours of 1991
@@ -87,11 +87,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 		loadReqs    = fs.Int("load-requests", 0, "loadtest experiment: requests per grid cell (default 3)")
 		loadClients = fs.Int("load-concurrency", 0, "loadtest experiment: concurrent client goroutines (default 8)")
 		loadTenants = fs.Int("load-tenants", 0, "loadtest experiment: tenants the requests are spread over (default 4)")
-		loadOut     = fs.String("load-out", "", "loadtest experiment: write a "+harness.GridSchema+" JSON report with latency percentiles to this file ('-' for stdout)")
+		loadOut     = fs.String("load-out", "", "loadtest experiment: write a "+harness.GridSchema+" JSON report with each cell's bit ops and metrics to this file ('-' for stdout)")
 
-		compare       = fs.Bool("compare", false, "compare two bench-grid JSON snapshots (old.json new.json as positional args), print a regression table, and exit nonzero on regressions; skips -exp")
-		threshold     = fs.Float64("threshold", 25, "with -compare: fail on any matched cell regressing more than this percentage")
-		compareMetric = fs.String("compare-metric", "both", "with -compare: which measurement gates ("+strings.Join(harness.CompareMetrics, ", ")+"); bitops is deterministic across machines")
+		compare = fs.Bool("compare", false, fmt.Sprintf("compare two bench-grid JSON snapshots (old.json new.json as positional args), print a bit-op table, and exit 1 when a matched cell's bit ops grew more than %g%%; skips -exp", harness.GatePct))
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -99,7 +97,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (code 
 
 	// The compare gate is pure file diffing — no solves, no telemetry.
 	if *compare {
-		return runCompare(fs.Args(), *threshold, *compareMetric, stdout, stderr)
+		return runCompare(fs.Args(), stdout, stderr)
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "rootbench: unexpected arguments %q (positional args are only used with -compare)\n", fs.Args())
@@ -347,20 +345,9 @@ func reportErr(err error, name string, stdout, stderr io.Writer) int {
 }
 
 // runCompare implements the -compare gate: load two bench-grid/v1
-// snapshots, print the per-cell regression table, and exit 1 when any
-// matched cell's gated metric regressed past the threshold.
-func runCompare(args []string, threshold float64, metric string, stdout, stderr io.Writer) int {
-	valid := false
-	for _, m := range harness.CompareMetrics {
-		if metric == m {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		fmt.Fprintf(stderr, "rootbench: unknown -compare-metric %q (have: %s)\n", metric, strings.Join(harness.CompareMetrics, ", "))
-		return 2
-	}
+// snapshots, print the per-cell bit-op table, and exit 1 when any
+// matched cell's bit ops grew past harness.GatePct.
+func runCompare(args []string, stdout, stderr io.Writer) int {
 	if len(args) != 2 {
 		fmt.Fprintln(stderr, "rootbench: -compare needs exactly two snapshot files: old.json new.json")
 		return 2
@@ -386,7 +373,7 @@ func runCompare(args []string, threshold float64, metric string, stdout, stderr 
 		fmt.Fprintf(stderr, "rootbench: %v\n", err)
 		return 2
 	}
-	n, err := harness.CompareGrids(oldRep, newRep).WriteTable(stdout, threshold, metric)
+	n, err := harness.CompareGrids(oldRep, newRep).WriteTable(stdout)
 	if err != nil {
 		fmt.Fprintf(stderr, "rootbench: compare: %v\n", err)
 		return 1

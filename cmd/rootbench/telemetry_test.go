@@ -25,7 +25,7 @@ func TestSoakWithTelemetryOutputs(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errOut)
 	}
-	if !strings.Contains(out, "4 solves in") {
+	if !strings.Contains(out, "4 solves, 0 failures") {
 		t.Fatalf("soak summary missing:\n%s", out)
 	}
 
@@ -131,20 +131,26 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("compare table:\n%s", out)
 	}
 
-	// Inflate bit ops 2x -> regression on the deterministic metric.
-	rep, err := harness.LoadGridJSON(data)
-	if err != nil {
-		t.Fatal(err)
+	// tamper rewrites the new snapshot with one cell changed.
+	tamper := func(edit func(c *harness.GridCell)) {
+		t.Helper()
+		rep, err := harness.LoadGridJSON(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&rep.Cells[0])
+		tampered, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(newPath, tampered, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rep.Cells[0].BitOps *= 2
-	tampered, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ = runBench(t, "-compare", "-compare-metric", "bitops", "-threshold", "25", oldPath, newPath)
+
+	// Doubled bit ops gate.
+	tamper(func(c *harness.GridCell) { c.BitOps *= 2 })
+	code, out, _ = runBench(t, "-compare", oldPath, newPath)
 	if code != 1 {
 		t.Fatalf("regressed compare exit %d, want 1\n%s", code, out)
 	}
@@ -152,9 +158,10 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("compare table missing REGRESSION:\n%s", out)
 	}
 
-	// A 200% threshold tolerates the 100% jump.
-	if code, _, _ := runBench(t, "-compare", "-threshold", "200", oldPath, newPath); code != 0 {
-		t.Fatalf("lenient threshold still failed (exit %d)", code)
+	// Bit ops up 20% stay under the 25% gate, and wall time never gates.
+	tamper(func(c *harness.GridCell) { c.BitOps = c.BitOps * 6 / 5; c.WallSeconds = c.WallSeconds*10 + 1 })
+	if code, out, _ := runBench(t, "-compare", oldPath, newPath); code != 0 {
+		t.Fatalf("sub-gate bit ops or wall time failed the gate (exit %d)\n%s", code, out)
 	}
 }
 
@@ -162,8 +169,12 @@ func TestCompareUsageErrors(t *testing.T) {
 	if code, _, errOut := runBench(t, "-compare", "only-one.json"); code != 2 || !strings.Contains(errOut, "exactly two") {
 		t.Fatalf("one-arg compare: exit %d stderr %q", code, errOut)
 	}
-	if code, _, errOut := runBench(t, "-compare", "-compare-metric", "vibes", "a.json", "b.json"); code != 2 || !strings.Contains(errOut, "compare-metric") {
-		t.Fatalf("bad metric: exit %d stderr %q", code, errOut)
+	// The gate is fixed: bit ops, 25%. Its old switches are unknown flags.
+	for _, flag := range []string{"-compare-metric", "-threshold"} {
+		if code, _, errOut := runBench(t, "-compare", flag, "25", "a.json", "b.json"); code != 2 ||
+			!strings.Contains(errOut, "flag provided but not defined: "+flag) {
+			t.Fatalf("%s: exit %d stderr %q", flag, code, errOut)
+		}
 	}
 	if code, _, errOut := runBench(t, "-compare", "missing-a.json", "missing-b.json"); code != 2 || !strings.Contains(errOut, "missing-a.json") {
 		t.Fatalf("missing file: exit %d stderr %q", code, errOut)

@@ -139,25 +139,6 @@ type Stats struct {
 	// processors; SimWork is the total measured task time (the
 	// one-processor makespan).
 	SimMakespan, SimWork time.Duration
-
-	// TaskKinds counts the scheduler tasks executed per kind on
-	// parallel/simulated runs — the task taxonomy of the paper's
-	// Fig. 3.2 plus the precomputation stage's coefficient tasks.
-	TaskKinds TaskKindCounts
-}
-
-// TaskKindCounts breaks the executed tasks down by kind.
-type TaskKindCounts struct {
-	Precompute  int64 // remainder-stage coefficient tasks (§3.1)
-	ComputePoly int64 // matrix-entry products, seeds, and divisions (§3.2)
-	Sort        int64 // child-root merges
-	PreInterval int64 // interleaving-point evaluations
-	Interval    int64 // per-root interval problems
-}
-
-// Total returns the total task count.
-func (t TaskKindCounts) Total() int64 {
-	return t.Precompute + t.ComputePoly + t.Sort + t.PreInterval + t.Interval
 }
 
 // Result is the outcome of FindRoots.
@@ -301,8 +282,7 @@ type call struct {
 	ctl     *trace.Lane
 	stop    func() error
 	onPhase func(phase string)
-	stats   Stats // Precompute, TreeSolve and TaskKinds.Precompute, summed
-	tally   taskTally
+	stats   Stats // Precompute and TreeSolve, summed
 }
 
 // solveRun sets up the call's pool, stop check and budget, computes a
@@ -431,10 +411,6 @@ func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry
 	if pool != nil {
 		res.Stats.Tasks = pool.Executed()
 		res.Stats.SimMakespan, res.Stats.SimWork = pool.SimStats()
-		res.Stats.TaskKinds.ComputePoly = c.tally.computePoly.Load()
-		res.Stats.TaskKinds.Sort = c.tally.sort.Load()
-		res.Stats.TaskKinds.PreInterval = c.tally.preInterval.Load()
-		res.Stats.TaskKinds.Interval = c.tally.interval.Load()
 	}
 	return res, nil
 }
@@ -519,10 +495,6 @@ func (c *call) pipeline(p *poly.Poly) ([]dyadic.Dyadic, error) {
 	var seq *remseq.Sequence
 	err := c.phase("remainder", func() (err error) {
 		t0 := time.Now()
-		var executed int64
-		if c.pool != nil {
-			executed = c.pool.Executed()
-		}
 		seqOpts := remseq.Options{Ctx: c.mctx, Stop: c.stop}
 		if c.pool != nil && !opts.SequentialPrecompute {
 			seqOpts.Pool = c.pool
@@ -532,9 +504,6 @@ func (c *call) pipeline(p *poly.Poly) ([]dyadic.Dyadic, error) {
 			err = seq.Validate()
 		}
 		c.stats.Precompute += time.Since(t0)
-		if c.pool != nil {
-			c.stats.TaskKinds.Precompute += c.pool.Executed() - executed
-		}
 		return err
 	})
 	if err != nil {
@@ -555,7 +524,7 @@ func (c *call) pipeline(p *poly.Poly) ([]dyadic.Dyadic, error) {
 		if c.pool == nil {
 			err = solveSequential(seq, root, bound, opts, c.mctx, c.ctl, c.stop, intervalPhase)
 		} else {
-			err = solveParallel(c.pool, seq, root, bound, opts, c.mctx, &c.tally, intervalPhase)
+			err = solveParallel(c.pool, seq, root, bound, opts, c.mctx, intervalPhase)
 		}
 		if err == nil && opts.CheckTree {
 			err = tree.CheckShape(root, n)
@@ -680,11 +649,6 @@ type parMulSubmitter struct{ pool *sched.Pool }
 
 func (s parMulSubmitter) Submit(task func()) { s.pool.SubmitTagged("parmul", task) }
 
-// taskTally counts executed tree-stage tasks per Fig. 3.2 kind.
-type taskTally struct {
-	computePoly, sort, preInterval, interval atomic.Int64
-}
-
 // nodeState carries the per-node synchronization data of the parallel
 // driver: the paper's "status data structures corresponding to the
 // nodes of the tree ... used to schedule the tasks" (§3.2).
@@ -716,7 +680,7 @@ type nodeState struct {
 // On cancellation or task failure the queue is drained without running
 // (sched.Pool semantics): gates stop firing, Wait still returns, and
 // the pool's first-failure error is reported instead of the roots.
-func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts Options, ctx metrics.Ctx, tally *taskTally, intervalPhase func()) error {
+func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, bound *mp.Int, opts Options, ctx metrics.Ctx, intervalPhase func()) error {
 	n := seq.N
 	states := make(map[*tree.Node]*nodeState)
 	done := make(chan struct{})
@@ -773,7 +737,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 					i := i
 					pool.SubmitTagged("interval", func() { // INTERVAL task
 						intervalPhase()
-						tally.interval.Add(1)
 						roots[i] = st.solver.SolveInterval(i)
 						intervalGate.Done()
 					})
@@ -782,7 +745,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 			for i := 0; i < st.solver.NumPoints(); i++ {
 				i := i
 				pool.SubmitTagged("preinterval", func() { // PREINTERVAL task
-					tally.preInterval.Add(1)
 					st.solver.EvalPoint(i)
 					preGate.Done()
 				})
@@ -798,7 +760,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 			nChildren++
 		}
 		st.sortGate = sched.NewGateTagged(pool, nChildren, "sort", func() { // SORT task
-			tally.sort.Add(1)
 			st.ys = mergeRoots(nd)
 			st.readyGate.Done()
 		})
@@ -818,7 +779,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 				sh := tree.SHat(seq, nd.K)
 				tctx := ctx.In(metrics.PhaseTree)
 				secondGate := sched.NewGateTagged(pool, 4, "computepoly", func() {
-					tally.computePoly.Add(1)
 					// Second product (or scalar fold) + exact division.
 					if nd.Right == nil {
 						t := st.m1.DivExact(tctx, seq.Csq(nd.K-1))
@@ -830,7 +790,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 					divisor := new(mp.Int).MulProfile(tctx.Profile, seq.Csq(nd.K), seq.Csq(nd.K-1))
 					prod := new(tree.Matrix2)
 					prodGate := sched.NewGateTagged(pool, 4, "computepoly", func() {
-						tally.computePoly.Add(1)
 						t := prod.DivExact(tctx, divisor)
 						nd.T = t
 						nd.P = t[1][1]
@@ -840,7 +799,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 						for c := 0; c < 2; c++ {
 							r, c := r, c
 							pool.SubmitTagged("computepoly", func() { // COMPUTEPOLY entry task (2nd product)
-								tally.computePoly.Add(1)
 								prod[r][c] = tree.MulEntry(tctx, nd.Right.T, &st.m1, r, c)
 								prodGate.Done()
 							})
@@ -851,7 +809,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 					for c := 0; c < 2; c++ {
 						r, c := r, c
 						pool.SubmitTagged("computepoly", func() { // COMPUTEPOLY entry task (1st product)
-							tally.computePoly.Add(1)
 							st.m1[r][c] = tree.MulEntry(tctx, sh, nd.Left.T, r, c)
 							secondGate.Done()
 						})
@@ -868,7 +825,6 @@ func solveParallel(pool *sched.Pool, seq *remseq.Sequence, root *tree.Node, boun
 		if nd.J == n || nd.IsLeaf() {
 			nd := nd
 			pool.SubmitTagged("computepoly", func() { // COMPUTEPOLY seed task
-				tally.computePoly.Add(1)
 				tree.ComputePoly(seq, ctx, nd)
 				polyDone(nd)
 			})

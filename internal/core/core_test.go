@@ -409,59 +409,59 @@ func TestSimulateAndWorkersMutuallyExclusive(t *testing.T) {
 	}
 }
 
+// TestTaskKindCounts counts a parallel run's tasks by kind from the
+// pool's task tags, as a tracer records them: the task taxonomy of the
+// paper's Fig. 3.2 plus the precomputation stage's coefficient tasks.
 func TestTaskKindCounts(t *testing.T) {
+	kinds := func(p *poly.Poly) map[string]int64 {
+		t.Helper()
+		tr := trace.New()
+		res, err := FindRoots(p, Options{Mu: 16, Workers: 4, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byTag, total := map[string]int64{}, int64(0)
+		for _, k := range tr.Summarize().Tasks {
+			byTag[k.Name] += int64(k.Count)
+			total += int64(k.Count)
+		}
+		if total != res.Stats.Tasks {
+			t.Fatalf("task tags sum to %d, executed %d: %v", total, res.Stats.Tasks, byTag)
+		}
+		return byTag
+	}
+
 	r := rand.New(rand.NewSource(72))
 	n := 15
-	p := poly.FromRoots(distinctRoots(r, n, 80)...)
-	res, err := FindRoots(p, Options{Mu: 16, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk := res.Stats.TaskKinds
-	if tk.Total() == 0 || tk.Total() > res.Stats.Tasks {
-		t.Fatalf("task kinds total %d vs executed %d", tk.Total(), res.Stats.Tasks)
-	}
+	tk := kinds(poly.FromRoots(distinctRoots(r, n, 80)...))
 	// Structural counts: one SORT per node; one INTERVAL per root per
 	// node (Σ node sizes); one PREINTERVAL per interleaving point per
-	// node (Σ sizes + node count).
+	// node (Σ sizes + node count), plus each node's PREINTERVAL gate
+	// task, which carries the same tag.
 	nodes, sizes := 0, 0
-	tr := tree.Build(n)
-	tr.Walk(func(nd *tree.Node) { nodes++; sizes += nd.Size() })
-	if tk.Sort != int64(nodes) {
-		t.Errorf("sort tasks %d, want %d", tk.Sort, nodes)
+	tree.Build(n).Walk(func(nd *tree.Node) { nodes++; sizes += nd.Size() })
+	if tk["sort"] != int64(nodes) {
+		t.Errorf("sort tasks %d, want %d", tk["sort"], nodes)
 	}
-	if tk.Interval != int64(sizes) {
-		t.Errorf("interval tasks %d, want %d", tk.Interval, sizes)
+	if tk["interval"] != int64(sizes) {
+		t.Errorf("interval tasks %d, want %d", tk["interval"], sizes)
 	}
-	if tk.PreInterval != int64(sizes+nodes) {
-		t.Errorf("preinterval tasks %d, want %d", tk.PreInterval, sizes+nodes)
+	if tk["preinterval"] != int64(sizes+2*nodes) {
+		t.Errorf("preinterval tasks %d, want %d", tk["preinterval"], sizes+2*nodes)
 	}
-	if tk.Precompute == 0 || tk.ComputePoly == 0 {
-		t.Errorf("missing precompute/computepoly tasks: %+v", tk)
+	if tk["precompute"] == 0 || tk["computepoly"] == 0 {
+		t.Errorf("missing precompute/computepoly tasks: %v", tk)
 	}
-	// Sequential runs report no task-kind counts.
-	seqRes, err := FindRoots(p, Options{Mu: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqRes.Stats.TaskKinds.Total() != 0 {
-		t.Error("sequential run reported task kinds")
-	}
+
 	// Repeated roots: the remainder sequence stops on the gcd, and the
 	// two degree-3 Yun factors are then solved on the same pool, so the
 	// counts sum over both factors' trees.
-	rp := poly.FromRoots(mp.NewInt(1), mp.NewInt(2), mp.NewInt(4),
-		mp.NewInt(-3), mp.NewInt(-3), mp.NewInt(5), mp.NewInt(5), mp.NewInt(9), mp.NewInt(9))
-	rres, err := FindRoots(rp, Options{Mu: 16, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rtk := kinds(poly.FromRoots(mp.NewInt(1), mp.NewInt(2), mp.NewInt(4),
+		mp.NewInt(-3), mp.NewInt(-3), mp.NewInt(5), mp.NewInt(5), mp.NewInt(9), mp.NewInt(9)))
 	nodes = 0
 	tree.Build(3).Walk(func(*tree.Node) { nodes++ })
-	rtk := rres.Stats.TaskKinds
-	if rtk.Sort != int64(2*nodes) || rtk.Total() > rres.Stats.Tasks || rtk.Precompute == 0 {
-		t.Errorf("repeated roots: task kinds %+v (total %d), executed %d; want %d sorts",
-			rtk, rtk.Total(), rres.Stats.Tasks, 2*nodes)
+	if rtk["sort"] != int64(2*nodes) || rtk["precompute"] == 0 {
+		t.Errorf("repeated roots: task kinds %v; want %d sorts and precompute tasks", rtk, 2*nodes)
 	}
 }
 

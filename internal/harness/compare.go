@@ -10,8 +10,15 @@ import (
 
 // This file implements the bench regression gate behind
 // `rootbench -compare old.json new.json`: a differ over two
-// bench-grid/v1 snapshots (results/BENCH_*.json and freshly generated
-// grids) reporting per-cell wall-time and bit-operation changes.
+// bench-grid/v1 snapshots (results/BENCH_*.json, freshly generated
+// grids and loadtest reports) that gates each matched cell's
+// bit-operation count. Bit operations are exact and deterministic, so
+// the gate means the same on every machine; wall time is perfbench's
+// to measure.
+
+// GatePct is the gate: a matched cell fails when its bit operations
+// grew by more than this percentage.
+const GatePct = 25.0
 
 // LoadGridJSON parses and validates one bench-grid/v1 snapshot.
 func LoadGridJSON(data []byte) (*GridReport, error) {
@@ -42,15 +49,11 @@ func (k CellKey) String() string {
 	return fmt.Sprintf("n=%d µ=%d P=%d seed=%d %s", k.Degree, k.Mu, k.Procs, k.Seed, prof)
 }
 
-// CellDiff is one matched cell's measurements in both snapshots.
+// CellDiff is one matched cell's bit operations in both snapshots.
 type CellDiff struct {
 	Key              CellKey
-	OldWall, NewWall float64
 	OldBits, NewBits int64
 }
-
-// WallPct returns the wall-time change in percent (new vs old).
-func (d CellDiff) WallPct() float64 { return pctChange(d.OldWall, d.NewWall) }
 
 // BitsPct returns the bit-operation change in percent (new vs old).
 func (d CellDiff) BitsPct() float64 { return pctChange(float64(d.OldBits), float64(d.NewBits)) }
@@ -96,7 +99,6 @@ func CompareGrids(old, new *GridReport) *GridComparison {
 		}
 		cmp.Matched = append(cmp.Matched, CellDiff{
 			Key:     k,
-			OldWall: oc.WallSeconds, NewWall: nc.WallSeconds,
 			OldBits: oc.BitOps, NewBits: nc.BitOps,
 		})
 	}
@@ -113,45 +115,22 @@ func CompareGrids(old, new *GridReport) *GridComparison {
 	return cmp
 }
 
-// CompareMetrics are the valid values of the -compare-metric flag:
-// which measurement's regressions fail the gate. Wall time is the
-// honest end metric but machine-dependent; bit operations are exact
-// and deterministic, so they are the right gate for heterogeneous CI.
-var CompareMetrics = []string{"wall", "bitops", "both"}
-
-// regressed reports whether the diff exceeds the threshold on the
-// gated metric(s).
-func (d CellDiff) regressed(thresholdPct float64, metric string) bool {
-	switch metric {
-	case "wall":
-		return d.WallPct() > thresholdPct
-	case "bitops":
-		return d.BitsPct() > thresholdPct
-	default: // "both"
-		return d.WallPct() > thresholdPct || d.BitsPct() > thresholdPct
-	}
-}
-
 // WriteTable renders the regression table and returns the number of
-// cells whose gated metric regressed past thresholdPct.
-func (c *GridComparison) WriteTable(w io.Writer, thresholdPct float64, metric string) (regressions int, err error) {
-	fmt.Fprintf(w, "Bench compare: %d matched cells, gate %s > %.1f%%\n",
-		len(c.Matched), metric, thresholdPct)
+// cells whose bit operations grew past GatePct.
+func (c *GridComparison) WriteTable(w io.Writer) (regressions int, err error) {
+	fmt.Fprintf(w, "Bench compare: %d matched cells, gate bit ops > %.0f%%\n", len(c.Matched), GatePct)
 	tw := tabwriter.NewWriter(w, 4, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "cell\twall-old(s)\twall-new(s)\twall%\tbits-old\tbits-new\tbits%\t\t")
+	fmt.Fprintln(tw, "cell\tbits-old\tbits-new\tbits%\t\t")
 	for _, d := range c.Matched {
-		flag := ""
+		pct, flag := d.BitsPct(), ""
 		switch {
-		case d.regressed(thresholdPct, metric):
+		case pct > GatePct:
 			flag = "REGRESSION"
 			regressions++
-		case !d.regressed(-thresholdPct, metric):
-			// No gated metric is above -threshold, i.e. every gated
-			// metric improved by more than the threshold.
+		case pct <= -GatePct:
 			flag = "improved"
 		}
-		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%+.1f\t%d\t%d\t%+.1f\t%s\t\n",
-			d.Key, d.OldWall, d.NewWall, d.WallPct(), d.OldBits, d.NewBits, d.BitsPct(), flag)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%+.1f\t%s\t\n", d.Key, d.OldBits, d.NewBits, pct, flag)
 	}
 	if err := tw.Flush(); err != nil {
 		return regressions, err
@@ -163,9 +142,9 @@ func (c *GridComparison) WriteTable(w io.Writer, thresholdPct float64, metric st
 		fmt.Fprintf(w, "only in new snapshot (not gated): %s\n", k)
 	}
 	if regressions > 0 {
-		fmt.Fprintf(w, "%d cell(s) regressed more than %.1f%% on %s\n", regressions, thresholdPct, metric)
+		fmt.Fprintf(w, "%d cell(s) regressed more than %.0f%% on bit ops\n", regressions, GatePct)
 	} else {
-		fmt.Fprintf(w, "no regressions past %.1f%% on %s\n", thresholdPct, metric)
+		fmt.Fprintf(w, "no regressions past %.0f%% on bit ops\n", GatePct)
 	}
 	return regressions, nil
 }

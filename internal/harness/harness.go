@@ -90,7 +90,7 @@ type Config struct {
 	LoadConcurrency int
 	LoadTenants     int
 	// LoadJSON, if non-nil, receives the loadtest's bench-grid/v1 report
-	// with per-cell latency percentiles (cmd/rootbench wires -load-out).
+	// of each cell's bit ops and metrics (cmd/rootbench wires -load-out).
 	LoadJSON io.Writer
 }
 

@@ -18,6 +18,9 @@ const GridSchema = "realroots/bench-grid/v1"
 
 // GridCell is one (degree, µ, procs) measurement of the sweep: the
 // first seed's wall time, bit-operation count, and per-phase metrics.
+// The -compare gate reads only BitOps. Loadtest cells carry no wall
+// time (the field is 0): the loadtest counts requests, it does not
+// time them.
 type GridCell struct {
 	Degree int   `json:"degree"`
 	Mu     uint  `json:"mu"`
@@ -30,12 +33,6 @@ type GridCell struct {
 	BitOps      int64          `json:"bitOps"`
 	Tasks       int64          `json:"tasks,omitempty"`
 	Metrics     metrics.Report `json:"metrics"`
-	// Loadtest cells additionally carry client-observed latency
-	// percentiles and throughput; WallSeconds doubles as p50 there so the
-	// -compare gate works unchanged on loadtest reports.
-	P50Seconds    float64 `json:"p50Seconds,omitempty"`
-	P99Seconds    float64 `json:"p99Seconds,omitempty"`
-	ThroughputRPS float64 `json:"throughputRPS,omitempty"`
 }
 
 // GridReport is the machine-readable counterpart of the Times/Table2
@@ -148,12 +145,6 @@ func ValidateGridJSON(data []byte) error {
 		}
 		if c.Metrics.Total().Muls <= 0 {
 			return fmt.Errorf("grid json: cell %d recorded no multiplications", i)
-		}
-		if c.P50Seconds < 0 || c.P99Seconds < 0 || c.ThroughputRPS < 0 {
-			return fmt.Errorf("grid json: cell %d has negative load statistics", i)
-		}
-		if c.P99Seconds < c.P50Seconds {
-			return fmt.Errorf("grid json: cell %d has p99 %.6g below p50 %.6g", i, c.P99Seconds, c.P50Seconds)
 		}
 	}
 	return nil

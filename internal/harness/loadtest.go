@@ -14,21 +14,21 @@ import (
 	"time"
 
 	"realroots/internal/server"
-	"realroots/internal/telemetry"
 	"realroots/internal/workload"
 )
 
 // Loadtest drives the rootd solve server with a mixed multi-tenant
-// workload and reports client-observed p50/p99 latency and throughput
-// per grid cell. With Config.ServerURL empty an in-process server is
-// started on an ephemeral port (the hermetic default used by the
-// golden tests); point ServerURL at a running rootd to measure a real
-// deployment. Requests mix the polynomial and matrix (charpoly twin)
-// forms of each instance and are spread round-robin over
-// Config.LoadTenants tenants, shuffled deterministically, and issued
-// by Config.LoadConcurrency client goroutines. When Config.LoadJSON is
-// set, a bench-grid/v1 report with per-cell latency percentiles is
-// written there for the -compare regression gate.
+// workload and counts, per grid cell and per tenant, the requests sent
+// and the requests that failed. It does not time them: perfbench's
+// rootd-mixed workload does. With Config.ServerURL empty an in-process
+// server is started on an ephemeral port (the hermetic default used by
+// the golden tests); point ServerURL at a running rootd to drive a real
+// deployment. Requests mix the polynomial and matrix (charpoly twin) forms of each
+// instance and are spread round-robin over Config.LoadTenants tenants,
+// shuffled deterministically, and issued by Config.LoadConcurrency
+// client goroutines. When Config.LoadJSON is set, a bench-grid/v1
+// report of each cell's bit ops and metrics is written there for the
+// -compare gate.
 func Loadtest(w io.Writer, cfg Config) error {
 	perCell := cfg.LoadRequests
 	if perCell <= 0 {
@@ -89,8 +89,8 @@ func Loadtest(w io.Writer, cfg Config) error {
 
 	type request struct {
 		cell   int
+		tenant int
 		body   string
-		tenant string
 		id     string // X-Request-Id: deterministic, exemplar-traceable
 		poly   bool   // polynomial form (vs the matrix charpoly twin)
 	}
@@ -98,7 +98,7 @@ func Loadtest(w io.Writer, cfg Config) error {
 	var reqs []request
 	for ci, c := range cells {
 		for r := 0; r < perCell; r++ {
-			tenant := fmt.Sprintf("tenant%d", (ci*perCell+r)%tenants)
+			tenant := (ci*perCell + r) % tenants
 			var payload string
 			isPoly := true
 			if r%2 == 1 && c.n <= server.MaxMatrixDim {
@@ -116,10 +116,10 @@ func Loadtest(w io.Writer, cfg Config) error {
 				}
 				payload = fmt.Sprintf(`"poly":{"coeffs":[%s]}`, strings.Join(coeffs, ","))
 			}
-			body := fmt.Sprintf(`{"tenant":%q,%s,"precision":%d,"workers":%d}`,
+			body := fmt.Sprintf(`{"tenant":"tenant%d",%s,"precision":%d,"workers":%d}`,
 				tenant, payload, c.mu, c.procs)
 			reqs = append(reqs, request{
-				cell: ci, body: body, tenant: tenant,
+				cell: ci, tenant: tenant, body: body,
 				id:   fmt.Sprintf("load-s%d-c%d-r%d", seed, ci, r),
 				poly: isPoly,
 			})
@@ -129,128 +129,66 @@ func Loadtest(w io.Writer, cfg Config) error {
 		reqs[i], reqs[j] = reqs[j], reqs[i]
 	})
 
-	type sample struct {
-		cell    int
-		tenant  string
-		latency time.Duration
+	// Issue the request set with the configured client concurrency; a
+	// request an interrupted sweep never sent keeps sent == false.
+	type result struct {
+		sent    bool
 		resp    *server.SolveResponse
 		errCode string
-		poly    bool
 	}
+	results := make([]result, len(reqs))
 	client := &http.Client{Timeout: 5 * time.Minute}
 	defer client.CloseIdleConnections()
-	// issue replays the full request set against url with the configured
-	// client concurrency.
-	issue := func(url string) ([]sample, time.Duration, bool) {
-		samples := make([]sample, len(reqs))
-		work := make(chan int)
-		var wg sync.WaitGroup
-		sweepStart := time.Now()
-		for g := 0; g < concurrency; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					hreq, err := http.NewRequest(http.MethodPost, url+"/v1/solve",
-						strings.NewReader(reqs[i].body))
-					if err != nil {
-						samples[i] = sample{cell: reqs[i].cell, tenant: reqs[i].tenant, errCode: "transport", poly: reqs[i].poly}
-						continue
-					}
-					hreq.Header.Set("Content-Type", "application/json")
-					hreq.Header.Set("X-Request-Id", reqs[i].id)
-					start := time.Now()
-					resp, err := client.Do(hreq)
-					latency := time.Since(start)
-					s := sample{cell: reqs[i].cell, tenant: reqs[i].tenant, latency: latency, poly: reqs[i].poly}
-					if err != nil {
-						s.errCode = "transport"
-					} else {
-						data, rerr := io.ReadAll(resp.Body)
-						resp.Body.Close()
-						switch {
-						case rerr != nil:
-							s.errCode = "transport"
-						case resp.StatusCode == http.StatusOK:
-							var out server.SolveResponse
-							if jerr := json.Unmarshal(data, &out); jerr != nil {
-								s.errCode = "transport"
-							} else {
-								s.resp = &out
-							}
-						default:
-							var eresp server.ErrorResponse
-							if jerr := json.Unmarshal(data, &eresp); jerr != nil || eresp.Error.Code == "" {
-								s.errCode = "untyped"
-							} else {
-								s.errCode = eresp.Error.Code
-							}
-						}
-					}
-					samples[i] = s
-				}
-			}()
-		}
-		interrupted := false
-		for i := range reqs {
-			if err := cfg.interrupted(); err != nil {
-				interrupted = true
-				break
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for g := 0; g < concurrency; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				resp, code := send(client, baseURL, reqs[i].body, reqs[i].id)
+				results[i] = result{sent: true, resp: resp, errCode: code}
 			}
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		return samples, time.Since(sweepStart), interrupted
+		}()
 	}
-	samples, sweepWall, interruptedEarly := issue(baseURL)
+	interrupted := false
+	for i := range reqs {
+		if cfg.interrupted() != nil {
+			interrupted = true
+			break
+		}
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 
-	// Fold samples into cells. Per-cell latency distributions use the
-	// same fixed-bucket histogram the server exposes on /metrics, so
-	// the loadtest's p50/p99 are histogram-derived quantiles — directly
-	// comparable with a histogram_quantile over rootd_request_seconds.
+	// Fold the results into cells and tenants.
+	type counts struct{ requests, errors int }
 	type cellStats struct {
-		hist     *telemetry.Histogram
-		seconds  float64
-		requests int
-		errors   int
+		counts
 		resp     *server.SolveResponse
 		respPoly bool
 	}
-	type tenantStats struct {
-		hist     *telemetry.Histogram
-		requests int
-		errors   int
-	}
 	stats := make([]cellStats, len(cells))
-	perTenant := make(map[string]*tenantStats, tenants)
-	totalReqs, totalErrs, uniqueSolves, sharedResults := 0, 0, 0, 0
-	for _, s := range samples {
-		if s.latency == 0 && s.resp == nil && s.errCode == "" {
-			continue // request never issued (interrupted)
-		}
-		totalReqs++
-		ts := perTenant[s.tenant]
-		if ts == nil {
-			ts = &tenantStats{hist: telemetry.NewHistogram(telemetry.SecondsBuckets)}
-			perTenant[s.tenant] = ts
-		}
-		ts.hist.Observe(s.latency.Seconds(), "")
-		ts.requests++
-		cs := &stats[s.cell]
-		if cs.hist == nil {
-			cs.hist = telemetry.NewHistogram(telemetry.SecondsBuckets)
-		}
-		cs.hist.Observe(s.latency.Seconds(), "")
-		cs.seconds += s.latency.Seconds()
-		cs.requests++
-		if s.resp == nil {
-			cs.errors++
-			ts.errors++
-			totalErrs++
+	perTenant := make([]counts, tenants)
+	var total counts
+	uniqueSolves, sharedResults := 0, 0
+	for i, r := range results {
+		if !r.sent {
 			continue
 		}
-		if s.resp.Cached {
+		req := reqs[i]
+		cs, ts := &stats[req.cell], &perTenant[req.tenant]
+		cs.requests++
+		ts.requests++
+		total.requests++
+		if r.resp == nil {
+			cs.errors++
+			ts.errors++
+			total.errors++
+			continue
+		}
+		if r.resp.Cached {
 			sharedResults++
 		} else {
 			uniqueSolves++
@@ -259,15 +197,15 @@ func Loadtest(w io.Writer, cfg Config) error {
 		// numbers: its BitOps match a RunGrid cell of the same
 		// (degree, µ, seed, profile), so -compare gates against solver
 		// benchmarks; the matrix twin solves a different polynomial.
-		if cs.resp == nil || (!cs.respPoly && s.poly) {
-			cs.resp, cs.respPoly = s.resp, s.poly
+		if cs.resp == nil || (!cs.respPoly && req.poly) {
+			cs.resp, cs.respPoly = r.resp, req.poly
 		}
 	}
 
 	fmt.Fprintf(w, "loadtest: %d requests over %d cells, %d clients, %d tenants against %s\n",
-		totalReqs, len(cells), concurrency, tenants, target)
+		total.requests, len(cells), concurrency, tenants, target)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "n\tµ\tP\treq\terr\tp50(ms)\tp99(ms)\treq/s")
+	fmt.Fprintln(tw, "n\tµ\tP\treq\terr")
 	var rep GridReport
 	rep.Schema = GridSchema
 	profName := ""
@@ -279,24 +217,15 @@ func Loadtest(w io.Writer, cfg Config) error {
 		if cs.requests == 0 {
 			continue
 		}
-		p50 := cs.hist.Quantile(0.50)
-		p99 := cs.hist.Quantile(0.99)
-		rps := float64(cs.requests) / cs.seconds
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%.3f\t%.3f\t%.1f\n",
-			c.n, c.mu, c.procs, cs.requests, cs.errors,
-			p50*1e3, p99*1e3, rps)
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\n", c.n, c.mu, c.procs, cs.requests, cs.errors)
 		if cs.resp != nil {
 			cell := GridCell{
-				Degree:        c.n,
-				Mu:            c.mu,
-				Procs:         c.procs,
-				Seed:          seed,
-				Profile:       profName,
-				WallSeconds:   p50,
-				BitOps:        cs.resp.BitOps,
-				P50Seconds:    p50,
-				P99Seconds:    p99,
-				ThroughputRPS: rps,
+				Degree:  c.n,
+				Mu:      c.mu,
+				Procs:   c.procs,
+				Seed:    seed,
+				Profile: profName,
+				BitOps:  cs.resp.BitOps,
 			}
 			if cs.resp.Metrics != nil {
 				cell.Metrics = *cs.resp.Metrics
@@ -308,25 +237,21 @@ func Loadtest(w io.Writer, cfg Config) error {
 
 	// Per-tenant breakdown: the client-side view of the server's
 	// /debug/tenants ledger. Request and error counts are deterministic
-	// (round-robin assignment); latency columns are measurements. Which
-	// tenant leads a cached solve is a scheduling race, so solve/hit
-	// splits are deliberately left to the server-side ledger.
+	// (round-robin assignment). Which tenant leads a cached solve is a
+	// scheduling race, so solve/hit splits are deliberately left to the
+	// server-side ledger.
 	fmt.Fprintln(w, "per-tenant:")
 	tw = tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "tenant\treq\terr\tp50(ms)\tp99(ms)")
-	for k := 0; k < tenants; k++ {
-		name := fmt.Sprintf("tenant%d", k)
-		ts := perTenant[name]
-		if ts == nil {
-			continue
+	fmt.Fprintln(tw, "tenant\treq\terr")
+	for k, ts := range perTenant {
+		if ts.requests > 0 {
+			fmt.Fprintf(tw, "tenant%d\t%d\t%d\n", k, ts.requests, ts.errors)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\t%.3f\n", name, ts.requests, ts.errors,
-			ts.hist.Quantile(0.50)*1e3, ts.hist.Quantile(0.99)*1e3)
 	}
 	tw.Flush()
 
-	fmt.Fprintf(w, "total: %d requests (%d solved, %d cache-shared), %d errors, %.1f req/s overall\n",
-		totalReqs, uniqueSolves, sharedResults, totalErrs, float64(totalReqs)/sweepWall.Seconds())
+	fmt.Fprintf(w, "total: %d requests (%d solved, %d cache-shared), %d errors\n",
+		total.requests, uniqueSolves, sharedResults, total.errors)
 
 	if cfg.LoadJSON != nil {
 		enc := json.NewEncoder(cfg.LoadJSON)
@@ -335,22 +260,55 @@ func Loadtest(w io.Writer, cfg Config) error {
 			return err
 		}
 	}
-	if interruptedEarly {
+	if interrupted {
 		return ErrInterrupted
 	}
-	if totalErrs > 0 {
+	if total.errors > 0 {
 		var codes []string
 		seen := map[string]bool{}
-		for _, s := range samples {
-			if s.errCode != "" && !seen[s.errCode] {
-				seen[s.errCode] = true
-				codes = append(codes, s.errCode)
+		for _, r := range results {
+			if r.errCode != "" && !seen[r.errCode] {
+				seen[r.errCode] = true
+				codes = append(codes, r.errCode)
 			}
 		}
 		return fmt.Errorf("loadtest: %d/%d requests failed (codes: %s)",
-			totalErrs, totalReqs, strings.Join(codes, ", "))
+			total.errors, total.requests, strings.Join(codes, ", "))
 	}
 	return nil
+}
+
+// send posts one solve request to rootd at url and returns the decoded
+// response, or the failure's code: the server's typed error code,
+// "untyped" for an error body without one, or "transport".
+func send(client *http.Client, url, body, id string) (*server.SolveResponse, string) {
+	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/solve", strings.NewReader(body))
+	if err != nil {
+		return nil, "transport"
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("X-Request-Id", id)
+	hresp, err := client.Do(hreq)
+	if err != nil {
+		return nil, "transport"
+	}
+	data, err := io.ReadAll(hresp.Body)
+	hresp.Body.Close()
+	if err != nil {
+		return nil, "transport"
+	}
+	if hresp.StatusCode == http.StatusOK {
+		var out server.SolveResponse
+		if json.Unmarshal(data, &out) != nil {
+			return nil, "transport"
+		}
+		return &out, ""
+	}
+	var eresp server.ErrorResponse
+	if json.Unmarshal(data, &eresp) != nil || eresp.Error.Code == "" {
+		return nil, "untyped"
+	}
+	return nil, eresp.Error.Code
 }
 
 // ScrubExposition reduces a /metrics exposition to its stable

@@ -15,8 +15,9 @@ import (
 )
 
 // TestLoadtestJSONReport checks the loadtest's machine-readable output
-// is a valid bench-grid/v1 report with self-consistent latency columns
-// — the shape cmd/validatetrace accepts and -compare gates.
+// is a valid bench-grid/v1 report carrying each cell's bit ops and
+// metrics and no wall time — the shape cmd/validatetrace accepts and
+// -compare gates.
 func TestLoadtestJSONReport(t *testing.T) {
 	cfg := tiny()
 	var out, js bytes.Buffer
@@ -36,14 +37,8 @@ func TestLoadtestJSONReport(t *testing.T) {
 		t.Fatalf("report has %d cells, want %d", len(rep.Cells), wantCells)
 	}
 	for i, c := range rep.Cells {
-		if c.P50Seconds <= 0 || c.P99Seconds < c.P50Seconds {
-			t.Errorf("cell %d: p50=%g p99=%g", i, c.P50Seconds, c.P99Seconds)
-		}
-		if c.ThroughputRPS <= 0 {
-			t.Errorf("cell %d: throughput %g", i, c.ThroughputRPS)
-		}
-		if c.WallSeconds != c.P50Seconds {
-			t.Errorf("cell %d: wallSeconds %g != p50 %g (breaks -compare)", i, c.WallSeconds, c.P50Seconds)
+		if c.WallSeconds != 0 {
+			t.Errorf("cell %d: wallSeconds %g, want 0 (the loadtest does not time)", i, c.WallSeconds)
 		}
 		if c.BitOps <= 0 || c.Metrics.Total().Muls <= 0 {
 			t.Errorf("cell %d: missing solver metrics", i)

@@ -77,7 +77,7 @@ func TestSoakUsesPrivateHub(t *testing.T) {
 	if err := Soak(&out, cfg); err != nil {
 		t.Fatalf("Soak: %v", err)
 	}
-	if !bytes.Contains(out.Bytes(), []byte("2 solves in")) {
+	if !bytes.Contains(out.Bytes(), []byte("2 solves, 0 failures")) {
 		t.Fatalf("soak summary:\n%s", out.String())
 	}
 }

@@ -70,11 +70,10 @@ type Observer interface {
 // A Pool is a fixed set of worker goroutines draining a dynamic FIFO
 // task queue. Create one with NewPool and release it with Close.
 type Pool struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []queued
-	closed   bool
-	maxQueue int // high-water mark of len(queue), under mu
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []queued
+	closed bool
 
 	// Fixed at construction, so workers read them without mu.
 	obs []Observer
@@ -133,22 +132,17 @@ func (p *Pool) Executed() int64 { return p.executed.Load() }
 // PoolStats is a point-in-time snapshot of the pool's execution
 // counters.
 type PoolStats struct {
-	Workers       int   // fixed worker count
-	Executed      int64 // tasks run to completion
-	Panics        int64 // task panics recovered into pool failures
-	MaxQueueDepth int   // high-water mark of the queue length
+	Workers  int   // fixed worker count
+	Executed int64 // tasks run to completion
+	Panics   int64 // task panics recovered into pool failures
 }
 
 // Stats returns a snapshot of the pool's execution counters.
 func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	maxQ := p.maxQueue
-	p.mu.Unlock()
 	return PoolStats{
-		Workers:       p.workers,
-		Executed:      p.executed.Load(),
-		Panics:        p.panics.Load(),
-		MaxQueueDepth: maxQ,
+		Workers:  p.workers,
+		Executed: p.executed.Load(),
+		Panics:   p.panics.Load(),
 	}
 }
 
@@ -273,9 +267,6 @@ func (p *Pool) SubmitTagged(tag string, task func()) {
 		panic("sched: Submit on closed pool")
 	}
 	p.queue = append(p.queue, queued{f: task, tag: tag, enq: enq, vready: p.simReadyTime()})
-	if len(p.queue) > p.maxQueue {
-		p.maxQueue = len(p.queue)
-	}
 	p.cond.Signal()
 	p.mu.Unlock()
 }

@@ -26,7 +26,7 @@
 //     takes the solve log and the request log.
 //
 // cmd/rootd is the thin binary over this package; the harness loadtest
-// experiment drives it for latency/throughput goldens.
+// experiment drives it for its request-count and exposition goldens.
 package server
 
 import (

@@ -50,10 +50,6 @@ func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Ti
 	if tracer == nil {
 		return
 	}
-	spans := tracer.SpanCount()
-	dropped := tracer.DroppedSpans()
-	s.spanOverhead.Add(float64(spans+dropped) * s.spanCost)
-
 	sum := tracer.Summarize()
 	eff := sum.Efficiency(p.workers)
 	if sum.Wall > 0 {
@@ -96,8 +92,8 @@ func (s *Server) observeSolve(tracer *trace.Tracer, p solveParams, start time.Ti
 		Workers:        p.workers,
 		Efficiency:     eff,
 		SerialFraction: sum.SerialFraction,
-		Spans:          spans,
-		DroppedSpans:   dropped,
+		Spans:          tracer.SpanCount(),
+		DroppedSpans:   tracer.DroppedSpans(),
 	}, tracer)
 	s.traceKept.Add(reason, 1)
 	p.rec.retained = true

@@ -323,7 +323,6 @@ func TestObservabilityMetricsExposed(t *testing.T) {
 	for _, fam := range []string{
 		"rootd_parallel_efficiency",
 		"rootd_serial_fraction",
-		"rootd_span_overhead_seconds",
 		"rootd_learned_cost_ratio",
 		"rootd_learned_efficiency",
 		"rootd_phase_seconds",
@@ -332,6 +331,17 @@ func TestObservabilityMetricsExposed(t *testing.T) {
 	} {
 		if !strings.Contains(body, "# TYPE "+fam) {
 			t.Errorf("/metrics missing family %s", fam)
+		}
+	}
+	// Request seconds are the histogram's _sum; the tracing tax is
+	// perfbench's to measure; queue depth is the tracer's.
+	for _, fam := range []string{
+		"rootd_request_seconds_total",
+		"rootd_span_overhead_seconds",
+		"realroots_sched_max_queue_depth",
+	} {
+		if strings.Contains(body, fam) {
+			t.Errorf("/metrics still carries the removed family %s", fam)
 		}
 	}
 }

@@ -142,21 +142,13 @@ type Server struct {
 	// rootd_* metric families, registered on the telemetry hub's
 	// registry so one /metrics endpoint renders solver and server
 	// families with shared HELP/TYPE dedup and validator coverage.
-	reqCodes   *telemetry.CounterVec   // rootd_requests_total{code}
-	reqSeconds *telemetry.Float64      // rootd_request_seconds_total
-	cacheEvts  *telemetry.CounterVec   // rootd_cache_events_total{event}
-	reqHist    *telemetry.HistogramVec // rootd_request_seconds{tenant}
-	queueHist  *telemetry.HistogramVec // rootd_queue_wait_seconds{tenant}
-	solveHist  *telemetry.HistogramVec // rootd_solve_seconds{method}
-	phaseHist  *telemetry.HistogramVec // rootd_phase_seconds{phase}
-	traceKept  *telemetry.CounterVec   // rootd_traces_retained_total{reason}
-
-	// spanOverhead accumulates the estimated wall cost of always-on
-	// span recording (span count × calibrated per-span cost), so the
-	// tracing tax is itself observable; spanCost is the per-span cost
-	// in seconds measured once at startup.
-	spanOverhead *telemetry.Float64 // rootd_span_overhead_seconds
-	spanCost     float64
+	reqCodes  *telemetry.CounterVec   // rootd_requests_total{code}
+	cacheEvts *telemetry.CounterVec   // rootd_cache_events_total{event}
+	reqHist   *telemetry.HistogramVec // rootd_request_seconds{tenant}
+	queueHist *telemetry.HistogramVec // rootd_queue_wait_seconds{tenant}
+	solveHist *telemetry.HistogramVec // rootd_solve_seconds{method}
+	phaseHist *telemetry.HistogramVec // rootd_phase_seconds{phase}
+	traceKept *telemetry.CounterVec   // rootd_traces_retained_total{reason}
 
 	// Algorithm-health gauges: how the paper's §4 cost model fared on
 	// the most recent completed solve.
@@ -189,9 +181,6 @@ func New(cfg Config) *Server {
 	// completed solves; see observeSolve.
 	s.learnedRatio.Store(1)
 	s.learnedEff.Store(1)
-	if !cfg.DisableTracing {
-		s.spanCost = trace.EstimateSpanCost().Seconds()
-	}
 	s.registerMetrics(cfg.Telemetry.Registry())
 	s.cache = newResultCache(cfg.CacheEntries, func(event string) {
 		s.cacheEvts.Add(event, 1)
@@ -208,8 +197,6 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 	s.reqCodes = reg.RegisterCounterVec("rootd_requests_total",
 		"Solve requests by outcome code.", "code",
 		append([]string{"ok"}, errorCodes...))
-	s.reqSeconds = reg.RegisterFloatCounter("rootd_request_seconds_total",
-		"Total request wall time in seconds.")
 	s.cacheEvts = reg.RegisterCounterVec("rootd_cache_events_total",
 		"Result-cache events.", "event", cacheEventNames)
 	s.reqHist = reg.RegisterHistogramVec("rootd_request_seconds",
@@ -227,8 +214,6 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 	s.traceKept = reg.RegisterCounterVec("rootd_traces_retained_total",
 		"Solve traces kept by the tail sampler, by retention reason.", "reason",
 		[]string{ReasonForced, ReasonError, ReasonSlow, ReasonLowEfficiency})
-	s.spanOverhead = reg.RegisterFloatCounter("rootd_span_overhead_seconds",
-		"Estimated wall seconds spent recording trace spans (span count x calibrated per-span cost) — the always-on tracing tax.")
 	reg.RegisterGaugeFunc("rootd_solve_queue_depth",
 		"Requests waiting for a solve slot.",
 		func() float64 { return float64(s.queue.Waiting()) })
@@ -489,8 +474,7 @@ func (s *Server) solve(ctx context.Context, p solveParams) (*SolveResponse, erro
 // finish closes a request's record. It is the one writer of the
 // request's /debug/requests row, its tenant ledger fold, the request
 // metrics (rootd_requests_total, rootd_request_seconds,
-// rootd_request_seconds_total, rootd_queue_wait_seconds) and the
-// request log record.
+// rootd_queue_wait_seconds) and the request log record.
 func (s *Server) finish(rec *request, resp *SolveResponse, err error) {
 	elapsed := time.Since(rec.start)
 	re := &RequestError{Code: "ok"}
@@ -500,7 +484,6 @@ func (s *Server) finish(rec *request, resp *SolveResponse, err error) {
 	row := s.requests.finish(rec, re.Code, elapsed, resp)
 	tenant := s.tenants.fold(rec, row)
 	s.reqCodes.Add(re.Code, 1)
-	s.reqSeconds.Add(elapsed.Seconds())
 	s.reqHist.With(tenant).Observe(elapsed.Seconds(), row.ID)
 	if rec.solved {
 		s.queueHist.With(tenant).Observe(row.QueueWaitSecs, row.ID)

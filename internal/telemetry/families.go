@@ -123,16 +123,6 @@ func (g *Registry) RegisterCounterVec(name, help, label string, values []string)
 	return got.(*CounterVec)
 }
 
-// RegisterFloatCounter registers (or returns the existing) unlabeled
-// float counter backed by an atomic Float64.
-func (g *Registry) RegisterFloatCounter(name, help string) *Float64 {
-	f := &Float64{}
-	got, _ := g.families.register(name, help, "counter", f, func(e *expoWriter) {
-		e.sampleFloat(name, f.Load())
-	})
-	return got.(*Float64)
-}
-
 // binding holds a scrape-time family's callback. Re-registering the
 // family rebinds it: such a family describes current state, so the
 // latest registrant owns it.

@@ -30,7 +30,7 @@ type Registry struct {
 	roots        int64
 	bitOps       int64
 	agg          metrics.Report
-	pool         sched.PoolStats // counters summed; MaxQueueDepth is the max
+	pool         sched.PoolStats // counters summed
 }
 
 func newRegistry() *Registry {
@@ -54,7 +54,6 @@ func (g *Registry) finishRun(o Outcome, elapsed time.Duration, roots int, bitOps
 	g.agg = g.agg.Add(rep)
 	g.pool.Executed += s.Executed
 	g.pool.Panics += s.Panics
-	g.pool.MaxQueueDepth = max(g.pool.MaxQueueDepth, s.MaxQueueDepth)
 }
 
 // Totals is a plain snapshot of the registry's headline numbers, for
@@ -247,8 +246,6 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	e.sampleInt("realroots_sched_tasks_total", g.pool.Executed)
 	e.family("realroots_sched_panics_total", "Task panics isolated by the scheduler.", "counter")
 	e.sampleInt("realroots_sched_panics_total", g.pool.Panics)
-	e.family("realroots_sched_max_queue_depth", "Largest scheduler queue depth observed in any finished run.", "gauge")
-	e.sampleInt("realroots_sched_max_queue_depth", int64(g.pool.MaxQueueDepth))
 
 	g.families.writeAll(e)
 

@@ -31,7 +31,7 @@ func populatedRegistry(t *testing.T) *Telemetry {
 	tel := New(Config{})
 	for i, o := range Outcomes {
 		run := tel.Start(RunInfo{Kind: "core", Degree: 10 + i, Mu: 16, Workers: 2})
-		run.SchedStats(sched.PoolStats{Executed: 7, Panics: 1, MaxQueueDepth: 3 + i})
+		run.SchedStats(sched.PoolStats{Executed: 7, Panics: 1})
 		run.Finish(o, nil, i, int64(1000*(i+1)), sampleReport())
 	}
 	run := tel.Start(RunInfo{Kind: "core", Degree: 40, Mu: 32, Workers: 4})
@@ -65,7 +65,6 @@ func TestWritePrometheusValidates(t *testing.T) {
 		`realroots_sign_evals_total{phase="newton",kernel="exact"} 7`,
 		"realroots_sched_tasks_total 42",
 		"realroots_sched_panics_total 6",
-		"realroots_sched_max_queue_depth 8",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

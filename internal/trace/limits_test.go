@@ -107,15 +107,3 @@ func TestSpanAccessorsNilSafe(t *testing.T) {
 		t.Error("nil tracer reported spans")
 	}
 }
-
-func TestEstimateSpanCost(t *testing.T) {
-	c := EstimateSpanCost()
-	if c <= 0 {
-		t.Errorf("per-span cost %v, want > 0", c)
-	}
-	// Sanity ceiling: a Begin/End pair is two time.Since calls and two
-	// appends; a millisecond would mean something is deeply wrong.
-	if c.Milliseconds() > 1 {
-		t.Errorf("per-span cost %v implausibly high", c)
-	}
-}

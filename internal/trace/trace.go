@@ -344,23 +344,6 @@ func (t *Tracer) DroppedSpans() int {
 	return n
 }
 
-// EstimateSpanCost measures the wall-clock cost of recording one span
-// (a Begin/End pair) on this host, by timing a short burst on a
-// throwaway tracer. Servers running always-on tracing use it to
-// convert span counts into an estimated overhead-seconds metric
-// without instrumenting the hot path twice.
-func EstimateSpanCost() time.Duration {
-	const n = 2048
-	tr := New()
-	l := tr.Lane(ControlLane, "calibrate")
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		l.Begin("calibrate", CatTask)
-		l.End()
-	}
-	return time.Since(start) / n
-}
-
 // Counters returns a copy of the recorded counter samples in recording
 // order.
 func (t *Tracer) Counters() []Counter {
