@@ -70,6 +70,26 @@ func FuzzFindRootsSmall(f *testing.F) {
 	})
 }
 
+// FuzzFindRootsVsBigref drives the general-input entry points with
+// small polynomials of any root structure, checking FindRealRoots'
+// roots and CountRealRoots' count against bigref. Each solve has a
+// deadline, so an input that hangs the solver fails instead of stalling
+// the fuzzer. The seed corpus (testdata/fuzz) holds even and odd
+// polynomials whose Sturm chains have negative leading coefficients and
+// remainder steps that skip a degree.
+func FuzzFindRootsVsBigref(f *testing.F) {
+	f.Fuzz(func(t *testing.T, coeffBytes []byte, mu uint) {
+		if len(coeffBytes) < 2 || len(coeffBytes) > 9 {
+			return
+		}
+		coeffs := make([]*big.Int, len(coeffBytes))
+		for i, b := range coeffBytes {
+			coeffs[i] = big.NewInt(int64(int8(b)))
+		}
+		checkRealRootsVsBigref(t, coeffs, mu%24+1)
+	})
+}
+
 // evalRat evaluates the polynomial at a rational point exactly.
 func evalRat(coeffs []*big.Int, x *big.Rat) *big.Rat {
 	v := new(big.Rat)

@@ -342,22 +342,29 @@ func (s *task) sieve(lo, hi dyadic.Dyadic, sl int) (dyadic.Dyadic, dyadic.Dyadic
 	return lo, hi, dyadic.Dyadic{}, false
 }
 
+// bisect halves the bracket (lo, hi) once, with one sign evaluation
+// under phase; sl is the sign of P on (lo, root). The boolean result
+// reports an exact hit, whose grid answer is returned.
+func (s *task) bisect(phase metrics.Phase, lo, hi *dyadic.Dyadic, sl int) (dyadic.Dyadic, bool) {
+	mid := lo.Mid(*hi)
+	sm := s.signAt(phase, mid)
+	if sm == 0 {
+		return mid.CeilGrid(s.Mu), true
+	}
+	if sm == sl {
+		*lo = mid
+	} else {
+		*hi = mid
+	}
+	return dyadic.Dyadic{}, false
+}
+
 // bisectN performs up to n bisection steps of the bracket, stopping
 // early at grid resolution. Same return convention as sieve.
 func (s *task) bisectN(lo, hi dyadic.Dyadic, sl int, n int) (dyadic.Dyadic, dyadic.Dyadic, dyadic.Dyadic, bool) {
-	for t := 0; t < n; t++ {
-		if s.widthLE(lo, hi) {
-			break
-		}
-		mid := lo.Mid(hi)
-		sm := s.signAt(metrics.PhaseBisection, mid)
-		if sm == 0 {
-			return lo, hi, mid.CeilGrid(s.Mu), true
-		}
-		if sm == sl {
-			lo = mid
-		} else {
-			hi = mid
+	for t := 0; t < n && !s.widthLE(lo, hi); t++ {
+		if exact, hit := s.bisect(metrics.PhaseBisection, &lo, &hi, sl); hit {
+			return lo, hi, exact, true
 		}
 	}
 	return lo, hi, dyadic.Dyadic{}, false
@@ -367,15 +374,8 @@ func (s *task) bisectN(lo, hi dyadic.Dyadic, sl int, n int) (dyadic.Dyadic, dyad
 // finishes exactly.
 func (s *task) bisectToGrid(phase metrics.Phase, lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 	for !s.widthLE(lo, hi) {
-		mid := lo.Mid(hi)
-		sm := s.signAt(phase, mid)
-		if sm == 0 {
-			return mid.CeilGrid(s.Mu)
-		}
-		if sm == sl {
-			lo = mid
-		} else {
-			hi = mid
+		if exact, hit := s.bisect(phase, &lo, &hi, sl); hit {
+			return exact
 		}
 	}
 	return s.finish(phase, lo, hi, sl)
@@ -400,22 +400,6 @@ func (s *task) newton(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 	halfStep := dyadic.GridStep(s.Mu + 1)
 	alpha := lo.Mid(hi)
 	backoff := 1 // plain bisection steps after a failed Newton attempt
-
-	// bisectStep halves the bracket once (one evaluation); the boolean
-	// result reports an exact hit.
-	bisectStep := func() (dyadic.Dyadic, bool) {
-		mid := lo.Mid(hi)
-		sm := s.signAt(metrics.PhaseNewton, mid)
-		if sm == 0 {
-			return mid.CeilGrid(s.Mu), true
-		}
-		if sm == sl {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		return dyadic.Dyadic{}, false
-	}
 
 	for !s.widthLE(lo, hi) {
 		// Newton attempt: evaluate P at alpha and update the bracket.
@@ -549,7 +533,7 @@ func (s *task) newton(lo, hi dyadic.Dyadic, sl int) dyadic.Dyadic {
 		// degrades to ≈ 2× pure bisection while quadratic behaviour is
 		// recovered as soon as the basin is reached (Lemma 2.1).
 		for t := 0; t < backoff && !s.widthLE(lo, hi); t++ {
-			if exact, hit := bisectStep(); hit {
+			if exact, hit := s.bisect(metrics.PhaseNewton, &lo, &hi, sl); hit {
 				return exact
 			}
 		}

@@ -207,46 +207,3 @@ func (p *Poly) RootBound() *mp.Int {
 	}
 	return b
 }
-
-// PseudoRem computes the pseudo-remainder of u by v (deg v ≤ deg u,
-// v ≠ 0): prem = lc(v)^(deg u - deg v + 1) · u  mod  v, which has integer
-// coefficients. Used by the Sturm baseline.
-func PseudoRem(u, v *Poly) *Poly { return PseudoRemProfile(u, v, mp.Schoolbook) }
-
-// PseudoRemProfile is PseudoRem with the coefficient arithmetic
-// dispatched by pr (unrecorded; see GCDProfile).
-func PseudoRemProfile(u, v *Poly, pr mp.Profile) *Poly {
-	return pseudoRem(metrics.Ctx{Profile: pr}, u, v)
-}
-
-// pseudoRem is PseudoRem with the arithmetic dispatched by uctx, which
-// must carry no counters.
-func pseudoRem(uctx metrics.Ctx, u, v *Poly) *Poly {
-	if v.IsZero() {
-		panic("poly: PseudoRem by zero")
-	}
-	du, dv := u.Degree(), v.Degree()
-	if du < dv {
-		r := u.Clone()
-		return r
-	}
-	r := u.Clone()
-	lead := v.Lead()
-	for r.Degree() >= dv && !r.IsZero() {
-		dr := r.Degree()
-		// r = lead·r - r_lead·x^(dr-dv)·v
-		rl := new(mp.Int).Set(r.Lead())
-		r = r.ScaleIntCtx(uctx, lead)
-		shift := make([]*mp.Int, dr-dv+1)
-		for i := range shift {
-			shift[i] = new(mp.Int)
-		}
-		shift[dr-dv] = rl
-		sub := (&Poly{c: shift}).MulCtx(uctx, v)
-		r = r.Sub(sub)
-		if r.Degree() == dr {
-			panic("poly: PseudoRem failed to reduce degree")
-		}
-	}
-	return r
-}

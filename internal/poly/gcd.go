@@ -6,23 +6,17 @@ import (
 )
 
 // GCD returns the greatest common divisor of a and b in ℤ[x], computed
-// with a primitive pseudo-remainder sequence. The result is primitive
-// with a positive leading coefficient (up to integer content, which is
-// irrelevant for root sets); GCD(0, 0) == 0. It is used by Yun's
-// squarefree decomposition and by the Sturm and Descartes baselines.
+// with Collins' subresultant pseudo-remainder sequence. The result is
+// primitive with a positive leading coefficient (up to integer content,
+// which is irrelevant for root sets); GCD(0, 0) == 0. It is used by
+// Yun's squarefree decomposition and by the Sturm and Descartes
+// baselines.
 func GCD(a, b *Poly) *Poly { return GCDProfile(a, b, mp.Schoolbook) }
 
 // GCDProfile is GCD with the coefficient arithmetic dispatched by pr.
 // The work is not recorded in any metrics counters: squarefree
 // decomposition sits outside the paper's cost model, so both profiles
 // produce identical traces and differ only in wall time.
-//
-// Schoolbook uses the primitive PRS above — an integer content GCD per
-// step. Fast uses Collins' subresultant PRS instead: each pseudo-
-// remainder is divided by the predicted factor g·h^d, an exact division
-// with a known divisor, so the per-step content GCDs (quadratic in the
-// multi-thousand-bit PRS coefficients) disappear entirely; a content
-// is taken only on the final gcd candidate.
 func GCDProfile(a, b *Poly, pr mp.Profile) *Poly {
 	g, _ := gcdStop(metrics.Ctx{Profile: pr}, a, b, nil)
 	return g
@@ -31,38 +25,15 @@ func GCDProfile(a, b *Poly, pr mp.Profile) *Poly {
 // gcdStop is GCDProfile with the arithmetic dispatched by ctx, which
 // must carry no counters, polling stop, when non-nil, once per
 // remainder step; a non-nil return from stop aborts it with that error.
+//
+// It runs the subresultant PRS (Collins 1967; Knuth TAOCP vol. 2,
+// §4.6.1 Algorithm C): r_{i+1} = prem(r_{i-1}, r_i) / (g·h^d) with
+// g = lc(r_{i-1}) and h the running pseudo-leading coefficient, both
+// known in advance, so every division is exact with a known divisor and
+// no step takes a content GCD (quadratic in the multi-thousand-bit PRS
+// coefficients); a content is taken only on the final gcd candidate.
 func gcdStop(ctx metrics.Ctx, a, b *Poly, stop func() error) (*Poly, error) {
 	pr := ctx.Profile
-	if pr == mp.Fast {
-		return gcdSubresultant(ctx, a, b, stop)
-	}
-	u := a.PrimitivePartProfile(pr)
-	v := b.PrimitivePartProfile(pr)
-	if u.IsZero() {
-		return normSign(v), nil
-	}
-	if v.IsZero() {
-		return normSign(u), nil
-	}
-	if u.Degree() < v.Degree() {
-		u, v = v, u
-	}
-	for !v.IsZero() {
-		if err := poll(stop); err != nil {
-			return nil, err
-		}
-		r := pseudoRem(ctx, u, v).PrimitivePartProfile(pr)
-		u, v = v, r
-	}
-	return normSign(u), nil
-}
-
-// gcdSubresultant computes GCD via the subresultant PRS (Collins 1967;
-// Knuth TAOCP vol. 2, §4.6.1 Algorithm C): r_{i+1} = prem(r_{i-1}, r_i)
-// / (g·h^d) with g = lc(r_{i-1}) and h the running pseudo-leading
-// coefficient, both known in advance, keeping every division exact.
-func gcdSubresultant(uctx metrics.Ctx, a, b *Poly, stop func() error) (*Poly, error) {
-	pr := uctx.Profile
 	u := a.PrimitivePartProfile(pr)
 	v := b.PrimitivePartProfile(pr)
 	if u.IsZero() {
@@ -77,18 +48,20 @@ func gcdSubresultant(uctx metrics.Ctx, a, b *Poly, stop func() error) (*Poly, er
 	g := mp.NewInt(1)
 	h := mp.NewInt(1)
 	for !v.IsZero() && v.Degree() >= 1 {
-		if err := poll(stop); err != nil {
-			return nil, err
+		if stop != nil {
+			if err := stop(); err != nil {
+				return nil, err
+			}
 		}
 		d := u.Degree() - v.Degree()
-		r := pseudoRemExact(uctx, u, v)
+		r := pseudoRem(ctx, u, v)
 		u = v
 		if r.IsZero() {
 			v = Zero()
 			break
 		}
-		den := uctx.Mul(g, intPow(uctx, h, d))
-		v = r.DivExactIntCtx(uctx, den)
+		den := ctx.Mul(g, intPow(ctx, h, d))
+		v = r.DivExactIntCtx(ctx, den)
 		g = new(mp.Int).Set(u.Lead())
 		// h ← h^(1−d)·g^d: unchanged for d = 0, g for d = 1, and the
 		// exact quotient g^d / h^(d−1) otherwise.
@@ -96,7 +69,7 @@ func gcdSubresultant(uctx metrics.Ctx, a, b *Poly, stop func() error) (*Poly, er
 		case d == 1:
 			h = new(mp.Int).Set(g)
 		case d > 1:
-			h = uctx.DivExact(intPow(uctx, g, d), intPow(uctx, h, d-1))
+			h = ctx.DivExact(intPow(ctx, g, d), intPow(ctx, h, d-1))
 		}
 	}
 	if !v.IsZero() {
@@ -107,25 +80,29 @@ func gcdSubresultant(uctx metrics.Ctx, a, b *Poly, stop func() error) (*Poly, er
 	return normSign(u.PrimitivePartProfile(pr)), nil
 }
 
-// poll returns stop's verdict, or nil when there is no stop function.
-func poll(stop func() error) error {
-	if stop == nil {
-		return nil
-	}
-	return stop()
-}
+// PseudoRem returns the pseudo-remainder of u by v (v ≠ 0):
+// prem = lc(v)^(deg u − deg v + 1)·u mod v, which has integer
+// coefficients, or u itself when deg u < deg v. The power is taken in
+// full even when a reduction step cancels more than the leading term
+// (every step on an even or odd polynomial), since the Sturm
+// baseline's sign rule and the subresultant PRS's exact divisions both
+// rest on it.
+func PseudoRem(u, v *Poly) *Poly { return pseudoRem(metrics.Ctx{}, u, v) }
 
-// pseudoRemExact returns lc(v)^(du−dv+1)·u mod v with the scaling power
-// taken in full. PseudoRem scales once per reduction step, which can be
-// fewer than du−dv+1 times when cancellation drops the degree by more
-// than one; the subresultant divisibility argument needs the exact
-// power, so the missing factors are applied afterwards.
-func pseudoRemExact(uctx metrics.Ctx, u, v *Poly) *Poly {
+// pseudoRem is PseudoRem with the arithmetic dispatched by uctx, which
+// must carry no counters. It reduces once per degree the remainder
+// still has at or above deg v, then applies the scaling factors that
+// cancelled degrees skipped.
+func pseudoRem(uctx metrics.Ctx, u, v *Poly) *Poly {
+	if v.IsZero() {
+		panic("poly: PseudoRem by zero")
+	}
 	du, dv := u.Degree(), v.Degree()
 	lead := v.Lead()
 	steps := 0
 	r := u.Clone()
 	for r.Degree() >= dv && !r.IsZero() {
+		// r ← lc(v)·r − lc(r)·x^(deg r − dv)·v
 		dr := r.Degree()
 		rl := new(mp.Int).Set(r.Lead())
 		r = r.ScaleIntCtx(uctx, lead)

@@ -160,60 +160,88 @@ func pow(x *mp.Int, k int) *mp.Int {
 	return z
 }
 
-// TestGCDProfileAgreement checks that the Fast profile's subresultant
-// PRS produces the same primitive gcd as the Schoolbook primitive PRS,
-// across shared-factor, coprime, repeated-root, and zero inputs.
+// TestGCDProfileAgreement checks GCD under both profiles against a
+// known answer: g·a and g·b, with g a product of linear factors and the
+// cofactors a and b of disjoint roots, have the primitive part of g,
+// with a positive leading coefficient, as their gcd. g may be 1
+// (coprime inputs) and may repeat a root.
 func TestGCDProfileAgreement(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
-	randPoly := func(deg int) *Poly {
-		roots := make([]*mp.Int, deg)
-		for i := range roots {
-			roots[i] = mp.NewInt(int64(r.Intn(41) - 20))
+	// linear returns the product of k primitive factors q·x − p with
+	// p ∈ [lo, hi] and q ∈ {1, 2, 3} prime to p, so the product is
+	// primitive with a positive leading coefficient.
+	linear := func(k int, lo, hi int) *Poly {
+		f := FromInt64s(1)
+		for i := 0; i < k; i++ {
+			p, q := int64(lo+r.Intn(hi-lo+1)), int64(1+r.Intn(3))
+			if p%q == 0 {
+				q = 1
+			}
+			f = f.Mul(FromInt64s(-p, q))
 		}
-		return FromRoots(roots...).ScaleInt(mp.NewInt(int64(r.Intn(5) + 1)))
+		return f
 	}
+	// scale returns a random content ±1…±5.
+	scale := func() *mp.Int { return mp.NewInt(int64((r.Intn(5) + 1) * (2*r.Intn(2) - 1))) }
 	for i := 0; i < 40; i++ {
-		g := randPoly(r.Intn(3) + 1)
-		a := g.Mul(randPoly(r.Intn(4) + 1))
-		b := g.Mul(randPoly(r.Intn(4) + 1))
-		want := GCD(a, b)
-		got := GCDProfile(a, b, mp.Fast)
-		if !got.Equal(want) {
-			t.Fatalf("profile gcd mismatch: fast=%s schoolbook=%s (a=%s b=%s)", got, want, a, b)
+		want := linear(r.Intn(4), -20, 20)                             // roots in [−20, 20]
+		a := want.Mul(linear(r.Intn(4)+1, 21, 40)).ScaleInt(scale())   // cofactor roots in [7, 40]
+		b := want.Mul(linear(r.Intn(4)+1, -40, -21)).ScaleInt(scale()) // cofactor roots in [−40, −7]
+		for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
+			if got := GCDProfile(a, b, pr); !got.Equal(want) {
+				t.Fatalf("profile %v: GCD(%s, %s) = %s, want %s", pr, a, b, got, want)
+			}
+		}
+		if got := GCD(b, a); !got.Equal(want) {
+			t.Fatalf("GCD(%s, %s) = %s, want %s", b, a, got, want)
 		}
 	}
 	// Zero and constant cases.
 	p := FromInt64s(2, 4)
-	if !GCDProfile(p, Zero(), mp.Fast).Equal(GCD(p, Zero())) {
-		t.Error("fast GCD(p, 0) disagrees")
-	}
-	if !GCDProfile(Zero(), Zero(), mp.Fast).IsZero() {
-		t.Error("fast GCD(0, 0) != 0")
-	}
-	if g := GCDProfile(FromInt64s(6), FromInt64s(4), mp.Fast); g.Degree() != 0 {
-		t.Errorf("fast GCD of constants has degree %d", g.Degree())
+	for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
+		if g := GCDProfile(p, Zero(), pr); !g.Equal(FromInt64s(1, 2)) {
+			t.Errorf("profile %v: GCD(p, 0) = %s, want 2*x + 1", pr, g)
+		}
+		if !GCDProfile(Zero(), Zero(), pr).IsZero() {
+			t.Errorf("profile %v: GCD(0, 0) != 0", pr)
+		}
+		if g := GCDProfile(FromInt64s(6), FromInt64s(4), pr); g.Degree() != 0 {
+			t.Errorf("profile %v: GCD of constants has degree %d", pr, g.Degree())
+		}
 	}
 }
 
-// TestSquarefreeProfileAgreement checks the profile variants of the
-// squarefree predicates against their schoolbook counterparts,
-// including a high-multiplicity input that stresses the subresultant
-// h-sequence (d > 1 steps).
+// TestSquarefreeProfileAgreement checks the squarefree predicates under
+// both profiles against known squarefree parts, the products of the
+// distinct linear factors, including a high-multiplicity input and
+// sparse ones whose pseudo-divisions skip degrees (d > 1 steps).
 func TestSquarefreeProfileAgreement(t *testing.T) {
-	cases := []*Poly{
-		FromRoots(mp.NewInt(1), mp.NewInt(2), mp.NewInt(3)),
-		FromRoots(mp.NewInt(5), mp.NewInt(5)),
-		FromRoots(mp.NewInt(-1), mp.NewInt(-1), mp.NewInt(-1), mp.NewInt(4)),
-		FromInt64s(0, 0, 0, 1), // x³: triple root at 0
-		FromInt64s(7),
-		FromInt64s(-3, 0, 0, 0, 0, 3), // sparse, d > 1 pseudo-division steps
-	}
-	for _, p := range cases {
-		if got, want := p.IsSquarefreeProfile(mp.Fast), p.IsSquarefree(); got != want {
-			t.Errorf("IsSquarefreeProfile(%s) = %v, want %v", p, got, want)
+	roots := func(rs ...int64) *Poly {
+		f := FromInt64s(1)
+		for _, v := range rs {
+			f = f.Mul(FromInt64s(-v, 1))
 		}
-		if got, want := p.SquarefreePartProfile(mp.Fast), p.SquarefreePart(); !got.Equal(want) {
-			t.Errorf("SquarefreePartProfile(%s) = %s, want %s", p, got, want)
+		return f
+	}
+	cases := []struct{ p, want *Poly }{
+		{roots(1, 2, 3), roots(1, 2, 3)},
+		{roots(5, 5), roots(5)},
+		{roots(-1, -1, -1, 4), roots(-1, 4)},
+		{FromInt64s(0, 0, 0, 1), roots(0)}, // x³: triple root at 0
+		{FromInt64s(7), FromInt64s(1)},
+		{FromInt64s(-3, 0, 0, 0, 0, 3), FromInt64s(-1, 0, 0, 0, 0, 1)}, // sparse, d > 1 pseudo-division steps
+		{roots(2, 2, -2, -2, 1, -1).ScaleInt(mp.NewInt(-3)), roots(2, -2, 1, -1)},
+		{roots(0, 1, 1, -1, -1, 3, 3, 3, -3, -3, -3), roots(0, 1, -1, 3, -3)},
+	}
+	for _, c := range cases {
+		squarefree := c.want.Degree() == c.p.Degree()
+		for _, pr := range []mp.Profile{mp.Schoolbook, mp.Fast} {
+			if got := c.p.IsSquarefreeProfile(pr); got != squarefree {
+				t.Errorf("profile %v: IsSquarefree(%s) = %v, want %v", pr, c.p, got, squarefree)
+			}
+			if got := c.p.SquarefreePartProfile(pr); !got.Equal(c.want) {
+				t.Errorf("profile %v: SquarefreePart(%s) = %s, want %s", pr, c.p, got, c.want)
+			}
 		}
 	}
 }

@@ -260,6 +260,15 @@ func TestContentPrimitivePart(t *testing.T) {
 }
 
 func TestPseudoRem(t *testing.T) {
+	// Pairs whose division skips a degree: one reduction step cancels
+	// more than the leading term, yet prem still carries the full power
+	// of lc(v), negative in the even/odd pairs.
+	pairs := [][2]*Poly{
+		{FromInt64s(0, -3, 0, 1), FromInt64s(-3, 0, 3)},                    // x³−3x by 3x²−3
+		{FromInt64s(-1, 0, 3, 0, -1), FromInt64s(0, 6, 0, -4)},             // −x⁴+3x²−1 by its derivative
+		{FromInt64s(0, 3, 0, -1), FromInt64s(3, 0, -3)},                    // −x³+3x by its derivative
+		{FromInt64s(1, 0, 0, 0, -5, 0, 1), FromInt64s(0, 0, 0, -20, 0, 6)}, // x⁶−5x⁴+1 by its derivative
+	}
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 80; i++ {
 		u := randPoly(r, 8, 30)
@@ -267,14 +276,16 @@ func TestPseudoRem(t *testing.T) {
 		if v.IsZero() || u.IsZero() || u.Degree() < v.Degree() {
 			continue
 		}
+		pairs = append(pairs, [2]*Poly{u, v})
+	}
+	for _, pair := range pairs {
+		u, v := pair[0], pair[1]
 		rem := PseudoRem(u, v)
 		if !rem.IsZero() && rem.Degree() >= v.Degree() {
 			t.Fatalf("pseudo-remainder degree %d >= %d", rem.Degree(), v.Degree())
 		}
-		// lc(v)^(du-dv+1)·u ≡ rem (mod v): check at a few integer points
-		// via the identity lc^k·u(t) - rem(t) divisible by... instead
-		// verify with exact division: lc^k·u = q·v + rem for some q; check
-		// that (lc^k·u - rem) mod v == 0 using PseudoRem again.
+		// lc(v)^k·u = q·v + rem with k = du-dv+1, so lc^k·u - rem is a
+		// multiple of v, whose pseudo-remainder by v is zero.
 		k := u.Degree() - v.Degree() + 1
 		lk := mp.NewInt(1)
 		for j := 0; j < k; j++ {
@@ -283,7 +294,7 @@ func TestPseudoRem(t *testing.T) {
 		lhs := u.ScaleInt(lk).Sub(rem)
 		check := PseudoRem(lhs, v)
 		if !check.IsZero() {
-			t.Fatalf("pseudo-division identity failed: u=%s v=%s", u, v)
+			t.Fatalf("pseudo-division identity failed: u=%s v=%s rem=%s", u, v, rem)
 		}
 	}
 }

@@ -213,37 +213,21 @@ func (s *Sequence) Csq(i int) *mp.Int { return s.csq[i] }
 // F_0(x), F_1(x), …, F_n(x) at the dyadic point x = a/2^scale, skipping
 // zeros, optionally recording the evaluations in ctx.
 func (s *Sequence) Variations(ctx metrics.Ctx, a *mp.Int, scale uint) int {
-	v := 0
-	prev := 0
-	for _, fi := range s.F {
-		sg := fi.SignAtCtx(ctx, a, scale)
-		if sg == 0 {
-			continue
-		}
-		if prev != 0 && sg != prev {
-			v++
-		}
-		prev = sg
-	}
-	return v
+	return s.variations(func(f *poly.Poly) int { return f.SignAtCtx(ctx, a, scale) })
 }
 
 // VariationsAtNegInf returns the sign variations of the chain as x → -∞.
-func (s *Sequence) VariationsAtNegInf() int { return s.variationsInf(true) }
+func (s *Sequence) VariationsAtNegInf() int { return s.variations((*poly.Poly).SignAtNegInf) }
 
 // VariationsAtPosInf returns the sign variations of the chain as x → +∞.
-func (s *Sequence) VariationsAtPosInf() int { return s.variationsInf(false) }
+func (s *Sequence) VariationsAtPosInf() int { return s.variations((*poly.Poly).SignAtPosInf) }
 
-func (s *Sequence) variationsInf(negInf bool) int {
-	v := 0
-	prev := 0
+// variations counts the sign variations of sign(F_0), …, sign(F_n),
+// skipping zeros.
+func (s *Sequence) variations(sign func(*poly.Poly) int) int {
+	v, prev := 0, 0
 	for _, fi := range s.F {
-		var sg int
-		if negInf {
-			sg = fi.SignAtNegInf()
-		} else {
-			sg = fi.SignAtPosInf()
-		}
+		sg := sign(fi)
 		if sg == 0 {
 			continue
 		}

@@ -49,9 +49,9 @@ func NewChain(p *poly.Poly) (*Chain, error) {
 		if r.IsZero() {
 			return nil, fmt.Errorf("sturm: polynomial is not squarefree")
 		}
-		// PseudoRem scales u by lc(v)^k; when that factor is negative the
-		// remainder's sign is flipped, and the Sturm recurrence needs the
-		// negated true remainder.
+		// PseudoRem scales u by lc(v)^k in full, k = deg u − deg v + 1;
+		// when that factor is negative the remainder's sign is flipped,
+		// and the Sturm recurrence needs the negated true remainder.
 		k := u.Degree() - v.Degree() + 1
 		if v.Lead().Sign() < 0 && k%2 == 1 {
 			// prem = (negative)·rem, so -rem is a positive multiple of prem.
@@ -67,41 +67,21 @@ func NewChain(p *poly.Poly) (*Chain, error) {
 // Variations returns the number of sign variations of the chain at the
 // dyadic point x, skipping zeros.
 func (c *Chain) Variations(ctx metrics.Ctx, x dyadic.Dyadic) int {
-	v, prev := 0, 0
-	for _, si := range c.S {
-		sg := si.SignAtCtx(ctx, x.Num(), x.Scale())
-		if sg == 0 {
-			continue
-		}
-		if prev != 0 && sg != prev {
-			v++
-		}
-		prev = sg
-	}
-	return v
+	return c.variations(func(s *poly.Poly) int { return s.SignAtCtx(ctx, x.Num(), x.Scale()) })
 }
 
 // VariationsAtNegInf returns the chain's sign variations as x → -∞.
-func (c *Chain) VariationsAtNegInf() int {
-	v, prev := 0, 0
-	for _, si := range c.S {
-		sg := si.SignAtNegInf()
-		if sg == 0 {
-			continue
-		}
-		if prev != 0 && sg != prev {
-			v++
-		}
-		prev = sg
-	}
-	return v
-}
+func (c *Chain) VariationsAtNegInf() int { return c.variations((*poly.Poly).SignAtNegInf) }
 
 // VariationsAtPosInf returns the chain's sign variations as x → +∞.
-func (c *Chain) VariationsAtPosInf() int {
+func (c *Chain) VariationsAtPosInf() int { return c.variations((*poly.Poly).SignAtPosInf) }
+
+// variations counts the sign variations of sign(S_0), sign(S_1), …,
+// skipping zeros.
+func (c *Chain) variations(sign func(*poly.Poly) int) int {
 	v, prev := 0, 0
 	for _, si := range c.S {
-		sg := si.SignAtPosInf()
+		sg := sign(si)
 		if sg == 0 {
 			continue
 		}

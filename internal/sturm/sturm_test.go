@@ -1,6 +1,7 @@
 package sturm
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"realroots/internal/dyadic"
 	"realroots/internal/metrics"
 	"realroots/internal/mp"
+	"realroots/internal/oracle/bigref"
 	"realroots/internal/poly"
 )
 
@@ -73,6 +75,43 @@ func TestChainWithComplexRoots(t *testing.T) {
 	}
 	if got := c.CountAll(); got != 1 {
 		t.Fatalf("(x²+1)(x-2) real-root count = %d", got)
+	}
+}
+
+// TestChainCountsMatchBigref counts the roots of even and odd
+// polynomials, whose remainder steps skip a degree, with a negative
+// leading coefficient or complex roots, so that some lc(v) < 0. Such a
+// chain is right only when each pseudo-remainder carries the full power
+// lc(v)^(deg u − deg v + 1) that NewChain's sign rule assumes; a chain
+// whose leading coefficients are all positive, as for a real-rooted
+// input with a positive leading coefficient, cannot show the
+// difference.
+func TestChainCountsMatchBigref(t *testing.T) {
+	for _, coeffs := range [][]int64{
+		{2, 0, -1},                // −x²+2
+		{0, 3, 0, -1},             // −x³+3x
+		{-1, 0, 3, 0, -1},         // −x⁴+3x²−1
+		{1, 0, 1, 0, 1},           // x⁴+x²+1
+		{-2, 0, 1, 0, 1},          // x⁴+x²−2
+		{1, 0, 0, 0, -5, 0, 1},    // x⁶−5x⁴+1
+		{0, 1, 0, 0, 0, -4, 0, 1}, // x⁷−4x⁵+x
+	} {
+		p := poly.FromInt64s(coeffs...)
+		c, err := NewChain(p)
+		if err != nil {
+			t.Fatalf("NewChain(%s): %v", p, err)
+		}
+		bc := make([]*big.Int, len(coeffs))
+		for i, v := range coeffs {
+			bc[i] = big.NewInt(v)
+		}
+		want, err := bigref.CountRoots(bc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.CountAll(); got != want {
+			t.Errorf("CountAll(%s) = %d, bigref counts %d", p, got, want)
+		}
 	}
 }
 

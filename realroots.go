@@ -556,13 +556,7 @@ func CountRealRoots(coeffs []*big.Int) (int, error) {
 	if p.Degree() < 1 {
 		return 0, nil
 	}
-	sf := p.SquarefreePart()
-	if s, err := remseq.Compute(sf, remseq.Options{}); err == nil {
-		return s.RealRootCount(), nil
-	}
-	// The remainder sequence is abnormal for polynomials with complex
-	// roots; fall back to a counting-only Sturm chain.
-	chain, err := sturm.NewChain(sf)
+	chain, err := sturm.NewChain(p.SquarefreePart())
 	if err != nil {
 		return 0, err
 	}

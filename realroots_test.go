@@ -1,10 +1,15 @@
 package realroots
 
 import (
+	"context"
 	"errors"
 	"math/big"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
+
+	"realroots/internal/oracle/bigref"
 )
 
 func ratInt(v int64) *big.Rat { return new(big.Rat).SetInt64(v) }
@@ -268,6 +273,76 @@ func TestFindRealRootsMatchesFindRootsOnRealInputs(t *testing.T) {
 		if a.Roots[i].Value.Cmp(b.Roots[i].Value) != 0 {
 			t.Fatalf("root %d: %v vs %v", i, a.Roots[i], b.Roots[i])
 		}
+	}
+}
+
+// TestFindRealRootsMatchesBigref checks the general-input entry points
+// against bigref where a Sturm chain has remainder steps that skip a
+// degree and negative leading coefficients: seven even or odd
+// polynomials with a negative leading coefficient or complex roots,
+// then a seeded sweep of small polynomials, half of them even or odd.
+func TestFindRealRootsMatchesBigref(t *testing.T) {
+	cases := [][]int64{
+		{2, 0, -1},                // −x²+2
+		{0, 3, 0, -1},             // −x³+3x
+		{-1, 0, 3, 0, -1},         // −x⁴+3x²−1
+		{1, 0, 1, 0, 1},           // x⁴+x²+1
+		{-2, 0, 1, 0, 1},          // x⁴+x²−2
+		{1, 0, 0, 0, -5, 0, 1},    // x⁶−5x⁴+1
+		{0, 1, 0, 0, 0, -4, 0, 1}, // x⁷−4x⁵+x
+	}
+	r := rand.New(rand.NewSource(27))
+	for i := 0; i < 320; i++ {
+		c := make([]int64, 3+r.Intn(7)) // degree 2–8 before trimming
+		for j := range c {
+			c[j] = int64(r.Intn(7) - 3)
+		}
+		if i%2 == 1 {
+			parity := r.Intn(2) // keep the even or the odd powers
+			for j := range c {
+				if j%2 != parity {
+					c[j] = 0
+				}
+			}
+		}
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		bi := make([]*big.Int, len(c))
+		for i, v := range c {
+			bi[i] = big.NewInt(v)
+		}
+		checkRealRootsVsBigref(t, bi, 12)
+	}
+}
+
+// checkRealRootsVsBigref solves coeffs with FindRealRootsContext under
+// a deadline, so that a hang fails instead of stalling, and compares its
+// roots with bigref.FindRoots and CountRealRoots with bigref.CountRoots.
+// Constant inputs, which bigref rejects, are skipped.
+func checkRealRootsVsBigref(t *testing.T, coeffs []*big.Int, mu uint) {
+	t.Helper()
+	want, err := bigref.FindRoots(coeffs, mu)
+	if err != nil {
+		return
+	}
+	res, err := FindRealRootsContext(context.Background(), coeffs, &Options{Precision: mu, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("FindRealRoots(%v, µ=%d): %v", coeffs, mu, err)
+	}
+	same := len(res.Roots) == len(want)
+	for i := 0; same && i < len(want); i++ {
+		same = res.Roots[i].Value.Cmp(want[i]) == 0
+	}
+	if !same {
+		t.Fatalf("FindRealRoots(%v, µ=%d) = %v, bigref finds %v", coeffs, mu, res.Roots, want)
+	}
+	wantN, err := bigref.CountRoots(coeffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := CountRealRoots(coeffs); err != nil || n != wantN {
+		t.Fatalf("CountRealRoots(%v) = %d, %v; bigref counts %d", coeffs, n, err, wantN)
 	}
 }
 
