@@ -50,14 +50,6 @@ type Options struct {
 	// with different profiles are race-free. Recorded operation counts
 	// and model bit costs are identical under both profiles.
 	Profile mp.Profile
-	// ParallelMul, with the Fast profile and Workers > 1, lets single
-	// huge balanced products (≳100k bits; see mp.MulParallelEngages) be
-	// split into panels submitted to the scheduler pool, so a giant
-	// remainder-sequence multiplication no longer serializes one worker.
-	// Results are bit-identical with or without it. Ignored under
-	// SimulateWorkers — virtual-time simulation measures each task body
-	// on one real worker, which panel parallelism would distort.
-	ParallelMul bool
 	// SimulateWorkers, when > 0, executes the task graph on one real
 	// worker while list-scheduling the measured task durations onto this
 	// many *virtual* processors (see sched.NewSimulatedPool). The
@@ -341,9 +333,6 @@ func solveRun(in input, opts Options, counters *metrics.Counters, run *telemetry
 			case <-watchDone:
 			}
 		}()
-	}
-	if opts.ParallelMul && opts.Profile == mp.Fast && pool != nil && opts.SimulateWorkers == 0 {
-		c.mctx.Par = parMulSubmitter{pool}
 	}
 	if counters != nil && opts.MaxBitOps > 0 {
 		cancelPool := pool // nil on sequential runs: stop() polls instead
@@ -639,15 +628,6 @@ type taskHook struct {
 
 func (h *taskHook) TaskStart(int, string, time.Duration, int) { h.hook(h.seq.Add(1) - 1) }
 func (h *taskHook) TaskDone(int, string)                      {}
-
-// parMulSubmitter adapts the scheduler pool to mp's Parallel hook,
-// tagging panel tasks so they are distinguishable on trace timelines.
-// Dropping tasks is safe: a canceled pool drains its queue without
-// executing, and the multiplication's claim loop completes on the
-// calling worker regardless.
-type parMulSubmitter struct{ pool *sched.Pool }
-
-func (s parMulSubmitter) Submit(task func()) { s.pool.SubmitTagged("parmul", task) }
 
 // nodeState carries the per-node synchronization data of the parallel
 // driver: the paper's "status data structures corresponding to the

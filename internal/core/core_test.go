@@ -19,7 +19,6 @@ import (
 	"realroots/internal/mp"
 	"realroots/internal/poly"
 	"realroots/internal/remseq"
-	"realroots/internal/sched"
 	"realroots/internal/trace"
 	"realroots/internal/tree"
 	"realroots/internal/workload"
@@ -504,12 +503,11 @@ func TestQuickEndToEndDyadicRoots(t *testing.T) {
 	}
 }
 
-// TestParallelMulOption checks the ParallelMul plumbing: roots are
-// bit-identical with the option on and off (products this small never
-// engage the panel path, so this pins the fallback; the panel kernels
-// themselves are pinned in internal/mp), and the option is inert under
-// the schoolbook profile and simulation mode.
-func TestParallelMulOption(t *testing.T) {
+// TestProfilesAndWorkersAgree checks that the Fast profile on four
+// workers, the schoolbook profile on four workers and a four-worker
+// simulation under Fast all return the roots of a one-worker Fast run,
+// bit for bit.
+func TestProfilesAndWorkersAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	roots := distinctRoots(r, 12, 80)
 	p := poly.FromRoots(roots...)
@@ -518,9 +516,9 @@ func TestParallelMulOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{
-		{Mu: 24, Profile: mp.Fast, Workers: 4, ParallelMul: true},
-		{Mu: 24, Profile: mp.Schoolbook, Workers: 4, ParallelMul: true},
-		{Mu: 24, Profile: mp.Fast, SimulateWorkers: 4, ParallelMul: true},
+		{Mu: 24, Profile: mp.Fast, Workers: 4},
+		{Mu: 24, Profile: mp.Schoolbook, Workers: 4},
+		{Mu: 24, Profile: mp.Fast, SimulateWorkers: 4},
 	} {
 		res, err := FindRoots(p, opts)
 		if err != nil {
@@ -534,19 +532,6 @@ func TestParallelMulOption(t *testing.T) {
 				t.Fatalf("%+v root %d: %v vs %v", opts, i, res.Roots[i], base.Roots[i])
 			}
 		}
-	}
-}
-
-// TestParMulSubmitterTag pins the adapter's scheduler tag: panel tasks
-// must be visible as "parmul" on trace timelines.
-func TestParMulSubmitterTag(t *testing.T) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	done := make(chan struct{})
-	parMulSubmitter{pool}.Submit(func() { close(done) })
-	<-done
-	if got := pool.Stats().Executed; got != 1 {
-		t.Fatalf("executed = %d, want 1", got)
 	}
 }
 

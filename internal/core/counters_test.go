@@ -17,11 +17,10 @@ var updateCounters = flag.Bool("update-counters", false, "rewrite testdata/count
 
 // TestCounterReportGolden pins every counter a solve records, not only
 // bitOps: per phase the multiplication, division, addition and
-// evaluation counts, the model and actual costs, the operand-size
-// histogram, the Fast tiers and the parallel-path products. One Fast
-// solve of a §5 characteristic polynomial (n = 40, µ = 16, two
-// workers) and one paper-profile solve (n = 24, µ = 32) cover both
-// profiles' recording.
+// evaluation counts, the model costs, the operand-size histogram and
+// the Fast tiers. One Fast solve of a §5 characteristic polynomial
+// (n = 40, µ = 16, two workers) and one paper-profile solve (n = 24,
+// µ = 32) cover both profiles' recording.
 func TestCounterReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("degree-40 solve")

@@ -70,7 +70,7 @@ func RunGrid(cfg Config) (*GridReport, error) {
 					}
 					p := Instance(seed, n)
 					var c metrics.Counters
-					opts := core.Options{Mu: mu, Counters: &c, Ctx: cfg.Ctx, Profile: prof, Telemetry: cfg.Telemetry, ParallelMul: cfg.ParallelMul}
+					opts := core.Options{Mu: mu, Counters: &c, Ctx: cfg.Ctx, Profile: prof, Telemetry: cfg.Telemetry}
 					if cfg.Simulate {
 						opts.SimulateWorkers = procs
 					} else {

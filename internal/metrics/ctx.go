@@ -15,16 +15,12 @@ import "realroots/internal/mp"
 // Recording is profile-independent: both profiles log the same
 // operation counts and the same model cost (the paper's §4 schoolbook
 // measure), so paper-mode traces are unchanged by this machinery; only
-// the actual-cost fields and the wall time differ between profiles.
+// the Fast profile's tier counts and the wall time differ between
+// profiles.
 type Ctx struct {
 	C       *Counters
 	Phase   Phase
 	Profile mp.Profile
-	// Par, when non-nil, is the scheduler hook offered huge balanced
-	// products (the mp parallel multiplication path). Like Profile it is
-	// per-operation state, never a package global; a nil Par keeps every
-	// product serial. Results are bit-identical either way.
-	Par mp.Parallel
 	// Scratch is the free list of arithmetic workspaces that DotDiv and
 	// the helpers built on it draw from; one solve owns one list and
 	// drops it when it returns. A nil Scratch gives each operation a
@@ -38,95 +34,44 @@ func (c Ctx) In(p Phase) Ctx {
 	return c
 }
 
-// A mulRecord is what one multiplication records: its model cost (the
-// paper's §4 schoolbook measure, xbits·ybits) and actual cost, its
-// operand-size histogram bucket and, under Fast, the tier it dispatches
-// to and whether the parallel path engages.
-type mulRecord struct {
-	bits, actual int64
-	bucket       int
-	tiered       bool // Fast, the only profile with more than one kernel
-	tier         mp.Tier
-	par          bool
-}
-
-// attributeMul attributes one xbits-by-ybits multiplication under c's
-// profile and parallel hook. It is the one place that decides what a
-// multiplication records; Tally.Mul collects it with the rest of an
-// evaluation or a DotDiv.
-func (c Ctx) attributeMul(xbits, ybits int) mulRecord {
-	r := mulRecord{
-		bits:   int64(xbits) * int64(ybits),
-		actual: c.Profile.MulCost(xbits, ybits),
-		bucket: bitLenBucket(max(xbits, ybits)),
-	}
-	if c.Profile == mp.Fast {
-		r.tiered, r.tier = true, c.Profile.MulTier(xbits, ybits)
-		r.par = c.Par != nil && c.Profile.MulParallelEngages(xbits, ybits)
-	}
-	return r
-}
-
 // A Tally collects the operations of one polynomial evaluation, or of
-// one DotDiv, in plain fields: the multiplications with their model and
-// actual cost, operand-size bucket and tier, and the additions. They
-// reach the shared Counters in one flush, with one budget check,
-// instead of several atomic updates per operation. The flushed counts
-// are exactly what recording each operation on its own produces. The
-// zero value is empty.
+// one DotDiv, in plain fields: the multiplications with their model
+// cost (the paper's §4 schoolbook measure, xbits·ybits), operand-size
+// bucket and, under Fast, tier, and the additions. They reach the
+// shared Counters in one flush, with one budget check, instead of
+// several atomic updates per operation. The zero value is empty.
 type Tally struct {
-	muls, mulBits, mulBitsActual, adds, parMuls int64
+	muls, mulBits, adds int64
 
 	hist  [BitLenBuckets]int64
 	tiers [mp.NumTiers]int64
 }
 
 // Mul tallies one multiplication of xbits-by-ybits operands under c's
-// profile and parallel hook (see attributeMul).
+// profile: under Fast, in the tier mp.Profile.MulTier dispatches it to.
 func (t *Tally) Mul(c Ctx, xbits, ybits int) {
 	t.muls++
-	t.record(c.attributeMul(xbits, ybits))
-}
-
-// record adds one multiplication's costs, bucket, tier and parallel
-// path, as attributeMul describes them, without counting it.
-func (t *Tally) record(r mulRecord) {
-	t.mulBits += r.bits
-	t.mulBitsActual += r.actual
-	t.hist[r.bucket]++
-	if r.tiered {
-		t.tiers[r.tier]++
-	}
-	if r.par {
-		t.parMuls++
+	t.mulBits += int64(xbits) * int64(ybits)
+	t.hist[bitLenBucket(max(xbits, ybits))]++
+	if c.Profile == mp.Fast {
+		t.tiers[c.Profile.MulTier(xbits, ybits)]++
 	}
 }
 
 // Horner tallies steps of a scaled Horner evaluation: step k
 // multiplies an accumulator of lens[k] bits by an abits-bit point and
-// adds one coefficient. It records exactly what recording each step's
-// multiplication (Mul) and addition on its own records, in one pass
-// over the lengths. When every product with the
-// point runs on the row loop (mp.Profile.RowLoop), as every product
-// under Schoolbook does, a product's actual cost is its model cost and
-// its tier is known, so only the histogram bucket is computed per step;
-// otherwise each product is attributed on its own.
+// adds one coefficient. mp.Horner runs every step on the 32-bit row
+// loop under every profile, so under Fast each product is counted in
+// TierSchoolbook whatever its width.
 func (t *Tally) Horner(c Ctx, lens []int, abits int) {
 	t.muls += int64(len(lens))
 	t.adds += int64(len(lens))
-	if !c.Profile.RowLoop(abits) {
-		for _, n := range lens {
-			t.record(c.attributeMul(n, abits))
-		}
-		return
-	}
 	var sum int64
 	for _, n := range lens {
 		sum += int64(n)
 		t.hist[bitLenBucket(max(n, abits))]++
 	}
 	t.mulBits += sum * int64(abits)
-	t.mulBitsActual += sum * int64(abits)
 	if c.Profile == mp.Fast {
 		t.tiers[mp.TierSchoolbook] += int64(len(lens))
 	}
@@ -152,14 +97,6 @@ func (c Ctx) FlushSign(t *Tally, k Kernel) {
 	}
 }
 
-// recordDiv logs one division with its model and actual cost.
-func (c Ctx) recordDiv(xbits, ybits int) {
-	if c.C == nil {
-		return
-	}
-	c.C.AddDivCost(c.Phase, xbits, ybits, c.Profile.DivCost(xbits, ybits))
-}
-
 // DotDiv returns (Σ ±xᵢ·yᵢ) / d (see mp.DotDiv), computed in a
 // workspace from c.Scratch, and records what building the same value
 // from Mul, Add and DivExact records: one multiplication per term with a
@@ -178,9 +115,9 @@ func (c Ctx) DotDiv(d *mp.Int, adds int, terms ...mp.Term) *mp.Int {
 		t.adds = int64(adds)
 		c.C.addTally(c.Phase, &t)
 	}
-	q, sumBits := mp.DotDiv(c.Profile, c.Par, c.Scratch, d, terms...)
+	q, sumBits := mp.DotDiv(c.Profile, c.Scratch, d, terms...)
 	if d != nil {
-		c.recordDiv(sumBits, d.BitLen())
+		c.C.AddDiv(c.Phase, sumBits, d.BitLen())
 	}
 	return q
 }
@@ -194,7 +131,7 @@ func (c Ctx) Sqr(x *mp.Int) *mp.Int { return c.Mul(x, x) }
 // QuoRem sets z = x quo y and r = x rem y (truncated division) in a
 // workspace from c.Scratch, recording the division, and returns (z, r).
 func (c Ctx) QuoRem(z, x, y, r *mp.Int) (*mp.Int, *mp.Int) {
-	c.recordDiv(x.BitLen(), y.BitLen())
+	c.C.AddDiv(c.Phase, x.BitLen(), y.BitLen())
 	return mp.QuoRem(c.Profile, c.Scratch, z, x, y, r)
 }
 

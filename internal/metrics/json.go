@@ -16,23 +16,17 @@ import (
 
 // phaseJSON is the wire form of one PhaseReport.
 type phaseJSON struct {
-	Muls    int64 `json:"muls"`
-	MulBits int64 `json:"mulBits"`
-	Divs    int64 `json:"divs"`
-	DivBits int64 `json:"divBits"`
-	Adds    int64 `json:"adds"`
-	Evals   int64 `json:"evals"`
-	// Actual-cost estimates under the run's arithmetic profile; omitted
-	// when equal to the model cost (the schoolbook-profile case), which
-	// also keeps pre-profile snapshots and their readers compatible.
-	MulBitsActual int64   `json:"mulBitsActual,omitempty"`
-	DivBitsActual int64   `json:"divBitsActual,omitempty"`
-	BitLen        []int64 `json:"bitlenHist,omitempty"`
-	// Tiers maps kernel-tier names to multiplication counts and ParMuls
-	// counts parallel-path products; both are omitted when zero (every
-	// schoolbook-profile report, and every pre-tier snapshot).
-	Tiers   map[string]int64 `json:"tiers,omitempty"`
-	ParMuls int64            `json:"parMuls,omitempty"`
+	Muls    int64   `json:"muls"`
+	MulBits int64   `json:"mulBits"`
+	Divs    int64   `json:"divs"`
+	DivBits int64   `json:"divBits"`
+	Adds    int64   `json:"adds"`
+	Evals   int64   `json:"evals"`
+	BitLen  []int64 `json:"bitlenHist,omitempty"`
+	// Tiers maps kernel-tier names to multiplication counts; it is
+	// omitted when empty (every schoolbook-profile report, and every
+	// pre-tier snapshot).
+	Tiers map[string]int64 `json:"tiers,omitempty"`
 }
 
 func (p PhaseReport) toJSON() phaseJSON {
@@ -43,12 +37,6 @@ func (p PhaseReport) toJSON() phaseJSON {
 		DivBits: p.DivBits,
 		Adds:    p.Adds,
 		Evals:   p.Evals,
-	}
-	if p.MulBitsActual != p.MulBits {
-		j.MulBitsActual = p.MulBitsActual
-	}
-	if p.DivBitsActual != p.DivBits {
-		j.DivBitsActual = p.DivBitsActual
 	}
 	last := -1
 	for b := 0; b < BitLenBuckets; b++ {
@@ -67,7 +55,6 @@ func (p PhaseReport) toJSON() phaseJSON {
 			j.Tiers[mp.Tier(t).String()] = n
 		}
 	}
-	j.ParMuls = p.ParMuls
 	return j
 }
 
@@ -82,22 +69,12 @@ var tierByName = func() map[string]mp.Tier {
 
 func (j phaseJSON) toReport() (PhaseReport, error) {
 	p := PhaseReport{
-		Muls:          j.Muls,
-		MulBits:       j.MulBits,
-		Divs:          j.Divs,
-		DivBits:       j.DivBits,
-		Adds:          j.Adds,
-		Evals:         j.Evals,
-		MulBitsActual: j.MulBitsActual,
-		DivBitsActual: j.DivBitsActual,
-	}
-	// Absent actual-cost fields (including all pre-profile snapshots)
-	// mean "same as the model cost".
-	if p.MulBitsActual == 0 {
-		p.MulBitsActual = p.MulBits
-	}
-	if p.DivBitsActual == 0 {
-		p.DivBitsActual = p.DivBits
+		Muls:    j.Muls,
+		MulBits: j.MulBits,
+		Divs:    j.Divs,
+		DivBits: j.DivBits,
+		Adds:    j.Adds,
+		Evals:   j.Evals,
 	}
 	if len(j.BitLen) > BitLenBuckets {
 		return p, fmt.Errorf("metrics: bitlenHist has %d buckets, max %d", len(j.BitLen), BitLenBuckets)
@@ -110,7 +87,6 @@ func (j phaseJSON) toReport() (PhaseReport, error) {
 		}
 		p.Tiers[t] = n
 	}
-	p.ParMuls = j.ParMuls
 	return p, nil
 }
 

@@ -128,26 +128,17 @@ type Counters struct {
 	add     [NumPhases]atomic.Int64 // number of additions/subtractions
 	evals   [NumPhases]atomic.Int64 // number of full polynomial evaluations
 
-	// Actual-cost estimates (see AddMulCost): Σ over operations of the
-	// cost of the algorithm the arithmetic profile actually ran, as
-	// opposed to the paper's schoolbook model cost in mulBits/divBits.
-	// Equal to the model sums under the schoolbook profile.
-	mulBitsActual [NumPhases]atomic.Int64
-	divBitsActual [NumPhases]atomic.Int64
-
 	// hist is the per-phase operand-size distribution: for every
 	// multiplication and division, the log₂ bucket of the larger
 	// operand's bit length (see BitLenBuckets).
 	hist [NumPhases][BitLenBuckets]atomic.Int64
 
 	// tiers counts multiplications by the kernel tier they dispatched
-	// to (mp.Profile.MulTier), and parMuls counts products that took
-	// the parallel panel path. Both are recorded only under the Fast
+	// to (mp.Profile.MulTier). It is recorded only under the Fast
 	// profile — schoolbook runs have a single implicit tier, and
-	// leaving them untouched keeps paper-mode reports byte-identical
-	// to pre-tier snapshots.
-	tiers   [NumPhases][mp.NumTiers]atomic.Int64
-	parMuls [NumPhases]atomic.Int64
+	// leaving it untouched keeps paper-mode reports byte-identical to
+	// pre-tier snapshots.
+	tiers [NumPhases][mp.NumTiers]atomic.Int64
 
 	// signs counts sign evaluations by the kernel that decided them
 	// (see Kernel). They describe the implementation, not the
@@ -215,76 +206,30 @@ func (c *Counters) noteHist(p Phase, xbits, ybits int) {
 }
 
 // AddMul records one multiplication of xbits-by-ybits operands in phase
-// p, with the actual cost equal to the schoolbook model cost.
+// p at its model cost, xbits·ybits — the paper's §4 bit-complexity
+// measure, which assumes schoolbook arithmetic under every profile.
 func (c *Counters) AddMul(p Phase, xbits, ybits int) {
-	c.AddMulCost(p, xbits, ybits, int64(xbits)*int64(ybits))
-}
-
-// AddMulCost records one multiplication of xbits-by-ybits operands in
-// phase p. Its modeled cost — the paper's §4 bit-complexity measure,
-// which assumes schoolbook arithmetic — is xbits·ybits; actual is the
-// cost estimate for the algorithm the run's arithmetic profile really
-// executed (Profile.MulCost). The budget armed by SetBudget is always
-// charged the model cost, so budget semantics are profile-independent.
-func (c *Counters) AddMulCost(p Phase, xbits, ybits int, actual int64) {
 	if c == nil {
 		return
 	}
-	c.addMul(p, mulRecord{bits: int64(xbits) * int64(ybits), actual: actual, bucket: bitLenBucket(max(xbits, ybits))})
-}
-
-// addMul records one multiplication in phase p as r describes it.
-func (c *Counters) addMul(p Phase, r mulRecord) {
-	c.mul[p].Add(1)
-	c.mulBits[p].Add(r.bits)
-	c.mulBitsActual[p].Add(r.actual)
-	c.hist[p][r.bucket].Add(1)
-	if r.tiered {
-		c.tiers[p][r.tier].Add(1)
-	}
-	if r.par {
-		c.parMuls[p].Add(1)
-	}
-	c.noteBits(r.bits)
-}
-
-// AddDiv records one division in phase p, with the actual cost equal to
-// the schoolbook model cost.
-func (c *Counters) AddDiv(p Phase, xbits, ybits int) {
-	c.AddDivCost(p, xbits, ybits, int64(xbits)*int64(ybits))
-}
-
-// AddDivCost records one division in phase p with an explicit actual
-// cost; see AddMulCost.
-func (c *Counters) AddDivCost(p Phase, xbits, ybits int, actual int64) {
-	if c == nil {
-		return
-	}
-	c.div[p].Add(1)
 	bits := int64(xbits) * int64(ybits)
-	c.divBits[p].Add(bits)
-	c.divBitsActual[p].Add(actual)
+	c.mul[p].Add(1)
+	c.mulBits[p].Add(bits)
 	c.noteHist(p, xbits, ybits)
 	c.noteBits(bits)
 }
 
-// AddMulTier attributes one multiplication in phase p to kernel tier t.
-// Callers record tiers only for profiles with more than one tier (Fast);
-// see the tiers field.
-func (c *Counters) AddMulTier(p Phase, t mp.Tier) {
-	if c == nil || int(t) >= mp.NumTiers {
-		return
-	}
-	c.tiers[p][t].Add(1)
-}
-
-// AddParMul records that one multiplication in phase p took the
-// parallel panel path.
-func (c *Counters) AddParMul(p Phase) {
+// AddDiv records one division of an xbits dividend by a ybits divisor
+// in phase p at its model cost, xbits·ybits.
+func (c *Counters) AddDiv(p Phase, xbits, ybits int) {
 	if c == nil {
 		return
 	}
-	c.parMuls[p].Add(1)
+	bits := int64(xbits) * int64(ybits)
+	c.div[p].Add(1)
+	c.divBits[p].Add(bits)
+	c.noteHist(p, xbits, ybits)
+	c.noteBits(bits)
 }
 
 // AddAdd records one addition or subtraction in phase p.
@@ -320,7 +265,6 @@ func (c *Counters) addTally(p Phase, t *Tally) {
 	}
 	c.mul[p].Add(t.muls)
 	c.mulBits[p].Add(t.mulBits)
-	c.mulBitsActual[p].Add(t.mulBitsActual)
 	for b, n := range t.hist {
 		if n != 0 {
 			c.hist[p][b].Add(n)
@@ -330,9 +274,6 @@ func (c *Counters) addTally(p Phase, t *Tally) {
 		if n != 0 {
 			c.tiers[p][i].Add(n)
 		}
-	}
-	if t.parMuls != 0 {
-		c.parMuls[p].Add(t.parMuls)
 	}
 	c.noteBits(t.mulBits)
 }
@@ -348,8 +289,6 @@ func (c *Counters) Reset() {
 		c.mulBits[p].Store(0)
 		c.div[p].Store(0)
 		c.divBits[p].Store(0)
-		c.mulBitsActual[p].Store(0)
-		c.divBitsActual[p].Store(0)
 		c.add[p].Store(0)
 		c.evals[p].Store(0)
 		for b := 0; b < BitLenBuckets; b++ {
@@ -358,7 +297,6 @@ func (c *Counters) Reset() {
 		for t := 0; t < mp.NumTiers; t++ {
 			c.tiers[p][t].Store(0)
 		}
-		c.parMuls[p].Store(0)
 		for k := range c.signs[p] {
 			c.signs[p][k].Store(0)
 		}
@@ -375,23 +313,14 @@ type PhaseReport struct {
 	DivBits int64
 	Adds    int64
 	Evals   int64
-	// MulBitsActual/DivBitsActual estimate the cost of the arithmetic
-	// actually executed under the run's profile (equal to MulBits/DivBits
-	// under the schoolbook profile). Keeping both lets the ablation
-	// experiments report the paper's model cost and the realized cost
-	// side by side instead of silently conflating them.
-	MulBitsActual int64
-	DivBitsActual int64
 	// BitLen is the operand-size distribution of the phase's
 	// multiplications and divisions in log₂ buckets: BitLen[b] counts
 	// operations whose larger operand's bit length falls in
 	// BucketRange(b).
 	BitLen [BitLenBuckets]int64
-	// Tiers counts the phase's multiplications by dispatch tier and
-	// ParMuls the products that took the parallel panel path; both are
+	// Tiers counts the phase's multiplications by dispatch tier; it is
 	// zero outside the Fast profile (see Counters.tiers).
-	Tiers   [mp.NumTiers]int64
-	ParMuls int64
+	Tiers [mp.NumTiers]int64
 }
 
 // Ops returns the phase's combined multiplication + division count
@@ -416,14 +345,12 @@ func (c *Counters) Snapshot() Report {
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		pr := PhaseReport{
-			Muls:          c.mul[p].Load(),
-			MulBits:       c.mulBits[p].Load(),
-			Divs:          c.div[p].Load(),
-			DivBits:       c.divBits[p].Load(),
-			Adds:          c.add[p].Load(),
-			Evals:         c.evals[p].Load(),
-			MulBitsActual: c.mulBitsActual[p].Load(),
-			DivBitsActual: c.divBitsActual[p].Load(),
+			Muls:    c.mul[p].Load(),
+			MulBits: c.mulBits[p].Load(),
+			Divs:    c.div[p].Load(),
+			DivBits: c.divBits[p].Load(),
+			Adds:    c.add[p].Load(),
+			Evals:   c.evals[p].Load(),
 		}
 		for b := 0; b < BitLenBuckets; b++ {
 			pr.BitLen[b] = c.hist[p][b].Load()
@@ -431,7 +358,6 @@ func (c *Counters) Snapshot() Report {
 		for t := 0; t < mp.NumTiers; t++ {
 			pr.Tiers[t] = c.tiers[p][t].Load()
 		}
-		pr.ParMuls = c.parMuls[p].Load()
 		r.Phases[p] = pr
 		for k := range r.Signs[p] {
 			r.Signs[p][k] = c.signs[p][k].Load()
@@ -448,15 +374,12 @@ func (t *PhaseReport) accum(p PhaseReport) {
 	t.DivBits += p.DivBits
 	t.Adds += p.Adds
 	t.Evals += p.Evals
-	t.MulBitsActual += p.MulBitsActual
-	t.DivBitsActual += p.DivBitsActual
 	for b := 0; b < BitLenBuckets; b++ {
 		t.BitLen[b] += p.BitLen[b]
 	}
 	for i := 0; i < mp.NumTiers; i++ {
 		t.Tiers[i] += p.Tiers[i]
 	}
-	t.ParMuls += p.ParMuls
 }
 
 // Total returns the sum of all phases' counters.
@@ -515,14 +438,12 @@ func (r Report) Sub(old Report) Report {
 	for p := Phase(0); p < NumPhases; p++ {
 		a, b := r.Phases[p], old.Phases[p]
 		pr := PhaseReport{
-			Muls:          a.Muls - b.Muls,
-			MulBits:       a.MulBits - b.MulBits,
-			Divs:          a.Divs - b.Divs,
-			DivBits:       a.DivBits - b.DivBits,
-			Adds:          a.Adds - b.Adds,
-			Evals:         a.Evals - b.Evals,
-			MulBitsActual: a.MulBitsActual - b.MulBitsActual,
-			DivBitsActual: a.DivBitsActual - b.DivBitsActual,
+			Muls:    a.Muls - b.Muls,
+			MulBits: a.MulBits - b.MulBits,
+			Divs:    a.Divs - b.Divs,
+			DivBits: a.DivBits - b.DivBits,
+			Adds:    a.Adds - b.Adds,
+			Evals:   a.Evals - b.Evals,
 		}
 		for bk := 0; bk < BitLenBuckets; bk++ {
 			pr.BitLen[bk] = a.BitLen[bk] - b.BitLen[bk]
@@ -530,7 +451,6 @@ func (r Report) Sub(old Report) Report {
 		for t := 0; t < mp.NumTiers; t++ {
 			pr.Tiers[t] = a.Tiers[t] - b.Tiers[t]
 		}
-		pr.ParMuls = a.ParMuls - b.ParMuls
 		d.Phases[p] = pr
 		for k := range d.Signs[p] {
 			d.Signs[p][k] = r.Signs[p][k] - old.Signs[p][k]

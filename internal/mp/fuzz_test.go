@@ -61,7 +61,7 @@ func FuzzQuoRemIdentity(f *testing.F) {
 }
 
 // stretch expands a fuzz byte pattern by repetition so the resulting
-// operand crosses the karatsubaThreshold / fastDivThreshold limb counts
+// operand crosses the 2·kar64Threshold / fastDivThreshold limb counts
 // that the subquadratic kernels switch on (raw fuzz inputs are capped at
 // 64 bytes = 16 limbs, far below either threshold). Up to
 // fastDivThreshold/4 repetitions of a 64-byte pattern make a
@@ -219,28 +219,6 @@ func FuzzNTTVsBig(f *testing.F) {
 			t.Fatalf("ntt refused a %d×%d-limb product far below its size cap", len(x), len(y))
 		}
 		checkMul64(t, "fuzz/ntt", z, x, y)
-	})
-}
-
-// FuzzParMulVsBig cross-checks the parallel multiplication path against
-// math/big under varying worker counts, including a scheduler that
-// drops every task.
-func FuzzParMulVsBig(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{0xff, 0xfe}, uint16(40), uint16(40), uint8(2))
-	f.Add([]byte{0xff}, []byte{0xf0, 0x0f}, uint16(48), uint16(31), uint8(0))
-	f.Add([]byte{5, 5, 5, 5}, []byte{6}, uint16(33), uint16(1), uint8(3))
-	f.Fuzz(func(t *testing.T, xb, yb []byte, xrep, yrep uint16, workers uint8) {
-		if len(xb) > 64 || len(yb) > 64 {
-			return
-		}
-		x, y := pack64(xb, xrep), pack64(yb, yrep)
-		var pool Parallel = dropPool{}
-		if w := int(workers % 4); w > 0 {
-			cp := newChanPool(w)
-			defer cp.Close()
-			pool = cp
-		}
-		checkMul64(t, "fuzz/parmul", parMul64(x, y, pool, fastTiers), x, y)
 	})
 }
 

@@ -393,12 +393,13 @@ func TestKaratsubaUnbalanced(t *testing.T) {
 // degenerated, plus threshold-straddling and degenerate-split shapes.
 func TestKaratsubaExtremeUnbalanced(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
+	kar := 2 * kar64Threshold // Karatsuba's threshold in 32-bit limbs
 	shapes := [][2]int{
 		{24 * limbBits, 10000 * limbBits}, // the shape from the bug report
-		{karatsubaThreshold * limbBits, 50 * karatsubaThreshold * limbBits},
-		{(karatsubaThreshold + 1) * limbBits, (2*karatsubaThreshold + 1) * limbBits},
+		{kar * limbBits, 50 * kar * limbBits},
+		{(kar + 1) * limbBits, (2*kar + 1) * limbBits},
 		{700, 700 * 37},
-		{2*karatsubaThreshold*limbBits - 1, 2 * karatsubaThreshold * limbBits}, // m == len(y) degenerate split
+		{2*kar*limbBits - 1, 2 * kar * limbBits}, // m == len(y) degenerate split
 	}
 	for _, s := range shapes {
 		x := RandNonNeg(r, s[0])

@@ -14,13 +14,6 @@ package mp
 // say, a 24-limb × 10000-limb product), then Karatsuba above
 // kar64Threshold.
 
-// karatsubaThreshold is the shorter-operand bit size, in 32-bit limbs,
-// at which the Karatsuba recursion engages (40 limbs = 1280 bits =
-// kar64Threshold packed limbs). Below it the packed schoolbook row
-// loop — and below fastPackThreshold the plain 32-bit loop — is
-// faster. Also the pivot of the Fast profile's MulCost estimate.
-const karatsubaThreshold = 40
-
 // natMulFast returns x*y as a new nat: the Fast profile's
 // multiplication. Operands above fastPackThreshold are packed into
 // 64-bit limbs, quartering the hardware multiply count relative to the

@@ -15,9 +15,8 @@ import "math/bits"
 // above which natMulFast packs to 64-bit limbs.
 const fastPackThreshold = 8
 
-// kar64Threshold is the 64-bit limb count below which mul64 uses the
-// schoolbook row loop. 20 limbs = 1280 bits, matching
-// karatsubaThreshold's cutover point.
+// kar64Threshold is the 64-bit limb count below which mul64To uses the
+// schoolbook row loop: 20 limbs = 1280 bits.
 const kar64Threshold = 20
 
 // norm64 strips leading zero limbs.
@@ -94,13 +93,9 @@ func mul64Basic(z, x, y []uint64) {
 	}
 }
 
-// mul64 multiplies packed operands under the Fast profile's measured
-// tier table.
-func mul64(x, y []uint64) []uint64 { return mul64t(x, y, fastTiers) }
-
 // mul64t returns x·y as a new canonical slice: mul64To on a transient
-// product and scratch buffer. Toom-3, the NTT and the parallel panels
-// multiply their parts through it.
+// product and scratch buffer. Toom-3 and the NTT multiply their parts
+// through it.
 func mul64t(x, y []uint64, tab tierTable) []uint64 {
 	z := make([]uint64, len(x)+len(y))
 	mul64To(z, x, y, make([]uint64, mulScratch(max(len(x), len(y)), tab)), tab)
@@ -139,9 +134,6 @@ func mul64To(z, x, y, t []uint64, tab tierTable) {
 		x, y = y, x
 	}
 	if len(y) < tab.kar {
-		if tab.count != nil {
-			*tab.count += int64(len(x)) * int64(len(y))
-		}
 		mul64Basic(z, x, y)
 		return
 	}

@@ -225,12 +225,6 @@ func nttMul64(x, y []uint64, tab tierTable) []uint64 {
 		return nil
 	}
 	L := 1 << logn
-	if tab.count != nil {
-		// Montgomery products, by the loops' closed form: per prime,
-		// three transforms of (L/2)·log₂L butterflies, pointwise and
-		// scale passes of L each, and two twiddle tables of ~L entries.
-		*tab.count += 3 * (3*int64(L/2)*int64(logn) + 4*int64(L))
-	}
 
 	var res [3][]uint64
 	for pi := range nttPrimes {

@@ -84,14 +84,11 @@ type Term struct {
 // remainder panics, as in DivExact. The products, the sum and the
 // division run under the profile's kernels in a workspace taken from s,
 // so once its buffers have grown the result is the only allocation.
-// Products that MulParallelEngages admits are split into panels offered
-// to par; a nil par keeps them serial. Either way the result is the
-// same.
-func DotDiv(pr Profile, par Parallel, s *Scratch, d *Int, terms ...Term) (*Int, int) {
+func DotDiv(pr Profile, s *Scratch, d *Int, terms ...Term) (*Int, int) {
 	w := s.get()
 	defer s.put(w)
 	if pr == Fast {
-		return w.dotDivFast(par, d, terms)
+		return w.dotDivFast(d, terms)
 	}
 	return w.dotDiv32(d, terms)
 }
@@ -158,7 +155,7 @@ func (w *workspace) dotDiv32(d *Int, terms []Term) (*Int, int) {
 
 // dotDivFast is DotDiv under Fast: products and the sum on packed
 // limbs, then the Fast division.
-func (w *workspace) dotDivFast(par Parallel, d *Int, terms []Term) (*Int, int) {
+func (w *workspace) dotDivFast(d *Int, terms []Term) (*Int, int) {
 	w.acc, w.neg = w.acc[:0], false
 	for _, t := range terms {
 		var p []uint64
@@ -167,7 +164,7 @@ func (w *workspace) dotDivFast(par Parallel, d *Int, terms []Term) (*Int, int) {
 			w.z = pack(w.z, t.X.abs)
 			p = w.z
 		} else {
-			p, neg = w.mulFast(par, t.X.abs, t.Y.abs), neg != t.Y.neg
+			p, neg = w.mulFast(t.X.abs, t.Y.abs), neg != t.Y.neg
 		}
 		w.neg, w.acc = acc64(w.neg, w.acc, neg, p)
 	}
@@ -183,9 +180,9 @@ func (w *workspace) dotDivFast(par Parallel, d *Int, terms []Term) (*Int, int) {
 }
 
 // mulFast returns x·y packed: in the workspace's product buffer, except
-// for the parallel, Toom-3 and NTT tiers, which allocate their own. The
-// dispatch is natMulFast's.
-func (w *workspace) mulFast(par Parallel, x, y nat) []uint64 {
+// for the Toom-3 and NTT tiers, which allocate their own. The dispatch
+// is natMulFast's.
+func (w *workspace) mulFast(x, y nat) []uint64 {
 	if len(x) < len(y) {
 		x, y = y, x
 	}
@@ -195,9 +192,6 @@ func (w *workspace) mulFast(par Parallel, x, y nat) []uint64 {
 		return w.z
 	}
 	w.x, w.y = pack(w.x, x), pack(w.y, y)
-	if par != nil && parMulEngages(len(w.x), len(w.y)) {
-		return parMul64(w.x, w.y, par, fastTiers)
-	}
 	return w.mul64(w.x, w.y, fastTiers)
 }
 

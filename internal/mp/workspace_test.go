@@ -84,11 +84,11 @@ func FuzzDotDivVsBig(f *testing.F) {
 							t.Fatalf("inexact DotDiv (profile %v, %d terms) did not panic", pr, len(terms))
 						}
 					}()
-					DotDiv(pr, nil, &s, div, terms...)
+					DotDiv(pr, &s, div, terms...)
 				}()
 				continue
 			}
-			got, sumBits := DotDiv(pr, nil, &s, div, terms...)
+			got, sumBits := DotDiv(pr, &s, div, terms...)
 			if got.ToBig().Cmp(want) != 0 {
 				t.Fatalf("DotDiv (profile %v, %d terms, run %d) = %s, want %s", pr, len(terms), run, got, want)
 			}
@@ -131,7 +131,7 @@ func TestDotDivZeroAlloc(t *testing.T) {
 		}
 		for _, pr := range []Profile{Schoolbook, Fast} {
 			var s Scratch
-			allocs := testing.AllocsPerRun(20, func() { DotDiv(pr, nil, &s, d, terms...) })
+			allocs := testing.AllocsPerRun(20, func() { DotDiv(pr, &s, d, terms...) })
 			if allocs != 2 {
 				t.Errorf("%s/%v: %.1f allocations per call, want 2 (the Int and its limbs)", tc.name, pr, allocs)
 			}
@@ -157,7 +157,7 @@ func TestScratchConcurrent(t *testing.T) {
 			{X: new(Int).Mul(d, &Int{abs: randNatBits(r, bits)}), Y: &Int{abs: randNatBits(r, bits)}},
 			{X: new(Int).Mul(d, &Int{abs: randNatBits(r, bits)}), Y: &Int{abs: randNatBits(r, bits)}, Neg: true},
 		}
-		want, _ := DotDiv(Schoolbook, nil, nil, d, terms...)
+		want, _ := DotDiv(Schoolbook, nil, d, terms...)
 		jobs[i] = job{terms, d, want}
 	}
 	var s Scratch
@@ -168,7 +168,7 @@ func TestScratchConcurrent(t *testing.T) {
 			for k := 0; k < 3*len(jobs); k++ {
 				j := jobs[(k*(g+1))%len(jobs)]
 				pr := Profile(k % 2)
-				if got, _ := DotDiv(pr, nil, &s, j.d, j.terms...); got.Cmp(j.want) != 0 {
+				if got, _ := DotDiv(pr, &s, j.d, j.terms...); got.Cmp(j.want) != 0 {
 					t.Errorf("goroutine %d, %v: DotDiv differs from the serial result", g, pr)
 					return
 				}

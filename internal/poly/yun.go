@@ -32,7 +32,7 @@ func Yun(p *Poly) []*Poly {
 // per gcd remainder step; a non-nil return aborts the decomposition
 // with that error.
 func YunFromGCD(ctx metrics.Ctx, p, g *Poly, stop func() error) ([]*Poly, error) {
-	ctx = metrics.Ctx{Profile: ctx.Profile, Par: ctx.Par}
+	ctx = metrics.Ctx{Profile: ctx.Profile}
 	g = normSign(g.PrimitivePartProfile(ctx.Profile))
 	if g.Degree() == 0 {
 		return []*Poly{p.Clone()}, nil

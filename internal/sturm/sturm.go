@@ -121,9 +121,10 @@ func FindRootsStop(p *poly.Poly, mu uint, ctx metrics.Ctx, stop func() error) ([
 	if p.Degree() < 1 {
 		return nil, fmt.Errorf("sturm: degree %d polynomial has no roots", p.Degree())
 	}
+	// One gcd(p, p′): a squarefree p keeps its own coefficients.
 	ps := p
-	if !p.IsSquarefreeProfile(ctx.Profile) {
-		ps = p.SquarefreePartProfile(ctx.Profile)
+	if sf := p.SquarefreePartProfile(ctx.Profile); sf.Degree() < p.Degree() {
+		ps = sf
 	}
 	if ps.Degree() < 1 {
 		return nil, fmt.Errorf("sturm: no roots after squarefree reduction")

@@ -203,21 +203,16 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	e.family("realroots_phase_bits_total", "Bit cost by phase, operation, and cost model (model = paper's schoolbook analysis, actual = the run's arithmetic profile).", "counter")
+	e.family("realroots_phase_bits_total", "Bit cost by phase and operation under the paper's schoolbook cost model (Σ bitlen·bitlen, whatever the arithmetic profile; cost is always model).", "counter")
 	for p := metrics.Phase(0); p < metrics.NumPhases; p++ {
 		pr := g.agg.Phases[p]
 		name := p.String()
 		for _, c := range [...]struct {
-			op, cost string
-			n        int64
-		}{
-			{"mul", "model", pr.MulBits},
-			{"mul", "actual", pr.MulBitsActual},
-			{"div", "model", pr.DivBits},
-			{"div", "actual", pr.DivBitsActual},
-		} {
+			op string
+			n  int64
+		}{{"mul", pr.MulBits}, {"div", pr.DivBits}} {
 			if c.n != 0 {
-				e.sampleInt("realroots_phase_bits_total", c.n, "phase", name, "op", c.op, "cost", c.cost)
+				e.sampleInt("realroots_phase_bits_total", c.n, "phase", name, "op", c.op, "cost", "model")
 			}
 		}
 	}

@@ -15,7 +15,7 @@ func sampleReport() metrics.Report {
 	var c metrics.Counters
 	c.AddMul(metrics.PhaseRemainder, 100, 200)
 	c.AddMul(metrics.PhaseRemainder, 5000, 5000)
-	c.AddDivCost(metrics.PhaseTree, 300, 100, 12345)
+	c.AddDiv(metrics.PhaseTree, 300, 100)
 	c.AddAdd(metrics.PhaseSort)
 	c.AddEval(metrics.PhaseBisection)
 	var none metrics.Tally
@@ -59,7 +59,6 @@ func TestWritePrometheusValidates(t *testing.T) {
 		"realroots_roots_total 19",
 		`realroots_phase_ops_total{phase="remainder",op="mul"} `,
 		`realroots_phase_bits_total{phase="tree",op="div",cost="model"} `,
-		`realroots_phase_bits_total{phase="tree",op="div",cost="actual"} `,
 		`realroots_operand_bits_ops_total{phase="remainder",bits="[4096,8192)"} `,
 		`realroots_sign_evals_total{phase="sieve",kernel="screen"} 14`,
 		`realroots_sign_evals_total{phase="newton",kernel="exact"} 7`,
@@ -76,6 +75,9 @@ func TestWritePrometheusValidates(t *testing.T) {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition still carries %s* families", gone)
 		}
+	}
+	if strings.Contains(out, `cost="actual"`) {
+		t.Error(`exposition carries cost="actual" samples; bit costs are the paper's model only`)
 	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", out)

@@ -154,9 +154,10 @@ func FindRoots(p *poly.Poly, mu uint, ctx metrics.Ctx) ([]dyadic.Dyadic, error) 
 	if p.Degree() < 1 {
 		return nil, fmt.Errorf("vca: degree %d polynomial has no roots", p.Degree())
 	}
+	// One gcd(p, p′): a squarefree p keeps its own coefficients.
 	ps := p
-	if !p.IsSquarefreeProfile(ctx.Profile) {
-		ps = p.SquarefreePartProfile(ctx.Profile)
+	if sf := p.SquarefreePartProfile(ctx.Profile); sf.Degree() < p.Degree() {
+		ps = sf
 	}
 	ctx = ctx.In(metrics.PhaseOther)
 	dp := ps.Derivative()

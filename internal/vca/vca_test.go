@@ -264,3 +264,28 @@ func TestErrors(t *testing.T) {
 		t.Error("constant accepted")
 	}
 }
+
+// BenchmarkFindRootsDoubleRoots times both baselines on a degree-26
+// input with 12 double roots and a complex pair, where the squarefree
+// reduction (one gcd(p, p′)) is a large share of the work.
+func BenchmarkFindRootsDoubleRoots(b *testing.B) {
+	var rs []*mp.Int
+	for r := int64(-6); r <= 6; r++ {
+		if r != 0 {
+			rs = append(rs, mp.NewInt(r), mp.NewInt(r))
+		}
+	}
+	p := poly.FromRoots(rs...).Mul(poly.FromInt64s(1, 0, 1))
+	for _, c := range []struct {
+		name string
+		find func(*poly.Poly, uint, metrics.Ctx) ([]dyadic.Dyadic, error)
+	}{{"sturm", sturm.FindRoots}, {"vca", FindRoots}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if roots, err := c.find(p, 16, noCtx()); err != nil || len(roots) != 12 {
+					b.Fatalf("%d roots, %v", len(roots), err)
+				}
+			}
+		})
+	}
+}
