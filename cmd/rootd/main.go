@@ -12,18 +12,18 @@
 //
 // Every solve is traced (at most 4096 spans per lane): the trace is
 // the one record of the solve's phases and of which worker ran which
-// task. Each trace is summarized once, after the solve, into
-// rootd_parallel_efficiency, rootd_serial_fraction, rootd_phase_seconds
-// and the phaseSeconds of the leading request's /debug/requests row,
-// and tail-sampled: it is retained in /debug/traces (the 64 most
-// recent) when the solve errored, exceeded its budget, ran slower than
-// the rolling p95, parallelized below an efficiency of 0.25, or
-// carried an X-Debug-Trace header. Retained traces download as Chrome
-// trace-event JSON from /debug/traces/<seq>; -no-trace turns tracing
-// off. Per-tenant usage (bit ops, solve seconds, cache hits,
-// rejections, retained traces) accumulates in /debug/tenants and the
-// rootd_tenant_* metric families; the per-tenant latency histograms
-// are labelled with the same ledger rows.
+// task. After the solve its phase walls go to rootd_phase_seconds and
+// the phaseSeconds of the leading request's /debug/requests row, and
+// the trace is tail-sampled: it is retained in /debug/traces (the 64
+// most recent) when the solve errored, exceeded its budget, ran slower
+// than the rolling p95, or carried an X-Debug-Trace header, and only a
+// retained trace is summarized into its parallel efficiency and serial
+// fraction. Retained traces download as Chrome trace-event JSON from
+// /debug/traces/<seq>; -no-trace turns tracing off. Per-tenant usage
+// (bit ops, solve seconds, cache hits, rejections, retained traces)
+// accumulates in /debug/tenants and the rootd_tenant_* metric
+// families; the per-tenant latency histograms are labelled with the
+// same ledger rows.
 //
 // Every request carries an end-to-end ID: the client's X-Request-Id
 // header (or a generated one), echoed in the response header and body
@@ -92,7 +92,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		cacheSize    = fs.Int("cache", 256, "LRU result-cache entries (-1 disables)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "in-flight deadline on shutdown")
 		quiet        = fs.Bool("quiet", false, "suppress the structured solve log")
-		noTrace      = fs.Bool("no-trace", false, "disable always-on solve tracing (tail sampling and efficiency gauges stop)")
+		noTrace      = fs.Bool("no-trace", false, "disable always-on solve tracing (no retained traces and no phase timings)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -142,6 +142,12 @@ func TestMatrixSolveTracesCharPoly(t *testing.T) {
 	if d.Retained != 1 {
 		t.Fatalf("retained %d traces, want the forced one", d.Retained)
 	}
+	// The kept trace of this 2-worker solve carries its measured E_P
+	// and serial fraction.
+	if rt := d.Traces[0]; rt.Workers != 2 || rt.Efficiency <= 0 || rt.SerialFraction < 0 || rt.SerialFraction > 1 {
+		t.Errorf("retained trace has workers %d, efficiency %v, serial fraction %v; want 2, > 0, in [0, 1]",
+			rt.Workers, rt.Efficiency, rt.SerialFraction)
+	}
 	var buf bytes.Buffer
 	if err := s.traces.get(d.Traces[0].Seq).WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -301,12 +307,13 @@ func TestTenantLedgerAccountingE2E(t *testing.T) {
 	}
 }
 
-// TestObservabilityMetricsExposed checks the new families appear in
-// /metrics and the whole exposition still validates.
+// TestObservabilityMetricsExposed checks the trace-derived families
+// appear in /metrics, the removed ones do not, and the whole exposition
+// still validates.
 func TestObservabilityMetricsExposed(t *testing.T) {
 	cfg := obsConfig()
 	_, hs := newTestServer(t, cfg)
-	// One parallel solve so the efficiency gauges have data.
+	// One parallel solve so the trace-derived families have data.
 	status, _, data := postSolve(t, hs.URL, `{"poly":{"coeffs":["-2","0","1"]},"precision":48,"workers":2}`)
 	if status != http.StatusOK {
 		t.Fatalf("solve status %d, body %s", status, data)
@@ -321,10 +328,6 @@ func TestObservabilityMetricsExposed(t *testing.T) {
 		t.Fatalf("exposition invalid: %v", err)
 	}
 	for _, fam := range []string{
-		"rootd_parallel_efficiency",
-		"rootd_serial_fraction",
-		"rootd_learned_cost_ratio",
-		"rootd_learned_efficiency",
 		"rootd_phase_seconds",
 		"rootd_traces_retained_total",
 		"rootd_tenant_requests_total",
@@ -334,11 +337,22 @@ func TestObservabilityMetricsExposed(t *testing.T) {
 		}
 	}
 	// Request seconds are the histogram's _sum; the tracing tax is
-	// perfbench's to measure; queue depth is the tracer's.
+	// perfbench's to measure; queue depth is the tracer's. A solve's
+	// cost ratio and peak operand bits are on its request row and its
+	// efficiency on its retained trace, so no gauge holds one solve's
+	// value; admission charges the model estimate, so no gauge holds a
+	// learned correction.
 	for _, fam := range []string{
 		"rootd_request_seconds_total",
 		"rootd_span_overhead_seconds",
 		"realroots_sched_max_queue_depth",
+		"rootd_model_cost_ratio",
+		"rootd_peak_operand_bits",
+		"rootd_parallel_efficiency",
+		"rootd_serial_fraction",
+		"rootd_learned_cost_ratio",
+		"rootd_learned_efficiency",
+		`reason="low_efficiency"`,
 	} {
 		if strings.Contains(body, fam) {
 			t.Errorf("/metrics still carries the removed family %s", fam)
@@ -373,52 +387,3 @@ func TestDisableTracing(t *testing.T) {
 		t.Errorf("tracing disabled but %d traces retained", d.Retained)
 	}
 }
-
-// TestChargedEstimate pins the learned-correction clamp arithmetic.
-func TestChargedEstimate(t *testing.T) {
-	s := New(Config{})
-	cases := []struct {
-		ratio, eff float64
-		workers    int
-		estimate   int64
-		want       int64
-	}{
-		{1, 1, 1, 1000, 1000},   // neutral
-		{2, 1, 1, 1000, 2000},   // model underestimates 2x
-		{0.1, 1, 1, 1000, 250},  // clamped at corrMin
-		{10, 1, 1, 1000, 4000},  // clamped at corrMax
-		{1, 0.5, 4, 1000, 2000}, // half efficiency doubles parallel charge
-		{1, 0.1, 4, 1000, 4000}, // efficiency floor 0.25 then clamp
-		{1, 0.5, 1, 1000, 1000}, // sequential ignores efficiency
-		{1, 1, 1, 0, 1},         // charge is at least 1
-	}
-	for _, tc := range cases {
-		s.learnedRatio.Store(tc.ratio)
-		s.learnedEff.Store(tc.eff)
-		if got := s.chargedEstimate(tc.estimate, tc.workers); got != tc.want {
-			t.Errorf("chargedEstimate(est=%d, workers=%d, ratio=%v, eff=%v) = %d, want %d",
-				tc.estimate, tc.workers, tc.ratio, tc.eff, got, tc.want)
-		}
-	}
-}
-
-// TestUpdateEWMA pins the estimator update rule and its input guards.
-func TestUpdateEWMA(t *testing.T) {
-	s := New(Config{})
-	var f telemetry.Float64
-	f.Store(1)
-	s.updateEWMA(&f, 2)
-	if got := f.Load(); got < 1.2-1e-12 || got > 1.2+1e-12 {
-		t.Errorf("EWMA(1, 2) = %v, want 1.2 (alpha 0.2)", got)
-	}
-	for _, bad := range []float64{0, -1, errNaN(), errInf()} {
-		before := f.Load()
-		s.updateEWMA(&f, bad)
-		if f.Load() != before {
-			t.Errorf("EWMA accepted bad observation %v", bad)
-		}
-	}
-}
-
-func errNaN() float64 { var z float64; return z / z }
-func errInf() float64 { var z float64; return 1 / z }

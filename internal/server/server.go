@@ -65,9 +65,9 @@ type Config struct {
 	// negative disables caching).
 	CacheEntries int
 	// DisableTracing turns off always-on per-solve tracing entirely:
-	// no spans are recorded, the tail sampler retains nothing, and the
-	// trace-derived gauges (parallel efficiency, serial fraction) stop
-	// updating. Admission still works from the static cost model.
+	// no spans are recorded, the tail sampler retains nothing,
+	// rootd_phase_seconds stays empty and request rows carry no
+	// phaseSeconds. Admission does not depend on it.
 	DisableTracing bool
 	// Telemetry is the hub whose registry carries the rootd_* families
 	// next to the solver's, whose handler serves /metrics and pprof, and
@@ -149,20 +149,6 @@ type Server struct {
 	solveHist *telemetry.HistogramVec // rootd_solve_seconds{method}
 	phaseHist *telemetry.HistogramVec // rootd_phase_seconds{phase}
 	traceKept *telemetry.CounterVec   // rootd_traces_retained_total{reason}
-
-	// Algorithm-health gauges: how the paper's §4 cost model fared on
-	// the most recent completed solve.
-	costRatio telemetry.Float64 // measured/estimated bit ops
-	peakBits  telemetry.Float64 // peak operand bit-length bucket floor
-
-	// Trace-derived efficiency gauges (§5's quantities as live
-	// metrics): the most recent solve's measured parallel efficiency
-	// and serial fraction, plus the EWMAs the admission charge learns
-	// from (see chargedEstimate).
-	parEff       telemetry.Float64 // rootd_parallel_efficiency
-	serialFrac   telemetry.Float64 // rootd_serial_fraction
-	learnedEff   telemetry.Float64 // EWMA of measured parallel efficiency
-	learnedRatio telemetry.Float64 // EWMA of measured/estimated bit ops
 }
 
 // New creates a Server from cfg.
@@ -177,10 +163,6 @@ func New(cfg Config) *Server {
 		tail:     newTailSampler(),
 		tenants:  newTenantLedger(),
 	}
-	// The admission corrections start neutral (×1) and learn from
-	// completed solves; see observeSolve.
-	s.learnedRatio.Store(1)
-	s.learnedEff.Store(1)
 	s.registerMetrics(cfg.Telemetry.Registry())
 	s.cache = newResultCache(cfg.CacheEntries, func(event string) {
 		s.cacheEvts.Add(event, 1)
@@ -213,7 +195,7 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 		telemetry.SecondsBuckets, "phase")
 	s.traceKept = reg.RegisterCounterVec("rootd_traces_retained_total",
 		"Solve traces kept by the tail sampler, by retention reason.", "reason",
-		[]string{ReasonForced, ReasonError, ReasonSlow, ReasonLowEfficiency})
+		[]string{ReasonForced, ReasonError, ReasonSlow})
 	reg.RegisterGaugeFunc("rootd_solve_queue_depth",
 		"Requests waiting for a solve slot.",
 		func() float64 { return float64(s.queue.Waiting()) })
@@ -231,24 +213,6 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 			}
 			return 0
 		})
-	reg.RegisterGaugeFunc("rootd_model_cost_ratio",
-		"Measured/estimated bit-ops ratio of the most recent completed solve (cost-model health; ~1 means the paper's schoolbook estimate is honest).",
-		s.costRatio.Load)
-	reg.RegisterGaugeFunc("rootd_peak_operand_bits",
-		"Peak operand bit-length (bucket lower bound) of the most recent completed solve.",
-		s.peakBits.Load)
-	reg.RegisterGaugeFunc("rootd_parallel_efficiency",
-		"Measured parallel efficiency (speedup/workers, the paper's E_P) of the most recent parallel solve.",
-		s.parEff.Load)
-	reg.RegisterGaugeFunc("rootd_serial_fraction",
-		"Measured Amdahl serial fraction of the most recent traced solve.",
-		s.serialFrac.Load)
-	reg.RegisterGaugeFunc("rootd_learned_cost_ratio",
-		"EWMA of measured/estimated bit-ops over completed solves; the admission charge multiplies estimates by it (clamped).",
-		s.learnedRatio.Load)
-	reg.RegisterGaugeFunc("rootd_learned_efficiency",
-		"EWMA of measured parallel efficiency over completed parallel solves; the admission charge divides by it for parallel requests (clamped).",
-		s.learnedEff.Load)
 	s.tenants.registerFamilies(reg)
 }
 
@@ -522,25 +486,21 @@ type solveParams struct {
 	estimate int64
 }
 
-// runSolve is the flight leader's path: reserve the admission budget,
-// wait for a slot, and run the solver. Its context is the server's
-// base context, not the originating request's — once admitted a solve
-// runs to completion (the result is cached, so the work is kept even
-// if the first requester is gone), except under drain cancellation.
+// runSolve is the flight leader's path: reserve the request's model
+// estimate against the admission budget, wait for a slot, and run the
+// solver. Its context is the server's base context, not the
+// originating request's — once admitted a solve runs to completion
+// (the result is cached, so the work is kept even if the first
+// requester is gone), except under drain cancellation.
 func (s *Server) runSolve(reqCtx context.Context, p solveParams) (*SolveResponse, error) {
-	// The charge is the model estimate corrected by what the server has
-	// measured on past solves (learned cost ratio and, for parallel
-	// requests, learned efficiency) — admission learns from observed
-	// speedup instead of trusting the static §4 model forever.
-	charge := s.chargedEstimate(p.estimate, p.workers)
-	if !s.reserve(charge) {
+	if !s.reserve(p.estimate) {
 		return nil, &RequestError{
 			Code: CodeOverloaded,
-			Msg: fmt.Sprintf("charged cost %d bit ops (estimate %d) would oversubscribe the in-flight budget %d",
-				charge, p.estimate, s.cfg.MaxInflightBitOps),
+			Msg: fmt.Sprintf("estimated cost %d bit ops would oversubscribe the in-flight budget %d",
+				p.estimate, s.cfg.MaxInflightBitOps),
 		}
 	}
-	defer s.reserved.Add(-charge)
+	defer s.reserved.Add(-p.estimate)
 
 	// Queue waiting is bounded by the requester's context (a gone
 	// client should not hold a queue position) and by the server
@@ -609,10 +569,6 @@ func (s *Server) runSolve(reqCtx context.Context, p solveParams) (*SolveResponse
 		}
 	}
 	rep := counters.Snapshot()
-	if p.estimate > 0 {
-		s.costRatio.Store(float64(counters.BitOps()) / float64(p.estimate))
-	}
-	s.peakBits.Store(float64(rep.PeakBits()))
 	return &SolveResponse{
 		Roots:           out,
 		Degree:          p.req.degree(),
@@ -636,11 +592,14 @@ func decimalDigits(mu uint) int {
 // reserve charges est against the in-flight admission budget. A
 // request is admitted if the budget holds it — or if nothing else is
 // reserved, so a single request costlier than the whole budget can
-// still run alone rather than being rejected forever.
+// still run alone rather than being rejected forever. The check
+// compares est with the headroom left rather than forming cur+est, so
+// a saturated estimate (model.EstimateBitOps caps at math.MaxInt64)
+// cannot wrap the sum.
 func (s *Server) reserve(est int64) bool {
 	for {
 		cur := s.reserved.Load()
-		if cur > 0 && cur+est > s.cfg.MaxInflightBitOps {
+		if cur > 0 && est > s.cfg.MaxInflightBitOps-cur {
 			return false
 		}
 		if s.reserved.CompareAndSwap(cur, cur+est) {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"realroots/internal/charpoly"
+	"realroots/internal/model"
 	"realroots/internal/mp"
 	"realroots/internal/poly"
 	"realroots/internal/telemetry"
@@ -305,8 +306,10 @@ func TestRateLimit(t *testing.T) {
 }
 
 // TestAdmissionOverload holds one solve in flight via a stalling fault
-// hook and checks that a second, budget-busting request is rejected
-// with 429 overloaded while the first occupies the budget.
+// hook and checks that it reserves exactly its model estimate, even
+// after another solve has completed, and that a second, budget-busting
+// request is rejected with 429 overloaded while the first occupies the
+// budget.
 func TestAdmissionOverload(t *testing.T) {
 	gate := make(chan struct{})
 	s, hs := newTestServer(t, Config{
@@ -322,12 +325,26 @@ func TestAdmissionOverload(t *testing.T) {
 		},
 	})
 
-	firstStatus := make(chan int, 1)
+	// A completed solve of another polynomial first (one worker, so the
+	// fault hook does not stall it): what it measured must not change
+	// what later requests reserve.
+	status, _, data := postSolve(t, hs.URL, `{"poly":{"coeffs":["-3","0","1"]},"workers":1}`)
+	decodeOK(t, status, data)
+
+	req, err := DecodeSolveRequest([]byte(`{"poly":{"coeffs":["-2","0","1"]},"workers":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan *SolveResponse, 1)
 	go func() {
-		status, _, _ := postSolve(t, hs.URL, `{"poly":{"coeffs":["-2","0","1"]},"workers":2}`)
-		firstStatus <- status
+		resp, err := s.Solve(context.Background(), req)
+		if err != nil {
+			t.Errorf("stalled request: %v", err)
+		}
+		first <- resp
 	}()
 	waitFor(t, func() bool { return s.active.Load() == 1 })
+	held := s.reserved.Load()
 
 	status, hdr, data := postSolve(t, hs.URL, `{"poly":{"coeffs":["-6","1","1"]},"workers":2}`)
 	if status != http.StatusTooManyRequests {
@@ -341,10 +358,31 @@ func TestAdmissionOverload(t *testing.T) {
 	}
 
 	close(gate) // release every stalled task
-	if st := <-firstStatus; st != http.StatusOK {
-		t.Fatalf("stalled request finished with status %d, want 200", st)
+	if resp := <-first; resp != nil && held != resp.EstimatedBitOps {
+		t.Errorf("reserved %d bit ops while the stalled solve ran, want its estimatedBitOps %d", held, resp.EstimatedBitOps)
 	}
 	waitFor(t, func() bool { return s.reserved.Load() == 0 })
+}
+
+// TestReserveSaturatedEstimate: the largest admissible requests'
+// estimates saturate at math.MaxInt64. One such solve runs alone, and
+// while it holds the budget no other request is admitted — the sum of
+// the reservations must not wrap past it.
+func TestReserveSaturatedEstimate(t *testing.T) {
+	if est := model.EstimateBitOps(MaxDegree, MaxCoeffDigits*10/3, MaxPrecision); est != math.MaxInt64 {
+		t.Fatalf("largest request's estimate %d, want the saturated %d", est, int64(math.MaxInt64))
+	}
+	s := New(Config{MaxInflightBitOps: 1000})
+	if !s.reserve(math.MaxInt64) {
+		t.Fatal("saturated estimate refused on an idle server")
+	}
+	if s.reserve(1) {
+		t.Errorf("second request admitted beside a saturated one: reserved %d", s.reserved.Load())
+	}
+	s.reserved.Add(-math.MaxInt64)
+	if !s.reserve(1000) || s.reserve(1) {
+		t.Errorf("after release: reserved %d, want exactly the budget admitted", s.reserved.Load())
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -13,11 +13,11 @@ import (
 
 // Tail-sampled traces behind /debug/traces. Every solve is traced into
 // a bounded tracer; when it completes the sampler decides — with the
-// outcome, latency and measured efficiency in hand — whether the trace
-// is interesting enough to keep, and the store keeps the newest kept
-// ones. This inverts head sampling: instead of guessing up front which
-// 1% of requests to record, record everything cheaply and keep only
-// the tail an operator would actually open.
+// outcome and latency in hand — whether the trace is interesting
+// enough to keep, and the store keeps the newest kept ones. This
+// inverts head sampling: instead of guessing up front which 1% of
+// requests to record, record everything cheaply and keep only the
+// tail an operator would actually open.
 
 // StoreSchema versions the /debug/traces JSON dump. Bump on
 // incompatible changes to StoreDump or RetainedTrace.
@@ -30,10 +30,9 @@ const traceRingCapacity = 64
 // Retention reasons recorded on a RetainedTrace. The sampler decides
 // which applies; the store only counts them.
 const (
-	ReasonForced        = "forced"         // X-Debug-Trace header
-	ReasonError         = "error"          // error / panic / budget-exceeded outcome
-	ReasonSlow          = "slow"           // latency above the rolling quantile
-	ReasonLowEfficiency = "low_efficiency" // measured parallel efficiency below floor
+	ReasonForced = "forced" // X-Debug-Trace header
+	ReasonError  = "error"  // error / panic / budget-exceeded outcome
+	ReasonSlow   = "slow"   // latency above the rolling quantile
 )
 
 // A RetainedTrace is one solve's trace the tail sampler decided to
@@ -56,11 +55,11 @@ type RetainedTrace struct {
 	Start time.Time `json:"start"`
 	// WallSeconds is the solve's measured wall time in seconds.
 	WallSeconds float64 `json:"wallSeconds"`
-	// Workers is the parallel worker count the solve ran with (0 if
-	// sequential or unknown).
+	// Workers is the scheduler worker count the solve ran with, at
+	// least 1.
 	Workers int `json:"workers"`
-	// Efficiency is the measured parallel efficiency
-	// (Summary.Efficiency), 0 when Workers is 0.
+	// Efficiency is the measured parallel efficiency over those workers
+	// (Summary.Efficiency, the paper's E_P).
 	Efficiency float64 `json:"efficiency"`
 	// SerialFraction is the trace's measured Amdahl serial fraction.
 	SerialFraction float64 `json:"serialFraction"`
@@ -226,9 +225,6 @@ const (
 	// tailQuantile marks a solve slow when its latency exceeds this
 	// rolling quantile of recent solve latencies.
 	tailQuantile = 0.95
-	// tailMinEfficiency marks a parallel solve interesting when its
-	// measured efficiency (speedup/workers) falls below this floor.
-	tailMinEfficiency = 0.25
 	// tailWindow is how many observations each rolling-quantile window
 	// holds before rotating.
 	tailWindow = 512
@@ -257,18 +253,16 @@ func newTailSampler() *tailSampler {
 
 // traceInfo is what the sampler knows about a completed solve.
 type traceInfo struct {
-	forced     bool              // the X-Debug-Trace override: always retain
-	outcome    telemetry.Outcome // anything but OutcomeOK retains
-	seconds    float64           // the solve's wall time
-	workers    int               // the efficiency floor applies only above 1
-	efficiency float64           // trace.Summary.Efficiency
+	forced  bool              // the X-Debug-Trace override: always retain
+	outcome telemetry.Outcome // anything but OutcomeOK retains
+	seconds float64           // the solve's wall time
 }
 
 // consider classifies one completed solve: it feeds the latency into
 // the rolling window and returns the retention reason ("" = do not
-// retain). Priority order: forced > error > slow > low efficiency, so
-// a forced trace of a failing solve still reads "forced" and counting
-// by reason stays unambiguous.
+// retain). Priority order: forced > error > slow, so a forced trace of
+// a failing solve still reads "forced" and counting by reason stays
+// unambiguous.
 func (s *tailSampler) consider(info traceInfo) (reason string) {
 	slow := s.observe(info.seconds)
 	switch {
@@ -278,8 +272,6 @@ func (s *tailSampler) consider(info traceInfo) (reason string) {
 		return ReasonError
 	case slow:
 		return ReasonSlow
-	case info.workers > 1 && info.efficiency < tailMinEfficiency:
-		return ReasonLowEfficiency
 	}
 	return ""
 }

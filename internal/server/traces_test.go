@@ -175,9 +175,7 @@ func TestTailSamplerPriorities(t *testing.T) {
 		{"forced beats error", traceInfo{forced: true, outcome: telemetry.OutcomeError}, ReasonForced},
 		{"error", traceInfo{outcome: telemetry.OutcomeBudget}, ReasonError},
 		{"panic is an error", traceInfo{outcome: telemetry.OutcomePanic}, ReasonError},
-		{"low efficiency", traceInfo{outcome: telemetry.OutcomeOK, workers: 4, efficiency: 0.1}, ReasonLowEfficiency},
-		{"sequential never low-eff", traceInfo{outcome: telemetry.OutcomeOK, workers: 1}, ""},
-		{"healthy parallel dropped", traceInfo{outcome: telemetry.OutcomeOK, workers: 4, efficiency: 0.9}, ""},
+		{"healthy solve dropped", traceInfo{outcome: telemetry.OutcomeOK}, ""},
 	}
 	for _, tc := range cases {
 		if got := s.consider(tc.info); got != tc.want {

@@ -7,7 +7,7 @@ import (
 )
 
 // Float64 is an atomic float64 accumulator: a lock-free counter for
-// fractional quantities (request seconds, ratios). The zero value is
+// fractional quantities (solve seconds). The zero value is
 // ready to use. Add is a CAS loop over the float's bit pattern, so
 // concurrent adds never drop updates — the fix for the hand-rolled
 // bits-in-an-int64 accumulation rootd used to carry.
@@ -24,11 +24,6 @@ func (f *Float64) Add(v float64) {
 			return
 		}
 	}
-}
-
-// Store atomically replaces the value.
-func (f *Float64) Store(v float64) {
-	f.bits.Store(math.Float64bits(v))
 }
 
 // Load atomically reads the value.

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -16,8 +17,8 @@ type Summary struct {
 	// Wall is the end-to-end traced time: earliest span start to
 	// latest span end, across all lanes and categories.
 	Wall time.Duration
-	// Phases aggregates CatPhase spans by name in first-seen order:
-	// per-phase wall time of the pipeline stages.
+	// Phases is the per-phase wall time of the pipeline stages, as
+	// PhaseWalls reports it.
 	Phases []NamedTime
 	// Tasks aggregates top-level CatTask spans by name in first-seen
 	// order: busy time and task count per scheduler task kind.
@@ -106,6 +107,37 @@ func hasTaskAncestor(spans []Span, i int) bool {
 	return false
 }
 
+// PhaseWalls returns the wall time of each pipeline phase: the
+// durations of the control lane's CatPhase spans summed by name, in
+// first-seen order, open spans skipped. It is one pass over that
+// lane's spans, with no sort and no interval merge, so it is cheap
+// enough to run after every solve; Summarize fills Summary.Phases from
+// it. Call it only after the traced run has completed.
+func (t *Tracer) PhaseWalls() []NamedTime {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	ctl := t.lanes[ControlLane]
+	t.mu.Unlock()
+	if ctl == nil {
+		return nil
+	}
+	var walls []NamedTime
+	for _, sp := range ctl.spans {
+		if sp.Cat != CatPhase || sp.Dur < 0 {
+			continue
+		}
+		j := slices.IndexFunc(walls, func(w NamedTime) bool { return w.Name == sp.Name })
+		if j < 0 {
+			j = len(walls)
+			walls = append(walls, NamedTime{Name: sp.Name})
+		}
+		walls[j].Wall += sp.Dur
+	}
+	return walls
+}
+
 // Summarize computes the utilization summary of the recorded trace.
 // Call it only after the traced run has completed.
 func (t *Tracer) Summarize() Summary {
@@ -113,10 +145,10 @@ func (t *Tracer) Summarize() Summary {
 	if t == nil {
 		return s
 	}
+	s.Phases = t.PhaseWalls()
 	var (
 		minStart, maxEnd time.Duration
 		haveSpan         bool
-		phaseIdx         = map[string]int{}
 		taskIdx          = map[string]int{}
 		busyByLane       [][]interval
 	)
@@ -135,29 +167,21 @@ func (t *Tracer) Summarize() Summary {
 				maxEnd = sp.End()
 			}
 			haveSpan = true
-			switch sp.Cat {
-			case CatPhase:
-				j, ok := phaseIdx[sp.Name]
+			if sp.Cat == CatPhase {
+				continue // a container, not busy work; PhaseWalls times it
+			}
+			busy = append(busy, interval{sp.Start, sp.End()})
+			if !hasTaskAncestor(spans, i) {
+				j, ok := taskIdx[sp.Name]
 				if !ok {
-					j = len(s.Phases)
-					phaseIdx[sp.Name] = j
-					s.Phases = append(s.Phases, NamedTime{Name: sp.Name})
+					j = len(s.Tasks)
+					taskIdx[sp.Name] = j
+					s.Tasks = append(s.Tasks, TaskTime{Name: sp.Name})
 				}
-				s.Phases[j].Wall += sp.Dur
-			default:
-				busy = append(busy, interval{sp.Start, sp.End()})
-				if !hasTaskAncestor(spans, i) {
-					j, ok := taskIdx[sp.Name]
-					if !ok {
-						j = len(s.Tasks)
-						taskIdx[sp.Name] = j
-						s.Tasks = append(s.Tasks, TaskTime{Name: sp.Name})
-					}
-					s.Tasks[j].Busy += sp.Dur
-					s.Tasks[j].Count++
-					lu.Tasks++
-					lu.Wait += sp.Wait
-				}
+				s.Tasks[j].Busy += sp.Dur
+				s.Tasks[j].Count++
+				lu.Tasks++
+				lu.Wait += sp.Wait
 			}
 		}
 		if len(busy) == 0 && lu.Tasks == 0 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,9 @@ func TestSummarizeSynthetic(t *testing.T) {
 	}
 	if s.Phases[0].Wall != 10*ms || s.Phases[1].Wall != 30*ms {
 		t.Errorf("phase walls = %v, %v", s.Phases[0].Wall, s.Phases[1].Wall)
+	}
+	if walls := synthetic().PhaseWalls(); !slices.Equal(walls, s.Phases) {
+		t.Errorf("PhaseWalls = %+v, Summarize().Phases = %+v", walls, s.Phases)
 	}
 	// Busy: worker-0 30ms + worker-1 10ms.
 	if s.Busy != 40*ms {
